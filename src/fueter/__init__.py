@@ -7,17 +7,15 @@ finite-difference verification harness.
 """
 
 from .clifford import Multivector, Paravector
-from .errors import NumericalError, OdeError, QuadratureError
+from .errors import NumericalError, QuadratureError
 from .forward import FueterConfig, fueter_fields, fueter_map, fueter_profile, laplacian_oracle
 from .inverse import (
     AxialFunction,
     FueterPrimitive,
-    OdeConfig,
     Rectangle,
     compute_KN,
     integral_I,
     invert,
-    primitive_eval,
     solve_alpha_beta,
 )
 from .jets import HolomorphicFn, Jet, jet_combine, jet_elementary, radial_derivatives
@@ -61,12 +59,12 @@ __all__ = [
     "RadialField", "coeff_a", "coeff_row", "double_factorial",
     "radial_op", "antiderivative", "nested_antiderivative_oracle",
     "FueterConfig", "fueter_map", "fueter_profile", "fueter_fields", "laplacian_oracle",
-    "Rectangle", "OdeConfig", "AxialFunction", "FueterPrimitive",
-    "compute_KN", "integral_I", "solve_alpha_beta", "invert", "primitive_eval",
+    "Rectangle", "AxialFunction", "FueterPrimitive",
+    "compute_KN", "integral_I", "solve_alpha_beta", "invert",
     "unit_sphere_area", "cauchy_kernel", "example1_oracle", "example2_oracle",
     "SphereQuadrature", "sphere_cauchy_integral", "axial_field",
     "GridSpec", "ResidualReport", "vekua_residual", "cr_residual",
     "monogenicity_residual", "kernel_check", "polynomial_fit_residual",
-    "NumericalError", "QuadratureError", "OdeError",
+    "NumericalError", "QuadratureError",
     "__version__",
 ]

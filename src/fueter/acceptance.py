@@ -81,7 +81,7 @@ EX1_TOL_UV = 1e-6
 
 
 def criterion_2() -> CriterionResult:
-    """integral_I and primitive_eval against the m=5 closed forms."""
+    """integral_I and FueterPrimitive.eval against the m=5 closed forms."""
     t0 = time.perf_counter()
     rect = Rectangle(0.2, 1.0, 0.5, 1.5)
     H = axial_field("example1", rect)

@@ -25,7 +25,7 @@ from . import acceptance, jets
 from .clifford import Multivector, Paravector
 from .errors import NumericalError
 from .forward import FueterConfig, fueter_fields, fueter_map
-from .inverse import AxialFunction, OdeConfig, Rectangle, invert
+from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
 from .quadrature import QuadratureConfig
@@ -46,7 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rect", help="rectangle a,b,c,d in the (x0, r) half plane")
     p.add_argument("--grid", help="evaluation grid nx0,nr")
     p.add_argument("--quad-tol", type=float, dest="quad_tol", help="quadrature abs tolerance")
-    p.add_argument("--ode-steps", type=int, dest="ode_steps", help="RK4 step count")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
 
@@ -95,10 +94,6 @@ class _Options:
     def quad(self) -> QuadratureConfig:
         tol = self.get("quad_tol")
         return QuadratureConfig(abs_tol=float(tol)) if tol is not None else QuadratureConfig()
-
-    def ode(self) -> OdeConfig:
-        steps = self.get("ode_steps")
-        return OdeConfig(steps=int(steps)) if steps is not None else OdeConfig()
 
     def mk(self, default_m=3, default_k=0) -> tuple[int, int]:
         return int(self.get("m", default_m)), int(self.get("k", default_k))
@@ -252,7 +247,7 @@ def _cmd_invert(args) -> int:
     if k_flag is not None and int(k_flag) != H.k:
         raise ValueError(f"--k {k_flag} conflicts with field {H.name!r} (k={H.k})")
     init = opts.init(2 * H.N)
-    prim = invert(H, init=init, quad=opts.quad(), ode=opts.ode())
+    prim = invert(H, init=init, quad=opts.quad())
     nx0, nr = opts.grid()
 
     def at_point(pt):
@@ -309,7 +304,7 @@ def _cmd_roundtrip(args) -> int:
     nx0, nr = opts.grid(default=(8, 8))
     A, B = fueter_fields(h, cfg)
     H = AxialFunction(A, B, m, k, rect, name=f"forward:{h.name}")
-    prim = invert(H, quad=opts.quad(), ode=opts.ode())
+    prim = invert(H, quad=opts.quad())
 
     samples = []
     for x0, r in _full_grid(rect, nx0, nr):

@@ -13,6 +13,3 @@ class NumericalError(RuntimeError):
 class QuadratureError(NumericalError):
     """Adaptive quadrature did not converge within the allowed depth."""
 
-
-class OdeError(NumericalError):
-    """The ODE integrator produced a non-finite state."""

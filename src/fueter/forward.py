@@ -71,14 +71,17 @@ def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0: float, r: float) -> 
 def fueter_fields(
     h: HolomorphicFn, cfg: FueterConfig
 ) -> tuple[Callable[[float, np.ndarray], np.ndarray], Callable[[float, np.ndarray], np.ndarray]]:
-    """(A, B) evaluators of the image field, vectorized over r at fixed x0."""
+    """(A, B) evaluators of the image field at scalar or equal-shape array (x0, r)."""
 
     def make(which: int):
         def eval_field(x0, r):
-            rr = np.asarray(r, dtype=np.float64)
+            xx, rr = np.broadcast_arrays(np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64))
             if rr.ndim == 0:
-                return fueter_profile(h, cfg, float(x0), float(rr))[which]
-            flat = [fueter_profile(h, cfg, float(x0), float(t))[which] for t in rr.ravel()]
+                return fueter_profile(h, cfg, float(xx), float(rr))[which]
+            flat = [
+                fueter_profile(h, cfg, x, t)[which]
+                for x, t in zip(xx.ravel().tolist(), rr.ravel().tolist())
+            ]
             return np.array(flat).reshape(rr.shape)
 
         return eval_field

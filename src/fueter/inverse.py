@@ -21,9 +21,11 @@ chain in x0 forced by the field's trace on the r = c edge:
     beta_j'  + 2(j+1) alpha_(j+1) = (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) A(x0, c)
 
 for j = 0..N-1, reading alpha_N = 0 in the last line.  Integrals are
-adaptive Gauss-Legendre; the ODE chain is classical RK4 on a fixed grid
-with cubic interpolation between samples.  Different initial constants
-change h only by a real polynomial of degree <= 2k+m-2 = 2N-1.
+adaptive Gauss-Legendre.  The chain y' = M y + F is nilpotent (M^(2N) = 0),
+so y(x0) = E(x0 - x_i) y(x_i) + integral_{x_i}^{x0} E(x0 - t) F(t) dt holds
+exactly with the matrix polynomial E(s) = sum_{p<2N} M^p s^p / p!; the
+forcing integral is Gauss-Legendre on fixed panels.  Different initial
+constants change h only by a real polynomial of degree <= 2k+m-2 = 2N-1.
 """
 
 from __future__ import annotations
@@ -32,14 +34,24 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import RegularGridInterpolator
 
-from .errors import OdeError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .errors import NumericalError
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _rule, integrate
 from .radial import double_factorial
+
+# Points this close outside a rectangle (or a tabulated grid) count as on
+# its edge: upstream arithmetic lands an ulp or two past it.
+EDGE_TOL = 1e-12
+# The composite Gauss-Legendre rule of the coefficient chain's forcing.
+CHAIN_PANELS = 256
+CHAIN_ORDER = 8
+# Distinct x0 whose coefficient vector one primitive remembers.
+COEFF_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ class Rectangle:
         if not 0 < self.c < self.d:
             raise ValueError(f"need 0 < c < d, got c={self.c}, d={self.d}")
 
-    def contains(self, x0: float, r: float, tol: float = 1e-12) -> bool:
+    def contains(self, x0: float, r: float, tol: float = EDGE_TOL) -> bool:
         return (
             self.a - tol <= x0 <= self.b + tol and self.c - tol <= r <= self.d + tol
         )
@@ -71,23 +83,6 @@ class Rectangle:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class OdeConfig:
-    """Fixed-step solver settings for the coefficient ODE chain."""
-
-    steps: int = 2048
-    method: str = "rk4"
-
-    def __post_init__(self):
-        if self.steps < 4:
-            raise ValueError(f"need at least 4 steps for cubic interpolation, got {self.steps}")
-        if self.method != "rk4":
-            raise ValueError(f"unknown ODE method {self.method!r} (only 'rk4')")
-
-
-DEFAULT_ODE = OdeConfig()
 
 
 def compute_KN(k: int, m: int) -> Fraction:
@@ -104,8 +99,10 @@ def compute_KN(k: int, m: int) -> Fraction:
 class AxialFunction:
     """An axial field on a rectangle: scalar profiles (A, B) plus (m, k).
 
-    A and B must accept (x0, r) with r a scalar or an ndarray (the
-    quadrature feeds node arrays at fixed x0).  The ``certified`` flag
+    A and B must accept (x0, r) as two scalars, as a scalar x0 with an
+    ndarray r (the radial quadrature feeds r nodes at fixed x0), or as two
+    ndarrays of equal shape (the coefficient chain feeds x0 nodes along
+    r = c), and return float values of r's shape.  The ``certified`` flag
     records that a Vekua-system residual check was run; nothing here
     requires it, but verification reports carry it.
     """
@@ -195,20 +192,20 @@ class AxialFunction:
         if np.any(np.isnan(vals)):
             raise ValueError("grid has missing points")
         interp = RegularGridInterpolator((xs, rs), vals, method="linear")
-        # rounding-level excursions past the grid edge (an ulp or two from
-        # upstream arithmetic) snap back; genuinely exterior points still raise
-        snap_x = 1e-12 * (xs[-1] - xs[0])
-        snap_r = 1e-12 * (rs[-1] - rs[0])
+
+        def snap(t, grid):
+            # what Rectangle.contains lets past the grid edge snaps back onto
+            # it; genuinely exterior points still raise
+            t = np.where(np.abs(t - grid[0]) <= EDGE_TOL, grid[0], t)
+            return np.where(np.abs(t - grid[-1]) <= EDGE_TOL, grid[-1], t)
 
         def component(which: int):
             def eval_field(x0, r):
-                rr = np.asarray(r, dtype=np.float64)
-                xx = np.broadcast_to(np.asarray(x0, dtype=np.float64), rr.shape)
-                xx = np.where(np.abs(xx - xs[0]) <= snap_x, xs[0], xx)
-                xx = np.where(np.abs(xx - xs[-1]) <= snap_x, xs[-1], xx)
-                rq = np.where(np.abs(rr - rs[0]) <= snap_r, rs[0], rr)
-                rq = np.where(np.abs(rq - rs[-1]) <= snap_r, rs[-1], rq)
-                out = interp(np.stack([xx, rq], axis=-1).reshape(-1, 2))[..., which]
+                xx, rr = np.broadcast_arrays(
+                    np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
+                )
+                pts = np.stack([snap(xx, xs), snap(rr, rs)], axis=-1).reshape(-1, 2)
+                out = interp(pts)[..., which]
                 return out.reshape(rr.shape) if rr.ndim else float(out[0])
 
             return eval_field
@@ -255,42 +252,56 @@ def integral_I(
     )
 
 
-def _edge_weights(N: int, c: float, kn: float) -> tuple[np.ndarray, np.ndarray]:
-    # forcing weights of the ODE chain on the r = c trace
-    s_alpha = np.array(
-        [
-            (-1.0) ** (N - j - 1) * kn * math.comb(N - 1, j) * c ** (2 * (N - j) - 1)
-            for j in range(N)
-        ]
-    )
-    s_beta = np.array(
-        [
-            (-1.0) ** (N - j) * kn * math.comb(N - 1, j) * c ** (2 * (N - j - 1))
-            for j in range(N)
-        ]
-    )
-    return s_alpha, s_beta
+@lru_cache(maxsize=None)
+def _propagator_terms(N: int) -> np.ndarray:
+    """M^p / p! for p < 2N, with y = (alpha_0.., beta_0..) and y' = M y + F."""
+    n2 = 2 * N
+    j = np.arange(N)
+    M = np.zeros((n2, n2))
+    M[j, N + j] = 2.0 * j + 1.0
+    M[N + j[:-1], j[1:]] = -2.0 * (j[:-1] + 1.0)
+    terms = np.empty((n2, n2, n2))
+    terms[0] = np.eye(n2)
+    for p in range(1, n2):
+        terms[p] = M @ terms[p - 1] / p
+    terms.flags.writeable = False
+    return terms
+
+
+def _propagator(N: int, s) -> np.ndarray:
+    """E(s) = exp(M s) as a matrix polynomial; shape s.shape + (2N, 2N)."""
+    s = np.asarray(s, dtype=np.float64)
+    powers = s[..., None] ** np.arange(2 * N)
+    return np.tensordot(powers, _propagator_terms(N), axes=1)
+
+
+def _edge_forcing(H: AxialFunction, t: np.ndarray) -> np.ndarray:
+    """The forcing F at x0 nodes t (one A and one B call on r = c), shape (len(t), 2N)."""
+    N, c = H.N, H.rect.c
+    r = np.full_like(t, c)
+    a_c = np.broadcast_to(np.asarray(H.A(t, r), dtype=np.float64), t.shape)
+    b_c = np.broadcast_to(np.asarray(H.B(t, r), dtype=np.float64), t.shape)
+    bad = ~(np.isfinite(a_c) & np.isfinite(b_c))
+    if bad.any():
+        raise NumericalError(f"non-finite edge trace at x0={t[bad][0]:g} (r={c:g})")
+    j = np.arange(N)
+    # (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) drives beta_j; -c times it drives alpha_j
+    w = float(compute_KN(H.k, H.m)) * np.array([math.comb(N - 1, i) for i in j])
+    w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
+    return np.concatenate([-c * np.outer(b_c, w), np.outer(a_c, w)], axis=1)
 
 
 def solve_alpha_beta(
-    H: AxialFunction,
-    init: Sequence[float] | None = None,
-    ode: OdeConfig = DEFAULT_ODE,
+    H: AxialFunction, init: Sequence[float] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the coefficient ODE chain across [a, b].
+    """Solve the coefficient chain exactly at the CHAIN_PANELS + 1 panel edges of [a, b].
 
-    Returns (xs, alphas, betas) with xs of length steps+1 and each
-    coefficient family of shape (N, steps+1).  init lists the 2N starting
-    values (alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0 = a; default
-    all zero (any choice differs by a kernel polynomial).
+    Returns (xs, alphas, betas), each family of shape (N, len(xs)).  init
+    lists the 2N values (alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at
+    x0 = a; default all zero (any choice differs by a kernel polynomial).
     """
     N = H.N
     rect = H.rect
-    kn = float(compute_KN(H.k, H.m))
-    s_alpha, s_beta = _edge_weights(N, rect.c, kn)
-    odd = 2.0 * np.arange(N) + 1.0  # (2j+1) couplings
-    even = 2.0 * (np.arange(N - 1) + 1.0)  # 2(j+1) couplings
-
     if init is None:
         y = np.zeros(2 * N)
     else:
@@ -298,52 +309,38 @@ def solve_alpha_beta(
         if y.shape != (2 * N,):
             raise ValueError(f"init must have 2N = {2 * N} entries, got shape {y.shape}")
 
-    def rhs(x0: float, state: np.ndarray) -> np.ndarray:
-        alpha, beta = state[:N], state[N:]
-        a_c = float(H.A(x0, rect.c))
-        b_c = float(H.B(x0, rect.c))
-        d_alpha = odd * beta + s_alpha * b_c
-        d_beta = s_beta * a_c
-        if N > 1:
-            d_beta = d_beta.copy()
-            d_beta[: N - 1] -= even * alpha[1:]
-        return np.concatenate([d_alpha, d_beta])
-
-    steps = ode.steps
-    xs = np.linspace(rect.a, rect.b, steps + 1)
-    h = (rect.b - rect.a) / steps
-    out = np.empty((steps + 1, 2 * N))
+    xs = np.linspace(rect.a, rect.b, CHAIN_PANELS + 1)
+    h = (rect.b - rect.a) / CHAIN_PANELS
+    nodes, weights = _rule(CHAIN_ORDER)
+    offsets = 0.5 * h * (nodes + 1.0)  # node positions within a panel
+    forcing = _edge_forcing(H, (xs[:-1, None] + offsets).ravel())
+    # every panel has the same width, so E(x_(i+1) - t) at the q-th node is
+    # one matrix per q, shared by all panels
+    kernel = (0.5 * h) * weights[:, None, None] * _propagator(N, h - offsets)
+    drive = np.einsum("qrc,iqc->ir", kernel, forcing.reshape(CHAIN_PANELS, CHAIN_ORDER, 2 * N))
+    step = _propagator(N, h)
+    out = np.empty((CHAIN_PANELS + 1, 2 * N))
     out[0] = y
-    for i in range(steps):
-        # evaluate stages on the exact grid: x + h can overshoot rect.b by
-        # an ulp when h is inexact, which hard-fails interpolated fields
-        x, x1 = xs[i], xs[i + 1]
-        xm = 0.5 * (x + x1)
-        k1 = rhs(x, y)
-        k2 = rhs(xm, y + (h / 2) * k1)
-        k3 = rhs(xm, y + (h / 2) * k2)
-        k4 = rhs(x1, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise OdeError(f"non-finite ODE state at x0={xs[i + 1]:g}")
+    for i in range(CHAIN_PANELS):
+        y = step @ y + drive[i]
         out[i + 1] = y
-    alphas = out[:, :N].T.copy()
-    betas = out[:, N:].T.copy()
-    return xs, alphas, betas
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"coefficient chain overflowed on [{rect.a:g}, {rect.b:g}]")
+    return xs, out[:, :N].T.copy(), out[:, N:].T.copy()
 
 
 class FueterPrimitive:
-    """A computed primitive: correction trajectories plus on-demand integrals.
+    """A computed primitive: correction coefficients plus on-demand integrals.
 
-    eval(x0, r) returns (u, v) with u + iv holomorphic in x0 + i r; the
-    alpha_j, beta_j trajectories are stored densely on the ODE grid and
-    interpolated with not-a-knot cubic splines (exact on polynomial
-    trajectories up to cubics).
+    eval(x0, r) returns (u, v) with u + iv holomorphic in x0 + i r.  The
+    alpha_j, beta_j are stored at the chain's panel edges; between edges
+    they solve the chain exactly across one partial panel, remembered for
+    the last COEFF_CACHE distinct x0.
     """
 
     __slots__ = (
-        "field", "rect", "m", "k", "N", "K_N", "init", "quad", "ode",
-        "xs", "alphas", "betas", "_alpha_sp", "_beta_sp",
+        "field", "rect", "m", "k", "N", "K_N", "init", "quad",
+        "xs", "alphas", "betas", "_edges", "_coefficients",
     )
 
     def __init__(
@@ -351,7 +348,6 @@ class FueterPrimitive:
         field: AxialFunction,
         init: np.ndarray,
         quad: QuadratureConfig,
-        ode: OdeConfig,
         xs: np.ndarray,
         alphas: np.ndarray,
         betas: np.ndarray,
@@ -362,20 +358,44 @@ class FueterPrimitive:
         self.k = field.k
         self.N = field.N
         self.K_N = compute_KN(field.k, field.m)
+        if alphas.shape != (self.N, len(xs)) or betas.shape != alphas.shape:
+            raise ValueError(f"trajectories need shape (N, len(xs)) = {(self.N, len(xs))}")
         self.init = np.asarray(init, dtype=np.float64)
         self.quad = quad
-        self.ode = ode
         self.xs = xs
         self.alphas = alphas
         self.betas = betas
-        self._alpha_sp = [CubicSpline(xs, alphas[j]) for j in range(self.N)]
-        self._beta_sp = [CubicSpline(xs, betas[j]) for j in range(self.N)]
+        self._edges = np.concatenate([alphas, betas]).T  # (len(xs), 2N)
+        self._edges.flags.writeable = False  # rows are cached results too
+        self._coefficients = lru_cache(maxsize=COEFF_CACHE)(self._solve_at)
+
+    def _solve_at(self, x0: float) -> np.ndarray:
+        """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0."""
+        self.rect.require(x0, self.rect.c)
+        i = int(np.clip(np.searchsorted(self.xs, x0, side="right") - 1, 0, len(self.xs) - 1))
+        lo = float(self.xs[i])
+        if x0 == lo:
+            return self._edges[i]
+        # one Gauss-Legendre panel on [lo, x0] for the forcing integral
+        nodes, weights = _rule(CHAIN_ORDER)
+        half = 0.5 * (x0 - lo)
+        t = lo + half * (nodes + 1.0)
+        kernel = _propagator(self.N, x0 - t)
+        drive = half * np.einsum("q,qrc,qc->r", weights, kernel, _edge_forcing(self.field, t))
+        y = _propagator(self.N, x0 - lo) @ self._edges[i] + drive
+        y.flags.writeable = False  # the cache hands it to every caller
+        return y
+
+    def _family(self, index: int, x0) -> float | np.ndarray:
+        x = np.asarray(x0, dtype=np.float64)
+        vals = [self._coefficients(float(t))[index] for t in x.ravel()]
+        return float(vals[0]) if x.ndim == 0 else np.array(vals).reshape(x.shape)
 
     def alpha(self, j: int, x0) -> float | np.ndarray:
-        return self._alpha_sp[j](x0)
+        return self._family(range(self.N)[j], x0)
 
     def beta(self, j: int, x0) -> float | np.ndarray:
-        return self._beta_sp[j](x0)
+        return self._family(self.N + range(self.N)[j], x0)
 
     def eval(self, x0: float, r: float) -> tuple[float, float]:
         """(u, v) at a rectangle point."""
@@ -383,11 +403,10 @@ class FueterPrimitive:
         kn = float(self.K_N)
         i1 = integral_I(1, self.field.A, x0, r, self.rect, self.N, self.quad)
         i2 = integral_I(2, self.field.B, x0, r, self.rect, self.N, self.quad)
-        u = kn * i1
-        v = kn * i2
-        for j in range(self.N):
-            u += float(self._alpha_sp[j](x0)) * r ** (2 * j)
-            v += float(self._beta_sp[j](x0)) * r ** (2 * j + 1)
+        coeffs = self._coefficients(float(x0))
+        powers = r ** (2.0 * np.arange(self.N))  # r^(2j)
+        u = kn * i1 + float(coeffs[: self.N] @ powers)
+        v = kn * i2 + r * float(coeffs[self.N :] @ powers)
         return u, v
 
     def __call__(self, z: complex) -> complex:
@@ -415,27 +434,12 @@ class FueterPrimitive:
         )
 
 
-def primitive_eval(P: FueterPrimitive, H: AxialFunction, x0: float, r: float) -> tuple[float, float]:
-    """(u, v) of the primitive P of H at (x0, r); explicit-field variant of P.eval."""
-    if H is not P.field and (H.m != P.m or H.k != P.k):
-        raise ValueError("field does not match the primitive's (m, k)")
-    kn = float(P.K_N)
-    P.rect.require(x0, r)
-    u = kn * integral_I(1, H.A, x0, r, P.rect, P.N, P.quad)
-    v = kn * integral_I(2, H.B, x0, r, P.rect, P.N, P.quad)
-    for j in range(P.N):
-        u += float(P.alpha(j, x0)) * r ** (2 * j)
-        v += float(P.beta(j, x0)) * r ** (2 * j + 1)
-    return u, v
-
-
 def invert(
     H: AxialFunction,
     init: Sequence[float] | None = None,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    ode: OdeConfig = DEFAULT_ODE,
 ) -> FueterPrimitive:
     """Construct a holomorphic primitive of the axial field H on its rectangle."""
-    xs, alphas, betas = solve_alpha_beta(H, init, ode)
+    xs, alphas, betas = solve_alpha_beta(H, init)
     y0 = np.zeros(2 * H.N) if init is None else np.asarray(init, dtype=np.float64)
-    return FueterPrimitive(H, y0, quad, ode, xs, alphas, betas)
+    return FueterPrimitive(H, y0, quad, xs, alphas, betas)

@@ -106,6 +106,23 @@ class TestInvert:
         )
         assert code == 3
 
+    def test_non_finite_edge_trace_exits_3(self, capsys, monkeypatch):
+        from fueter import cli
+        from fueter.inverse import AxialFunction, Rectangle
+
+        def nan_field(name, rect, m=None):
+            return AxialFunction(
+                lambda x0, r: np.full(np.shape(r), np.nan),
+                lambda x0, r: np.zeros(np.shape(r)),
+                3, 0, Rectangle(*cli.DEFAULT_RECT), name=name,
+            )
+
+        monkeypatch.setattr(cli, "axial_field", nan_field)
+        code = main(["invert", "--field", "nan-trace", "--grid", "2,2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "non-finite edge trace at x0=" in err
+
     def test_dimension_conflict_rejected(self, capsys):
         code, _ = run(capsys, "invert", "--field", "example1", "--m", "3")
         assert code == 2

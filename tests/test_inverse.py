@@ -6,18 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fueter import jets
+from fueter.errors import NumericalError
+from fueter.forward import FueterConfig, fueter_fields
 from fueter.inverse import (
     AxialFunction,
-    OdeConfig,
+    FueterPrimitive,
     Rectangle,
     compute_KN,
     integral_I,
     invert,
-    primitive_eval,
     solve_alpha_beta,
 )
 from fueter.oracles import axial_field, example1_oracle
-from fueter.quadrature import QuadratureConfig
+from fueter.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from fueter.verify import polynomial_fit_residual
 
 RECT = Rectangle(0.0, 1.0, 0.5, 1.5)
@@ -38,12 +40,6 @@ class TestGeometry:
         assert not RECT.contains(1.1, 1.0)
         with pytest.raises(ValueError, match="outside"):
             RECT.require(0.5, 0.4)
-
-    def test_ode_config_validation(self):
-        with pytest.raises(ValueError):
-            OdeConfig(steps=3)
-        with pytest.raises(ValueError):
-            OdeConfig(method="euler")
 
 
 class TestNormalization:
@@ -123,16 +119,21 @@ class TestCubicRoundTrip:
             assert v == pytest.approx(want.imag, abs=1e-10)
 
     def test_explicit_field_eval_matches(self):
+        # eval is K_N I + the correction polynomials, spelled out by hand
         H = axial_field("cubic")
         prim = invert(H)
-        assert primitive_eval(prim, H, 0.5, 1.2) == pytest.approx(prim.eval(0.5, 1.2))
+        x0, r = 0.5, 1.2
+        kn = float(prim.K_N)
+        u = kn * integral_I(1, H.A, x0, r, H.rect, 1) + prim.alpha(0, x0)
+        v = kn * integral_I(2, H.B, x0, r, H.rect, 1) + prim.beta(0, x0) * r
+        assert prim.eval(x0, r) == pytest.approx((u, v), abs=1e-15)
 
     def test_mismatched_field_rejected(self):
+        # trajectories of a field with another (m, k) do not fit this field
         H = axial_field("cubic")
-        other = axial_field("example1")
-        prim = invert(H)
-        with pytest.raises(ValueError):
-            primitive_eval(prim, other, 0.5, 1.2)
+        xs, alphas, betas = solve_alpha_beta(axial_field("example1"))
+        with pytest.raises(ValueError, match="shape"):
+            FueterPrimitive(H, np.zeros(2), DEFAULT_QUADRATURE, xs, alphas, betas)
 
 
 class TestGaugeFreedom:
@@ -155,11 +156,10 @@ class TestGaugeFreedom:
 
     def test_ode_trajectories_shape(self):
         H = axial_field("example1")
-        ode = OdeConfig(steps=16)
-        xs, alphas, betas = solve_alpha_beta(H, ode=ode)
-        assert xs.shape == (17,)
-        assert alphas.shape == (H.N, 17)
-        assert betas.shape == (H.N, 17)
+        xs, alphas, betas = solve_alpha_beta(H)
+        assert xs.ndim == 1 and xs[0] == H.rect.a and xs[-1] == H.rect.b
+        assert alphas.shape == (H.N, len(xs))
+        assert betas.shape == (H.N, len(xs))
 
 
 class TestForwardConsistency:
@@ -205,14 +205,17 @@ class TestTabulatedFields:
         z = complex(0.5, 1.0)
         assert abs(prim(z) - (z**3 + H.rect.c**2 * z)) <= 1e-8
 
-    def test_inversion_with_inexact_ode_step(self):
-        # x0 span 0.8: (b - a)/steps is not a binary fraction, so naive
-        # stepping lands an ulp past b; the tabulated field must not balk.
+    def test_eval_at_tabulated_grid_edges(self):
+        # Rectangle.require lets x0 up to 1e-12 past an edge; the grid must
+        # take the same points, and the chain's partial panels then reach
+        # nodes just past a.  x0 span 0.5 snapped only 5e-13 before.
         # Zero init at a != 0 shifts the result by a real linear gauge.
-        H = axial_field("cubic", Rectangle(0.2, 1.0, 0.5, 1.5))
+        a, b = 0.2, 0.7
+        H = axial_field("cubic", Rectangle(a, b, 0.5, 1.5))
         G = AxialFunction.from_grid(self.grid_json(H))
         prim = invert(G)
-        zs = [complex(x, r) for x in (0.3, 0.6, 0.9) for r in (0.6, 1.0, 1.4)]
+        xs = (a - 9e-13, a, 0.45, b, b + 9e-13)
+        zs = [complex(x, r) for x in xs for r in (0.6, 1.0, 1.4)]
         samples = [(z, prim(z) - (z**3 + 0.25 * z)) for z in zs]
         assert polynomial_fit_residual(samples, 1) <= 1e-8
 
@@ -234,12 +237,13 @@ class TestTabulatedFields:
 class TestPrimitiveObject:
     def test_serialization_fields(self):
         H = axial_field("cubic")
-        prim = invert(H, ode=OdeConfig(steps=8))
-        blob = prim.to_json()
+        prim = invert(H)
+        blob = json.loads(json.dumps(prim.to_json()))
         assert blob["N"] == 1
         assert blob["K_N"] == "1/2"
-        assert len(blob["x0"]) == 9
-        assert len(blob["alpha"]) == 1 and len(blob["alpha"][0]) == 9
+        assert blob["x0"] == prim.xs.tolist()
+        for family in ("alpha", "beta"):
+            assert len(blob[family]) == 1 and len(blob[family][0]) == len(blob["x0"])
 
     def test_eval_outside_rectangle_rejected(self):
         H = axial_field("cubic")
@@ -265,3 +269,70 @@ class TestPrimitiveObject:
 
         with pytest.raises(QuadratureError):
             prim.eval(0.5, 1.4)
+
+
+class TestExactChain:
+    def test_coefficients_match_example1_closed_forms(self):
+        # with the oracle's values at a as init, the chain solution is the
+        # oracle's alpha_j, beta_j; off-edge x0 go through a partial panel
+        rect = Rectangle(0.2, 1.0, 0.5, 1.5)
+        H = axial_field("example1", rect)
+        c = rect.c
+        names = ("alpha0", "alpha1", "beta0", "beta1")
+        prim = invert(H, init=[example1_oracle(f, x0=rect.a, c=c) for f in names])
+        for x0 in (0.2, 0.2123, 0.4567, 0.731, 0.9999, 1.0):
+            got = (prim.alpha(0, x0), prim.alpha(1, x0), prim.beta(0, x0), prim.beta(1, x0))
+            want = [example1_oracle(f, x0=x0, c=c) for f in names]
+            assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+    def test_coefficients_accept_arrays(self):
+        prim = invert(axial_field("example1"))
+        x0 = np.array([[0.1, 0.35], [0.5, 0.77]])
+        got = prim.beta(1, x0)
+        assert got.shape == x0.shape
+        assert got[1, 1] == prim.beta(1, 0.77)
+
+    def test_chain_calls_the_field_once_per_component(self):
+        H = axial_field("example1")
+        calls = []
+
+        def counted(fn):
+            return lambda x0, r: calls.append(np.size(r)) or fn(x0, r)
+
+        prim = invert(AxialFunction(counted(H.A), counted(H.B), H.m, H.k, H.rect))
+        assert len(calls) == 2
+        calls.clear()
+        prim.alpha(0, 0.3)
+        prim.beta(1, 0.3)  # the second lookup at the same x0 is remembered
+        assert len(calls) == 2
+
+    def test_non_finite_edge_trace_raises(self):
+        def a_field(x0, r):
+            return np.where(np.asarray(x0) > 0.6, np.nan, 1.0) * np.ones_like(r)
+
+        H = AxialFunction(a_field, lambda x0, r: np.zeros_like(r), 3, 0, RECT)
+        with pytest.raises(NumericalError, match=r"x0=0\.6"):
+            invert(H)
+
+
+def _field_cases():
+    rect = Rectangle(0.3, 1.2, 0.4, 1.4)
+    fields = [axial_field(name, rect) for name in ("example1", "example2-nplus", "example2-nminus", "cubic")]
+    fields += [axial_field("cauchy-kernel", rect, m=m) for m in (3, 7)]
+    cases = [pytest.param(H.A, H.B, id=f"{H.name}-m{H.m}") for H in fields]
+    cases.append(pytest.param(*fueter_fields(jets.arctan(), FueterConfig(5, 1)), id="fueter_fields"))
+    G = AxialFunction.from_grid(TestTabulatedFields().grid_json(fields[0], nx0=7, nr=6))
+    cases.append(pytest.param(G.A, G.B, id="from_grid"))
+    return cases
+
+
+class TestFieldContract:
+    @pytest.mark.parametrize("A,B", _field_cases())
+    def test_array_x0_matches_pointwise(self, A, B):
+        x0 = np.array([[0.3, 0.55, 0.81], [1.0, 1.17, 1.2]])
+        r = np.array([[0.4, 0.9, 1.4], [0.63, 0.77, 1.1]])
+        for fn in (A, B):
+            got = np.asarray(fn(x0, r))
+            assert got.shape == x0.shape
+            want = [float(fn(float(x), float(t))) for x, t in zip(x0.ravel(), r.ravel())]
+            assert got.ravel() == pytest.approx(want, rel=1e-14, abs=1e-300)
