@@ -3,8 +3,8 @@
 Subcommands: forward, invert, roundtrip, kernel, oracles, selftest.
 Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
-configuration, 3 numerical failure.  FUETER_THREADS caps the worker pool
-used for grid evaluation (default: min(4, cpu count)).
+configuration, 3 numerical failure.  Grids are evaluated serially, one
+point at a time.
 """
 
 from __future__ import annotations
@@ -14,17 +14,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import acceptance, jets
 from .clifford import Multivector, Paravector
 from .errors import NumericalError
-from .forward import FueterConfig, fueter_fields, fueter_map
+from .forward import FueterConfig, fueter_fields, fueter_map, fueter_profile
 from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
@@ -119,24 +117,6 @@ class _Options:
         return vals
 
 
-def _pool_size() -> int:
-    env = os.environ.get("FUETER_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"FUETER_THREADS must be >= 1, got {env}")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _grid_eval(fn: Callable, items: Sequence) -> list:
-    workers = _pool_size()
-    if workers == 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def _full_grid(rect: Rectangle, nx0: int, nr: int) -> list[tuple[float, float]]:
     xs = np.linspace(rect.a, rect.b, nx0)
     rs = np.linspace(rect.c, rect.d, nr)
@@ -188,17 +168,15 @@ def _cmd_forward(args) -> int:
     profiles = bool(opts.get("profiles", False))
     direction = np.zeros(m)
     direction[0] = 1.0
-    A, B = fueter_fields(h, cfg)
 
-    def at_point(pt):
-        x0, r = pt
+    def at_point(x0, r):
         if profiles:
-            value = [float(A(x0, np.float64(r))), float(B(x0, np.float64(r)))]
+            value = [float(v) for v in fueter_profile(h, cfg, x0, r)]
         else:
             value = fueter_map(h, P, cfg, Paravector(x0, r * direction)).to_pairs()
         return {"x0": x0, "r": r, "value": value}
 
-    points = _grid_eval(at_point, _full_grid(rect, nx0, nr))
+    points = [at_point(x0, r) for x0, r in _full_grid(rect, nx0, nr)]
     payload = {
         "meta": {
             "command": "forward",
@@ -250,11 +228,8 @@ def _cmd_invert(args) -> int:
     prim = invert(H, init=init, quad=opts.quad())
     nx0, nr = opts.grid()
 
-    def at_point(pt):
-        u, v = prim.eval(*pt)
-        return {"x0": pt[0], "r": pt[1], "value": [u, v]}
-
-    points = _grid_eval(at_point, _full_grid(H.rect, nx0, nr))
+    grid = _full_grid(H.rect, nx0, nr)
+    points = [{"x0": x0, "r": r, "value": list(prim.eval(x0, r))} for x0, r in grid]
     payload = {
         "meta": {
             "command": "invert",

@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import NumericalError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _rule, integrate
@@ -102,12 +101,13 @@ class AxialFunction:
     A and B must accept (x0, r) as two scalars, as a scalar x0 with an
     ndarray r (the radial quadrature feeds r nodes at fixed x0), or as two
     ndarrays of equal shape (the coefficient chain feeds x0 nodes along
-    r = c), and return float values of r's shape.  The ``certified`` flag
-    records that a Vekua-system residual check was run; nothing here
-    requires it, but verification reports carry it.
+    r = c), and return float values of r's shape.  The radial integrals
+    split at ``r_knots``, r values where A and B may lose smoothness.  The
+    ``certified`` flag records that a Vekua-system residual check was run;
+    nothing here requires it, but verification reports carry it.
     """
 
-    __slots__ = ("A", "B", "m", "k", "rect", "name", "certified", "certified_tol")
+    __slots__ = ("A", "B", "m", "k", "rect", "name", "certified", "certified_tol", "r_knots")
 
     def __init__(
         self,
@@ -119,6 +119,7 @@ class AxialFunction:
         name: str = "axial-field",
         certified: bool = False,
         certified_tol: float | None = None,
+        r_knots: Sequence[float] = (),
     ):
         m, k = int(m), int(k)
         if m < 3 or m % 2 == 0:
@@ -135,6 +136,7 @@ class AxialFunction:
         self.name = str(name)
         self.certified = bool(certified)
         self.certified_tol = certified_tol
+        self.r_knots = tuple(float(t) for t in r_knots)
 
     @property
     def N(self) -> int:
@@ -152,7 +154,7 @@ class AxialFunction:
             )
         return AxialFunction(
             self.A, self.B, self.m, self.k, self.rect,
-            name=self.name, certified=True, certified_tol=tol,
+            name=self.name, certified=True, certified_tol=tol, r_knots=self.r_knots,
         )
 
     @classmethod
@@ -167,16 +169,18 @@ class AxialFunction:
         """Tabulated field from grid JSON (bilinear interpolation).
 
         Expects the grid schema {"meta": {m, k, rect, nx0, nr},
-        "points": [{x0, r, value: [A, B]}, ...]} on a full regular grid.
-        Interpolation is bilinear between samples, so this ingestion path
-        is lower accuracy than closed-form fields; expect the inversion's
-        quadrature to see the kinks.
+        "points": [{x0, r, value: [A, B]}, ...]} of finite values on a full
+        regular grid, at least 2 x 2.  Bilinear interpolation is less accurate
+        than a closed form; its kinks, the grid's r lines, are the r_knots at
+        which the radial quadrature splits, leaving a polynomial per cell.
         """
         if isinstance(data, str):
             data = json.loads(data)
         meta = data["meta"]
         rect = Rectangle(*[float(t) for t in meta["rect"]])
         nx0, nr = int(meta["nx0"]), int(meta["nr"])
+        if nx0 < 2 or nr < 2:
+            raise ValueError(f"need at least a 2 x 2 grid, got {nx0} x {nr}")
         pts = data["points"]
         if len(pts) != nx0 * nr:
             raise ValueError(f"expected {nx0 * nr} grid points, got {len(pts)}")
@@ -189,30 +193,38 @@ class AxialFunction:
             i = int(np.searchsorted(xs, float(p["x0"])))
             j = int(np.searchsorted(rs, float(p["r"])))
             vals[i, j, :] = [float(p["value"][0]), float(p["value"][1])]
-        if np.any(np.isnan(vals)):
-            raise ValueError("grid has missing points")
-        interp = RegularGridInterpolator((xs, rs), vals, method="linear")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid has missing or non-finite points")
 
-        def snap(t, grid):
+        def cell(t, grid, axis):
             # what Rectangle.contains lets past the grid edge snaps back onto
-            # it; genuinely exterior points still raise
+            # it; genuinely exterior points raise
             t = np.where(np.abs(t - grid[0]) <= EDGE_TOL, grid[0], t)
-            return np.where(np.abs(t - grid[-1]) <= EDGE_TOL, grid[-1], t)
+            t = np.where(np.abs(t - grid[-1]) <= EDGE_TOL, grid[-1], t)
+            if not np.all((grid[0] <= t) & (t <= grid[-1])):
+                raise ValueError(f"{axis} outside the tabulated [{grid[0]:g}, {grid[-1]:g}]")
+            i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
+            return i, (t - grid[i]) / (grid[i + 1] - grid[i])
 
         def component(which: int):
+            v = vals[..., which]
+
             def eval_field(x0, r):
                 xx, rr = np.broadcast_arrays(
                     np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
                 )
-                pts = np.stack([snap(xx, xs), snap(rr, rs)], axis=-1).reshape(-1, 2)
-                out = interp(pts)[..., which]
-                return out.reshape(rr.shape) if rr.ndim else float(out[0])
+                i, s = cell(xx, xs, "x0")
+                j, t = cell(rr, rs, "r")
+                lo = (1.0 - t) * v[i, j] + t * v[i, j + 1]  # along r at x0 line i, then i + 1
+                hi = (1.0 - t) * v[i + 1, j] + t * v[i + 1, j + 1]
+                out = (1.0 - s) * lo + s * hi
+                return out if rr.ndim else float(out)
 
             return eval_field
 
         return cls(
             component(0), component(1), int(meta["m"]), int(meta["k"]), rect,
-            name="tabulated-grid",
+            name="tabulated-grid", r_knots=rs[1:-1],
         )
 
     def __repr__(self) -> str:
@@ -230,11 +242,14 @@ def integral_I(
     rect: Rectangle,
     N: int,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
+    breaks: Sequence[float] = (),
 ) -> float:
     """The weighted radial integral from the rectangle's lower edge.
 
     variant 1: integral_c^r t (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with A)
     variant 2: r integral_c^r (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with B)
+
+    The quadrature splits at breaks, r values where f may lose smoothness.
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
@@ -245,10 +260,10 @@ def integral_I(
     x0, r = float(x0), float(r)
     if variant == 1:
         return integrate(
-            lambda t: t * (r * r - t * t) ** (N - 1) * f(x0, t), rect.c, r, quad
+            lambda t: t * (r * r - t * t) ** (N - 1) * f(x0, t), rect.c, r, quad, breaks
         )
     return r * integrate(
-        lambda t: (r * r - t * t) ** (N - 1) * f(x0, t), rect.c, r, quad
+        lambda t: (r * r - t * t) ** (N - 1) * f(x0, t), rect.c, r, quad, breaks
     )
 
 
@@ -401,8 +416,9 @@ class FueterPrimitive:
         """(u, v) at a rectangle point."""
         self.rect.require(x0, r)
         kn = float(self.K_N)
-        i1 = integral_I(1, self.field.A, x0, r, self.rect, self.N, self.quad)
-        i2 = integral_I(2, self.field.B, x0, r, self.rect, self.N, self.quad)
+        H = self.field
+        i1 = integral_I(1, H.A, x0, r, self.rect, self.N, self.quad, H.r_knots)
+        i2 = integral_I(2, H.B, x0, r, self.rect, self.N, self.quad, H.r_knots)
         coeffs = self._coefficients(float(x0))
         powers = r ** (2.0 * np.arange(self.N))  # r^(2j)
         u = kn * i1 + float(coeffs[: self.N] @ powers)

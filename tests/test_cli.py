@@ -9,7 +9,7 @@ import pytest
 from fueter import jets
 from fueter.cli import main
 from fueter.clifford import Multivector, Paravector
-from fueter.forward import FueterConfig, fueter_map
+from fueter.forward import FueterConfig, fueter_fields, fueter_map
 from fueter.polynomials import builtin_pk
 
 
@@ -61,6 +61,20 @@ class TestForward:
     def test_even_dimension_is_config_error(self, capsys):
         code, _ = run(capsys, "forward", "--h", "recip", "--m", "4")
         assert code == 2
+
+    def test_profiles_match_field_closures(self, capsys):
+        # one fueter_profile call per point gives what fueter_fields' A and
+        # B closures give, bit for bit
+        code, out = run(
+            capsys, "forward", "--h", "arctan", "--m", "5", "--k", "1", "--profiles",
+            "--rect", "0.3,1.0,0.4,1.2", "--grid", "3,4",
+        )
+        assert code == 0
+        A, B = fueter_fields(jets.arctan(), FueterConfig(5, 1))
+        points = json.loads(out)["points"]
+        assert len(points) == 12
+        for pt in points:
+            assert pt["value"] == [A(pt["x0"], pt["r"]), B(pt["x0"], pt["r"])]
 
     def test_kernel_member_gives_zero_grid(self, capsys):
         code, out = run(capsys, "forward", "--h", "z^1", "--m", "3", "--k", "0", "--grid", "3,3")
@@ -257,17 +271,3 @@ class TestConfigMerging:
             main(["forward", "--nope"])
         assert err.value.code == 2
 
-
-class TestThreadCap:
-    def test_threaded_grid_matches_serial(self, capsys, monkeypatch):
-        args = ("forward", "--h", "recip", "--m", "3", "--grid", "4,4")
-        monkeypatch.setenv("FUETER_THREADS", "1")
-        _, serial = run(capsys, *args)
-        monkeypatch.setenv("FUETER_THREADS", "3")
-        _, threaded = run(capsys, *args)
-        assert serial == threaded
-
-    def test_zero_threads_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("FUETER_THREADS", "0")
-        code, _ = run(capsys, "forward", "--h", "recip", "--m", "3")
-        assert code == 2

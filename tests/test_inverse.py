@@ -1,11 +1,15 @@
 """Integral inversion: primitives of axial fields on a rectangle."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fueter
 from fueter import jets
 from fueter.errors import NumericalError
 from fueter.forward import FueterConfig, fueter_fields
@@ -232,6 +236,60 @@ class TestTabulatedFields:
         data["points"][0]["x0"] = 0.123
         with pytest.raises(ValueError):
             AxialFunction.from_grid(data)
+
+    def test_single_line_grid_rejected(self):
+        # one x0 column cannot be interpolated across the rectangle
+        data = self.grid_json(axial_field("cubic"), nx0=1, nr=5)
+        with pytest.raises(ValueError, match="2 x 2"):
+            AxialFunction.from_grid(data)
+
+    def test_infinite_sample_rejected(self):
+        # Infinity is valid JSON; such a grid must fail at ingestion, not
+        # later in the quadrature
+        data = self.grid_json(axial_field("cubic"), nx0=5, nr=5)
+        data["points"][7]["value"][0] = float("inf")
+        with pytest.raises(ValueError, match="non-finite"):
+            AxialFunction.from_grid(json.dumps(data))
+
+    def test_bilinear_interpolant_exact_up_to_the_edges(self):
+        a, b, c, d = 0.2, 0.7, 0.5, 1.5
+        H = AxialFunction(
+            lambda x0, r: x0 * r + x0 - 2 * r, lambda x0, r: 3 * x0 - r * x0, 3, 0,
+            Rectangle(a, b, c, d),
+        )
+        G = AxialFunction.from_grid(self.grid_json(H, nx0=4, nr=6))
+        rng = np.random.default_rng(7)
+        x0, r = rng.uniform(a, b, (5, 8)), rng.uniform(c, d, (5, 8))
+        for got, want in ((G.A, H.A), (G.B, H.B)):
+            assert got(x0, r) == pytest.approx(want(x0, r), abs=1e-14, rel=0)
+        edges = ((a, 1.0, -1, 0), (b, 1.0, 1, 0), (0.4, c, 0, -1), (0.4, d, 0, 1))
+        for x0, r, dx, dr in edges:
+            # up to EDGE_TOL past an edge reads the edge; beyond that raises
+            assert G.A(x0 + 9e-13 * dx, r + 9e-13 * dr) == G.A(x0, r)
+            with pytest.raises(ValueError, match="outside"):
+                G.A(x0 + 1e-9 * dx, r + 1e-9 * dr)
+
+    def test_split_at_knots_matches_adaptive_integral(self):
+        # between the grid's r lines each radial integrand is a polynomial;
+        # splitting there agrees with the adaptive rule that chases the kinks
+        rect = Rectangle(0.3, 1.3, 0.45, 1.45)
+        A, B = fueter_fields(jets.arctan(), FueterConfig(3, 0))
+        G = AxialFunction.from_grid(self.grid_json(AxialFunction(A, B, 3, 0, rect), 40, 40))
+        assert G.r_knots == tuple(np.linspace(rect.c, rect.d, 40)[1:-1])
+        for variant, f in ((1, G.A), (2, G.B)):
+            split = integral_I(variant, f, 0.77, 1.234, rect, G.N, breaks=G.r_knots)
+            plain = integral_I(variant, f, 0.77, 1.234, rect, G.N)
+            assert split == pytest.approx(plain, abs=1e-10, rel=0)
+
+
+def test_import_pulls_in_no_scipy():
+    src = os.path.dirname(os.path.dirname(fueter.__file__))
+    code = "import sys, fueter; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestPrimitiveObject:
