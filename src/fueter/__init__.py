@@ -18,7 +18,7 @@ from .inverse import (
     invert,
     solve_alpha_beta,
 )
-from .jets import HolomorphicFn, Jet, jet_combine, jet_elementary, radial_derivatives
+from .jets import HolomorphicFn, Jet, radial_derivatives
 from .oracles import (
     SphereQuadrature,
     axial_field,
@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Multivector", "Paravector",
     "MonogenicPolynomial", "builtin_pk",
-    "Jet", "HolomorphicFn", "jet_elementary", "jet_combine", "radial_derivatives",
+    "Jet", "HolomorphicFn", "radial_derivatives",
     "QuadratureConfig", "integrate",
     "RadialField", "coeff_a", "coeff_row", "double_factorial",
     "radial_op", "antiderivative", "nested_antiderivative_oracle",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clifford import Multivector, Paravector
 from .forward import FueterConfig, fueter_map, fueter_profile, laplacian_oracle
-from .inverse import AxialFunction, Rectangle, integral_I, invert
+from .inverse import Rectangle, integral_I, invert
 from .jets import polynomial, power, recip
 from .oracles import SphereQuadrature, axial_field, example1_oracle, example2_oracle, sphere_cauchy_integral
 from .polynomials import builtin_pk
@@ -55,15 +55,15 @@ def criterion_1() -> CriterionResult:
     xs = np.linspace(H.rect.a, H.rect.b, 20)
     rs = np.linspace(H.rect.c, H.rect.d, 20)
     uv_err = 0.0
-    ab_err = 0.0
     for x0 in xs:
         for r in rs:
             u, v = prim.eval(float(x0), float(r))
             z = complex(x0, r)
             want = z**3 + 0.25 * z
             uv_err = max(uv_err, abs(u - want.real), abs(v - want.imag))
-            a, b = fueter_profile(h, cfg, float(x0), float(r))
-            ab_err = max(ab_err, abs(a - (-12.0 * x0)), abs(b - (-4.0 * r)))
+    x0s, r0s = np.meshgrid(xs, rs, indexing="ij")
+    a, b = fueter_profile(h, cfg, x0s, r0s)
+    ab_err = float(max(np.max(np.abs(a - (-12.0 * x0s))), np.max(np.abs(b - (-4.0 * r0s)))))
     elapsed = time.perf_counter() - t0
     ok = uv_err <= RT_TOL_UV and ab_err <= RT_TOL_AB and elapsed < RT_BUDGET_S
     detail = (

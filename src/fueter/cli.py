@@ -3,8 +3,8 @@
 Subcommands: forward, invert, roundtrip, kernel, oracles, selftest.
 Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
-configuration, 3 numerical failure.  Grids are evaluated serially, one
-point at a time.
+configuration, 3 numerical failure.  forward evaluates its whole grid's
+profiles in one array call; the other grids run serially, point by point.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import acceptance, jets
-from .clifford import Multivector, Paravector
+from .clifford import Multivector, Paravector, _blade_label
 from .errors import NumericalError
-from .forward import FueterConfig, fueter_fields, fueter_map, fueter_profile
+from .forward import FueterConfig, axial_image, fueter_fields, fueter_map, fueter_profile
 from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
@@ -117,10 +117,10 @@ class _Options:
         return vals
 
 
-def _full_grid(rect: Rectangle, nx0: int, nr: int) -> list[tuple[float, float]]:
-    xs = np.linspace(rect.a, rect.b, nx0)
-    rs = np.linspace(rect.c, rect.d, nr)
-    return [(float(x0), float(r)) for x0 in xs for r in rs]
+def _full_grid(rect: Rectangle, nx0: int, nr: int) -> tuple[list[float], list[float]]:
+    """x0 and r of every grid point, x0-major."""
+    xs, rs = np.meshgrid(np.linspace(rect.a, rect.b, nx0), np.linspace(rect.c, rect.d, nr), indexing="ij")
+    return xs.ravel().tolist(), rs.ravel().tolist()
 
 
 def _emit(opts: _Options, payload: dict, csv_rows: tuple[list[str], list[list]] | None) -> None:
@@ -144,13 +144,6 @@ def _emit(opts: _Options, payload: dict, csv_rows: tuple[list[str], list[list]] 
         sys.stdout.write(text)
 
 
-def _blade_labels(m: int) -> list[str]:
-    out = []
-    for idx in range(1 << m):
-        out.append("".join(str(j + 1) for j in range(m) if idx >> j & 1))
-    return out
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -169,14 +162,17 @@ def _cmd_forward(args) -> int:
     direction = np.zeros(m)
     direction[0] = 1.0
 
-    def at_point(x0, r):
+    xs, rs = _full_grid(rect, nx0, nr)
+    a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, np.array(xs), np.array(rs)))
+    points, rows = [], []
+    for x0, r, a, b in zip(xs, rs, a_all, b_all):
         if profiles:
-            value = [float(v) for v in fueter_profile(h, cfg, x0, r)]
+            value = coeffs = [a, b]
         else:
-            value = fueter_map(h, P, cfg, Paravector(x0, r * direction)).to_pairs()
-        return {"x0": x0, "r": r, "value": value}
-
-    points = [at_point(x0, r) for x0, r in _full_grid(rect, nx0, nr)]
+            value = axial_image(P, Paravector(x0, r * direction), a, b).to_pairs()
+            coeffs = Multivector.from_pairs(m, value).coeffs.tolist()
+        points.append({"x0": x0, "r": r, "value": value})
+        rows.append([x0, r] + coeffs)
     payload = {
         "meta": {
             "command": "forward",
@@ -190,16 +186,8 @@ def _cmd_forward(args) -> int:
         },
         "points": points,
     }
-    if profiles:
-        header = ["x0", "r", "A", "B"]
-        rows = [[p["x0"], p["r"], p["value"][0], p["value"][1]] for p in points]
-    else:
-        header = ["x0", "r"] + ["c" + lab for lab in _blade_labels(m)]
-        rows = []
-        for pt in points:
-            mv = Multivector.from_pairs(m, pt["value"])
-            rows.append([pt["x0"], pt["r"]] + mv.coeffs.tolist())
-    _emit(opts, payload, (header, rows))
+    labels = ["A", "B"] if profiles else ["c" + _blade_label(idx) for idx in range(1 << m)]
+    _emit(opts, payload, (["x0", "r"] + labels, rows))
     return 0
 
 
@@ -228,8 +216,7 @@ def _cmd_invert(args) -> int:
     prim = invert(H, init=init, quad=opts.quad())
     nx0, nr = opts.grid()
 
-    grid = _full_grid(H.rect, nx0, nr)
-    points = [{"x0": x0, "r": r, "value": list(prim.eval(x0, r))} for x0, r in grid]
+    points = [{"x0": x0, "r": r, "value": list(prim.eval(x0, r))} for x0, r in zip(*_full_grid(H.rect, nx0, nr))]
     payload = {
         "meta": {
             "command": "invert",
@@ -282,7 +269,7 @@ def _cmd_roundtrip(args) -> int:
     prim = invert(H, quad=opts.quad())
 
     samples = []
-    for x0, r in _full_grid(rect, nx0, nr):
+    for x0, r in zip(*_full_grid(rect, nx0, nr)):
         z = complex(x0, r)
         samples.append((z, prim(z) - h(z)))
     fit = polynomial_fit_residual(samples, cfg.kernel_degree)
@@ -292,11 +279,10 @@ def _cmd_roundtrip(args) -> int:
     N = cfg.N
     step = min(1e-3, (rect.d - rect.c) / (8 * N))
     margin = 1.01 * N * step
-    worst = 0.0
-    for x0 in np.linspace(rect.a, rect.b, 4):
-        for r in np.linspace(rect.c + margin, rect.d - margin, 4):
-            a_fd, b_fd = _fd_forward_profiles(prim, cfg.leading_constant, N, float(x0), float(r), step)
-            worst = max(worst, abs(a_fd - float(A(x0, np.float64(r)))), abs(b_fd - float(B(x0, np.float64(r)))))
+    xs, rs = _full_grid(Rectangle(rect.a, rect.b, rect.c + margin, rect.d - margin), 4, 4)
+    fd = np.array([_fd_forward_profiles(prim, cfg.leading_constant, N, x0, r, step) for x0, r in zip(xs, rs)])
+    xv, rv = np.array(xs), np.array(rs)
+    worst = float(np.max(np.abs(fd - np.stack([A(xv, rv), B(xv, rv)], axis=1))))
 
     grid = GridSpec(rect, min(nx0, 8), min(nr, 8))
     cr = cr_residual(lambda x0, r: prim.eval(x0, r)[0], lambda x0, r: prim.eval(x0, r)[1], grid)

@@ -140,11 +140,6 @@ class Multivector:
         out = np.where(grades == g, self._c, 0.0)
         return Multivector(self._m, out)
 
-    @property
-    def vector_part(self) -> np.ndarray:
-        """Grade-1 coefficients as a plain vector of R^m."""
-        return self._c[[1 << j for j in range(self._m)]].copy()
-
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
         return float(np.sqrt(np.dot(self._c, self._c)))

@@ -59,34 +59,32 @@ class FueterConfig:
         return f"FueterConfig(m={self.m}, k={self.k}, N={self.N})"
 
 
-def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0: float, r: float) -> tuple[float, float]:
-    """The axial profile (A, B) of Ft[h, P_k] at (x0, r), r > 0."""
+def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0, r):
+    """The axial profile (A, B) of Ft[h, P_k] at (x0, r), r > 0.
+
+    x0 and r broadcast against each other.  A and B are float64 arrays of
+    the broadcast shape, or Python floats when x0 and r are both scalars.
+    """
     u, v = radial_derivatives(h, x0, r, cfg.N)
     const = float(cfg.leading_constant)
-    a = const * radial_op(u, r, cfg.N, "minus")
-    b = const * radial_op(v, r, cfg.N, "plus")
-    return a, b
+    return const * radial_op(u, r, cfg.N, "minus"), const * radial_op(v, r, cfg.N, "plus")
 
 
-def fueter_fields(
-    h: HolomorphicFn, cfg: FueterConfig
-) -> tuple[Callable[[float, np.ndarray], np.ndarray], Callable[[float, np.ndarray], np.ndarray]]:
-    """(A, B) evaluators of the image field at scalar or equal-shape array (x0, r)."""
+def fueter_fields(h: HolomorphicFn, cfg: FueterConfig) -> tuple[Callable, Callable]:
+    """(A, B) evaluators of the image field at scalar or broadcastable array (x0, r).
 
-    def make(which: int):
+    Each builds one jet per call and applies only its own operator; values
+    equal fueter_profile's bit for bit.
+    """
+
+    def make(which: int, variant: str):
         def eval_field(x0, r):
-            xx, rr = np.broadcast_arrays(np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64))
-            if rr.ndim == 0:
-                return fueter_profile(h, cfg, float(xx), float(rr))[which]
-            flat = [
-                fueter_profile(h, cfg, x, t)[which]
-                for x, t in zip(xx.ravel().tolist(), rr.ravel().tolist())
-            ]
-            return np.array(flat).reshape(rr.shape)
+            stack = radial_derivatives(h, x0, r, cfg.N)[which]
+            return float(cfg.leading_constant) * radial_op(stack, r, cfg.N, variant)
 
         return eval_field
 
-    return make(0), make(1)
+    return make(0, "minus"), make(1, "plus")
 
 
 def _check_pair(P: MonogenicPolynomial, cfg: FueterConfig) -> None:
@@ -96,6 +94,12 @@ def _check_pair(P: MonogenicPolynomial, cfg: FueterConfig) -> None:
         raise ValueError(f"polynomial degree {P.k} does not match config k={cfg.k}")
 
 
+def axial_image(P: MonogenicPolynomial, p: Paravector, a: float, b: float) -> Multivector:
+    """Ft[h, P_k] at p from the profile (a, b) of h at (p.x0, p.r): (a + omega b) P_k(x_)."""
+    omega = Multivector.from_vector(p.m, p.omega)
+    return (Multivector.scalar(p.m, a) + b * omega) * P(p.vec)
+
+
 def fueter_map(
     h: HolomorphicFn, P: MonogenicPolynomial, cfg: FueterConfig, p: Paravector
 ) -> Multivector:
@@ -103,13 +107,8 @@ def fueter_map(
     _check_pair(P, cfg)
     if p.m != cfg.m:
         raise ValueError(f"point lives in R^{p.m + 1}, config has m={cfg.m}")
-    r = p.r
-    if r == 0.0:
-        raise ValueError("the transform's radial form needs r > 0 (point off the real axis)")
-    a, b = fueter_profile(h, cfg, p.x0, r)
-    omega = Multivector.from_vector(cfg.m, p.omega)
-    axial = Multivector.scalar(cfg.m, a) + b * omega
-    return axial * P(p.vec)
+    a, b = fueter_profile(h, cfg, p.x0, p.r)  # raises for r = 0, a point on the real axis
+    return axial_image(P, p, a, b)
 
 
 def as_field(
@@ -148,15 +147,14 @@ def laplacian_oracle(
         raise ValueError("stencil would cross the real axis; shrink fd_step")
 
     m = cfg.m
-    dim = 1 << m
 
     def base_field(y: np.ndarray) -> np.ndarray:
         x0, xv = y[0], y[1:]
         r = float(np.linalg.norm(xv))
         if r == 0.0:
             raise ValueError("stencil touched the real axis")
-        jet = h.jet(complex(x0, r), 0)
-        u, v = jet.value.real, jet.value.imag
+        w = h(complex(x0, r))
+        u, v = w.real, w.imag
         omega = Multivector.from_vector(m, xv / r)
         axial = Multivector.scalar(m, u) + v * omega
         return (axial * P(xv)).coeffs

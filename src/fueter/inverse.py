@@ -158,13 +158,6 @@ class AxialFunction:
         )
 
     @classmethod
-    def from_oracle(cls, name: str, rect: Rectangle | None = None) -> "AxialFunction":
-        """Built-in fields by CLI name; see oracles.axial_field."""
-        from . import oracles
-
-        return oracles.axial_field(name, rect)
-
-    @classmethod
     def from_grid(cls, data: dict | str) -> "AxialFunction":
         """Tabulated field from grid JSON (bilinear interpolation).
 

@@ -6,6 +6,13 @@ the Leibniz rule; elementary functions get closed-form derivative chains
 (arctan through the jet of 1/(1+z^2), so every consumer shares one branch
 convention).
 
+One jet covers an array of base points z, with coefficients of shape
+(d+1, *z.shape) in np.clongdouble: on x86-64 that carries 11 more bits than
+complex128 for the radial expansion downstream, which cancels about
+(2N-1) log10(1/r) digits near the axis.  Every operation is elementwise or
+a matrix product summed in a fixed order, so a point's bits do not depend
+on the batch it is evaluated in.
+
 The upper half plane Im z = r > 0 is the working domain.  arctan keeps its
 standard cuts {iy : |y| >= 1} on the imaginary axis and log the cut
 (-inf, 0]; evaluation within 1e-12 of a cut is rejected rather than
@@ -14,8 +21,8 @@ silently picking a side.
 
 from __future__ import annotations
 
-import cmath
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,23 +30,38 @@ import numpy as np
 CUT_TOL = 1e-12
 
 
+def _violation(ok, z) -> complex | None:
+    """The first point of z where the predicate ok fails, or None."""
+    ok = np.asarray(ok)
+    if np.count_nonzero(ok) == ok.size:  # cheaper than ok.all() on small arrays
+        return None
+    return complex(np.reshape(z, -1)[np.argmin(np.reshape(ok, -1))])
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, for tables that caches hand to every caller."""
+    arr.setflags(write=False)
+    return arr
+
+
 class Jet:
-    """Derivatives (h(z), h'(z), ..., h^(d)(z)) of a holomorphic h at z."""
+    """Derivatives (h(z), h'(z), ..., h^(d)(z)) of a holomorphic h at the points z.
+
+    z is a clongdouble array of any shape (0-d for one point); coeffs[j]
+    holds h^(j) at every point, so coeffs has shape (d+1, *z.shape).
+    """
 
     __slots__ = ("_z", "_coeffs")
 
-    def __init__(self, z: complex, coeffs: Sequence[complex]):
-        if len(coeffs) == 0:
-            raise ValueError("a jet needs at least the order-0 value")
-        self._z = complex(z)
-        self._coeffs = tuple(complex(c) for c in coeffs)
+    def __init__(self, z, coeffs):
+        z = np.asarray(z, dtype=np.clongdouble)
+        c = np.asarray(coeffs, dtype=np.clongdouble)
+        if c.ndim == 0 or len(c) == 0 or c.shape[1:] != z.shape:
+            raise ValueError(f"a jet needs coefficients of shape (d+1, *{z.shape}), got {c.shape}")
+        self._z, self._coeffs = z, c
 
     @property
-    def z(self) -> complex:
-        return self._z
-
-    @property
-    def coeffs(self) -> tuple[complex, ...]:
+    def coeffs(self) -> np.ndarray:
         return self._coeffs
 
     @property
@@ -47,11 +69,15 @@ class Jet:
         return len(self._coeffs) - 1
 
     @property
-    def value(self) -> complex:
+    def value(self):
         return self._coeffs[0]
 
+    def _rows(self) -> np.ndarray:
+        """The coefficients as (d+1, points): at least 1-d, so kernels never hit numpy's scalar code."""
+        return self._coeffs.reshape(len(self._coeffs), -1)
+
     def _match(self, other: "Jet") -> int:
-        if other._z != self._z:
+        if other._z is not self._z and not np.array_equal(other._z, self._z):
             raise ValueError(f"jets based at different points: {self._z} vs {other._z}")
         if other.order != self.order:
             raise ValueError(f"jet order mismatch: {self.order} vs {other.order}")
@@ -61,68 +87,63 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._match(other)
-        return Jet(self._z, [a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._match(other)
-        return Jet(self._z, [a - b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __neg__(self) -> "Jet":
-        return Jet(self._z, [-a for a in self._coeffs])
+        return _jet(self._z, self._coeffs + other._coeffs)
 
     def scale(self, c: float) -> "Jet":
         """Multiply by a real constant (the transform is R-linear)."""
-        c = float(c)
-        return Jet(self._z, [c * a for a in self._coeffs])
+        return _jet(self._z, float(c) * self._coeffs)
 
     def __mul__(self, other: "Jet") -> "Jet":
         if not isinstance(other, Jet):
             return NotImplemented
         d = self._match(other)
-        a, b = self._coeffs, other._coeffs
-        out = [
-            sum(math.comb(n, i) * a[i] * b[n - i] for i in range(n + 1))
-            for n in range(d + 1)
-        ]
-        return Jet(self._z, out)
+        # (ab)^(n) = sum_i C(n, i) a^(i) b^(n-i), summed over ascending i
+        prod = np.matmul(_leibniz(other._rows(), d), self._rows().T[:, :, None])
+        return _jet(self._z, prod[:, :, 0].T)
 
     def __truediv__(self, other: "Jet") -> "Jet":
         if not isinstance(other, Jet):
             return NotImplemented
         d = self._match(other)
-        a, b = self._coeffs, other._coeffs
-        if b[0] == 0:
-            raise ZeroDivisionError("jet division by a function vanishing at the base point")
-        q: list[complex] = []
+        a, b = self._rows(), other._rows()
+        if np.count_nonzero(b[0]) < b.shape[1]:
+            raise ZeroDivisionError("jet division by a function vanishing at a base point")
+        # forward substitution in the Leibniz rule a^(n) = sum_i C(n, i) q^(i) b^(n-i)
+        lower = _leibniz(b, d)
+        q = np.zeros((a.shape[1], d + 1, 1), dtype=np.clongdouble)
         for n in range(d + 1):
-            acc = a[n]
-            for i in range(n):
-                acc -= math.comb(n, i) * q[i] * b[n - i]
-            q.append(acc / b[0])
-        return Jet(self._z, q)
+            known = np.matmul(lower[:, n : n + 1, :n], q[:, :n])
+            q[:, n, 0] = (a[n] - known[:, 0, 0]) / b[0]
+        return _jet(self._z, q[:, :, 0].T)
 
     def truncate(self, order: int) -> "Jet":
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
-        return Jet(self._z, self._coeffs[: order + 1])
+        return _jet(self._z, self._coeffs[: order + 1])
 
     def __repr__(self) -> str:
         return f"Jet(z={self._z}, coeffs={self._coeffs})"
 
 
-def jet_combine(kind: str, a: Jet, b=None) -> Jet:
-    """Dispatch table for jet combination: add, mul, div, scale."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    if kind == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown jet combination {kind!r}")
+def _jet(z: np.ndarray, rows: np.ndarray) -> Jet:
+    """The jet at the clongdouble points z with coefficient rows (d+1, points); no checks."""
+    jet = object.__new__(Jet)
+    jet._z, jet._coeffs = z, rows.reshape(rows.shape[:1] + z.shape)
+    return jet
+
+
+def _leibniz(b: np.ndarray, d: int) -> np.ndarray:
+    """Per point, the lower-triangular matrix L[n, i] = C(n, i) b^(n-i): (points, d+1, d+1)."""
+    shift, binom = _leibniz_table(d)
+    return b.T[:, shift] * binom
+
+
+@lru_cache(maxsize=None)
+def _leibniz_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index n - i and weight C(n, i) of the Leibniz sum; weight 0 for i > n."""
+    n, i = np.indices((d + 1, d + 1))
+    binom = [[math.comb(a, b) for b in range(d + 1)] for a in range(d + 1)]
+    return _frozen(np.where(i <= n, n - i, 0)), _frozen(np.array(binom, dtype=np.clongdouble))
 
 
 # -- elementary jets ---------------------------------------------------------
@@ -135,116 +156,100 @@ def _check_order(d: int) -> int:
     return d
 
 
-def jet_const(value: complex, z: complex, d: int) -> Jet:
-    d = _check_order(d)
-    return Jet(z, [complex(value)] + [0j] * d)
+@lru_cache(maxsize=256)
+def _laurent_table(lo: int, coeffs: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, q) with h^(j)(z) = sum_q M[j, q] z^q for h = sum_i c_i z^(lo+i).
 
-
-def jet_identity(z: complex, d: int) -> Jet:
-    d = _check_order(d)
-    coeffs = [complex(z)] + [0j] * d
-    if d >= 1:
-        coeffs[1] = 1.0 + 0j
-    return Jet(z, coeffs)
-
-
-def jet_power(n: int, z: complex, d: int) -> Jet:
-    """z^n for integer n >= 0, with exact falling-factorial derivatives."""
-    d = _check_order(d)
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"power must be nonnegative (use recip for 1/z), got {n}")
-    zc = complex(z)
-    coeffs = []
+    M[j, q] = c_(q+j) (q+j)(q+j-1)...(q+1), a falling factorial valid for
+    negative powers too; q ascends, and stays >= 0 for a polynomial.
+    """
+    q0 = lo - d if lo < 0 else max(0, lo - d)
+    exps = np.arange(q0, lo + len(coeffs)).reshape(-1, 1)
+    mat = np.zeros((d + 1, len(exps)), dtype=np.clongdouble)
     for j in range(d + 1):
-        if j > n:
-            coeffs.append(0j)
-        else:
-            coeffs.append(math.perm(n, j) * zc ** (n - j))
-    return Jet(zc, coeffs)
+        for i, c in enumerate(coeffs):
+            if lo + i - j >= q0:
+                falling = math.prod(range(lo + i - j + 1, lo + i + 1))
+                mat[j, lo + i - j - q0] = np.clongdouble(c) * np.clongdouble(falling)
+    return _frozen(mat), _frozen(exps)
 
 
-def jet_polynomial(real_coeffs: Sequence[float], z: complex, d: int) -> Jet:
+def _laurent(z, lo: int, coeffs: Sequence[complex], d: int) -> Jet:
+    """The jet of sum_i coeffs[i] z^(lo+i) at the points z."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    mat, exps = _laurent_table(int(lo), tuple(coeffs), _check_order(d))
+    return _jet(z, mat @ np.power(z.reshape(-1), exps))
+
+
+def jet_const(value: complex, z, d: int) -> Jet:
+    return _laurent(z, 0, (complex(value),), d)
+
+
+def jet_identity(z, d: int) -> Jet:
+    return _laurent(z, 0, (0.0, 1.0), d)
+
+
+def jet_power(n: int, z, d: int) -> Jet:
+    """z^n for integer n >= 0, with exact falling-factorial derivatives."""
+    if int(n) < 0:
+        raise ValueError(f"power must be nonnegative (use recip for 1/z), got {n}")
+    return _laurent(z, n, (1.0,), d)
+
+
+def jet_polynomial(real_coeffs: Sequence[float], z, d: int) -> Jet:
     """sum_n c_n z^n with real coefficients c, ascending order."""
-    d = _check_order(d)
-    zc = complex(z)
-    out = [0j] * (d + 1)
-    for n, c in enumerate(real_coeffs):
-        if c == 0:
-            continue
-        for j in range(min(d, n) + 1):
-            out[j] += c * math.perm(n, j) * zc ** (n - j)
-    return Jet(zc, out)
+    return _laurent(z, 0, tuple(float(c) for c in real_coeffs), d)
 
 
-def jet_recip(z: complex, d: int) -> Jet:
-    """1/z; the base point must be off the origin."""
-    d = _check_order(d)
-    zc = complex(z)
-    if zc == 0:
+def jet_recip(z, d: int) -> Jet:
+    """1/z; every base point must be off the origin."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    if np.count_nonzero(z) < z.size:
         raise ValueError("1/z is singular at the origin")
-    return Jet(zc, [(-1) ** j * math.factorial(j) * zc ** (-j - 1) for j in range(d + 1)])
+    return _laurent(z, -1, (1.0,), d)
 
 
-def _off_arctan_cut(z: complex) -> bool:
-    return not (abs(z.real) <= CUT_TOL and abs(z.imag) >= 1.0 - CUT_TOL)
+def _off_arctan_cut(z: np.ndarray) -> np.ndarray:
+    return (np.abs(z.real) > CUT_TOL) | (np.abs(z.imag) < 1.0 - CUT_TOL)
 
 
-def _off_log_cut(z: complex) -> bool:
-    return not (abs(z.imag) <= CUT_TOL and z.real <= CUT_TOL)
+def _off_log_cut(z: np.ndarray) -> np.ndarray:
+    return (np.abs(z.imag) > CUT_TOL) | (z.real > CUT_TOL)
 
 
-def jet_arctan(z: complex, d: int) -> Jet:
+def _checked(z, off_cut: Callable, name: str) -> np.ndarray:
+    """z as a clongdouble array, after rejecting points within CUT_TOL of a cut."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    bad = _violation(off_cut(z), z)
+    if bad is not None:
+        raise ValueError(f"{name} evaluated within {CUT_TOL:g} of its branch cut: z={bad}")
+    return z
+
+
+def jet_arctan(z, d: int) -> Jet:
     """Principal arctan, cuts on {iy : |y| >= 1}.
 
     The derivative chain is the jet of 1/(1 + z^2), so higher derivatives
     are exact rational expressions in z.
     """
-    d = _check_order(d)
-    zc = complex(z)
-    if not _off_arctan_cut(zc):
-        raise ValueError(f"arctan evaluated within {CUT_TOL:g} of its branch cut: z={zc}")
-    val = cmath.atan(zc)
-    if d == 0:
-        return Jet(zc, [val])
-    g = jet_const(1.0, zc, d - 1) / jet_polynomial((1.0, 0.0, 1.0), zc, d - 1)
-    return Jet(zc, (val,) + g.coeffs)
+    z, d = _checked(z, _off_arctan_cut, "arctan"), _check_order(d)
+    zf = z.reshape(-1)
+    rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
+    rows[0] = np.arctan(zf)
+    if d > 0:
+        rows[1:] = (jet_const(1.0, zf, d - 1) / jet_polynomial((1.0, 0.0, 1.0), zf, d - 1)).coeffs
+    return _jet(z, rows)
 
 
-def jet_log(z: complex, d: int) -> Jet:
+def jet_log(z, d: int) -> Jet:
     """Principal log, cut on (-inf, 0]."""
-    d = _check_order(d)
-    zc = complex(z)
-    if not _off_log_cut(zc):
-        raise ValueError(f"log evaluated within {CUT_TOL:g} of its branch cut: z={zc}")
-    coeffs = [cmath.log(zc)]
-    coeffs += [(-1) ** (j - 1) * math.factorial(j - 1) * zc ** (-j) for j in range(1, d + 1)]
-    return Jet(zc, coeffs)
-
-
-def jet_elementary(kind: str, z: complex, d: int, *, value=None, n=None) -> Jet:
-    """Build the jet of an elementary function at z to order d.
-
-    Kinds: "const" (needs value), "identity", "recip", "power" (needs n),
-    "arctan", "log".
-    """
-    if kind == "const":
-        if value is None:
-            raise ValueError("const jet needs a value")
-        return jet_const(value, z, d)
-    if kind == "identity":
-        return jet_identity(z, d)
-    if kind == "recip":
-        return jet_recip(z, d)
-    if kind == "power":
-        if n is None:
-            raise ValueError("power jet needs an exponent n")
-        return jet_power(n, z, d)
-    if kind == "arctan":
-        return jet_arctan(z, d)
-    if kind == "log":
-        return jet_log(z, d)
-    raise ValueError(f"unknown elementary jet kind {kind!r}")
+    z, d = _checked(z, _off_log_cut, "log"), _check_order(d)
+    zf = z.reshape(-1)
+    rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
+    rows[0] = np.log(zf)
+    if d > 0:
+        rows[1:] = _laurent(zf, -1, (1.0,), d - 1).coeffs
+    return _jet(z, rows)
 
 
 # -- named holomorphic functions ---------------------------------------------
@@ -253,9 +258,9 @@ def jet_elementary(kind: str, z: complex, d: int, *, value=None, n=None) -> Jet:
 class HolomorphicFn:
     """A holomorphic function presented through its jets.
 
-    Wraps a jet builder (z, order) -> Jet together with a domain predicate;
-    evaluation outside the domain raises instead of returning garbage on a
-    branch cut.
+    Wraps a jet builder (z, order) -> Jet and a domain predicate z -> bool
+    array, both called with a clongdouble array of points; evaluation
+    outside the domain raises instead of returning garbage on a branch cut.
     """
 
     __slots__ = ("name", "_jet_fn", "_domain")
@@ -263,27 +268,35 @@ class HolomorphicFn:
     def __init__(
         self,
         name: str,
-        jet_fn: Callable[[complex, int], Jet],
-        domain: Callable[[complex], bool] | None = None,
+        jet_fn: Callable[[np.ndarray, int], Jet],
+        domain: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.name = str(name)
         self._jet_fn = jet_fn
         self._domain = domain
 
-    def in_domain(self, z: complex) -> bool:
-        return self._domain is None or bool(self._domain(complex(z)))
+    def in_domain(self, z):
+        """Whether h is defined at z: a bool, or a bool array for an array z."""
+        z = np.asarray(z, dtype=np.clongdouble)
+        ok = np.ones(z.shape, dtype=bool) if self._domain is None else np.asarray(self._domain(z))
+        return bool(ok) if ok.ndim == 0 else ok
 
-    def jet(self, z: complex, order: int) -> Jet:
-        zc = complex(z)
-        if not self.in_domain(zc):
-            raise ValueError(f"{self.name} is not defined at z={zc} (domain violation)")
-        j = self._jet_fn(zc, _check_order(order))
+    def jet(self, z, order: int) -> Jet:
+        """The jet of h to the given order at every point of z."""
+        z = np.asarray(z, dtype=np.clongdouble)
+        if self._domain is not None:
+            bad = _violation(self._domain(z), z)
+            if bad is not None:
+                raise ValueError(f"{self.name} is not defined at z={bad} (domain violation)")
+        j = self._jet_fn(z, _check_order(order))
         if j.order != order:
             raise RuntimeError(f"jet builder for {self.name} returned wrong order")
         return j
 
-    def __call__(self, z: complex) -> complex:
-        return self.jet(z, 0).value
+    def __call__(self, z):
+        """h(z): a complex for a scalar z, a complex128 array otherwise."""
+        value = self.jet(z, 0).value
+        return complex(value) if np.ndim(value) == 0 else value.astype(np.complex128)
 
     # algebraic combinators keep the tighter of the two domains
     def __add__(self, other: "HolomorphicFn") -> "HolomorphicFn":
@@ -292,7 +305,7 @@ class HolomorphicFn:
         return HolomorphicFn(
             f"({self.name} + {other.name})",
             lambda z, d: self._jet_fn(z, d) + other._jet_fn(z, d),
-            lambda z: self.in_domain(z) and other.in_domain(z),
+            _both(self._domain, other._domain),
         )
 
     def __mul__(self, other):
@@ -300,7 +313,7 @@ class HolomorphicFn:
             return HolomorphicFn(
                 f"({self.name} * {other.name})",
                 lambda z, d: self._jet_fn(z, d) * other._jet_fn(z, d),
-                lambda z: self.in_domain(z) and other.in_domain(z),
+                _both(self._domain, other._domain),
             )
         if isinstance(other, (int, float, np.floating, np.integer)):
             c = float(other)
@@ -315,6 +328,13 @@ class HolomorphicFn:
 
     def __repr__(self) -> str:
         return f"HolomorphicFn({self.name})"
+
+
+def _both(f: Callable | None, g: Callable | None) -> Callable | None:
+    """The domain of a combination of two functions: where both are defined."""
+    if f is None or g is None:
+        return g if f is None else f
+    return lambda z: f(z) & g(z)
 
 
 def constant(value: float) -> HolomorphicFn:
@@ -379,18 +399,22 @@ def by_name(name: str) -> HolomorphicFn:
     raise ValueError(f"unknown holomorphic function name {name!r}")
 
 
-def radial_derivatives(
-    h: HolomorphicFn, x0: float, r: float, d: int
-) -> tuple[np.ndarray, np.ndarray]:
+def radial_derivatives(h: HolomorphicFn, x0, r, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Radial derivative stacks of u = Re h, v = Im h at z = x0 + i r.
 
     Since d/dr h(x0 + i r) = i h'(z), the j-th radial derivatives are
-    Re(i^j h^(j)(z)) and Im(i^j h^(j)(z)).  Requires r > 0.
+    Re(i^j h^(j)(z)) and Im(i^j h^(j)(z)).  x0 and r broadcast against each
+    other; each stack is a longdouble array of shape (d+1, *batch).
+    Requires r > 0 at every point.
     """
-    if r <= 0:
-        raise ValueError(f"radial derivatives need r > 0, got r={r}")
-    jet = h.jet(complex(x0, r), d)
-    rotated = [1j**j * c for j, c in enumerate(jet.coeffs)]
-    u = np.array([c.real for c in rotated])
-    v = np.array([c.imag for c in rotated])
-    return u, v
+    x0, r = np.asarray(x0, dtype=np.longdouble), np.asarray(r, dtype=np.longdouble)
+    if x0.shape != r.shape:
+        x0, r = np.broadcast_arrays(x0, r)
+    bad = _violation(r > 0, r)
+    if bad is not None:
+        raise ValueError(f"radial derivatives need r > 0, got r={bad.real}")
+    z = np.empty(r.shape, dtype=np.clongdouble)
+    z.real, z.imag = x0, r
+    rotation = np.power(np.clongdouble(1j), np.arange(d + 1)).reshape((d + 1,) + (1,) * r.ndim)
+    rotated = h.jet(z, d).coeffs * rotation
+    return rotated.real, rotated.imag

@@ -23,7 +23,6 @@ the same fields.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -205,9 +204,7 @@ def sphere_cauchy_integral(
 # -- named axial fields for ingestion -----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _axial_names() -> tuple[str, ...]:
-    return ("example1", "example2-nplus", "example2-nminus", "cauchy-kernel", "cubic")
+AXIAL_NAMES = ("example1", "example2-nplus", "example2-nminus", "cauchy-kernel", "cubic")
 
 
 def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) -> AxialFunction:
@@ -265,4 +262,4 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
             return -r / (area * (x0 * x0 + r * r) ** power)
 
         return AxialFunction(a_field, b_field, m=mm, k=0, rect=rect, name="cauchy-kernel")
-    raise ValueError(f"unknown axial field {name!r}; known: {', '.join(_axial_names())}")
+    raise ValueError(f"unknown axial field {name!r}; known: {', '.join(AXIAL_NAMES)}")

@@ -32,7 +32,6 @@ import numpy as np
 
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
-_CACHE_ROWS = 12
 VARIANTS = ("minus", "plus")
 ANTIDERIVATIVE_VARIANTS = ("phi", "psi")
 
@@ -77,40 +76,52 @@ def bessel_row(n: int) -> tuple[int, ...]:
     return tuple(coeff_a(j + 1, int(n) + 1) for j in range(int(n) + 1))
 
 
-# ensure the documented cache band is warm on import; larger n still works
-for _n in range(1, _CACHE_ROWS + 1):
-    coeff_row(_n)
-del _n
+@lru_cache(maxsize=None)
+def _op_terms(n: int, variant: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """The expansion's lowest derivative order, and as read-only columns the
+    signed coefficients (-1)^(n+j) a and the powers j - 2n of x of its terms."""
+    first, row = (1, coeff_row(n)) if variant == "minus" else (0, bessel_row(n))
+    coeffs = np.array([(-1) ** (n + j) * a for j, a in enumerate(row, first)], dtype=np.longdouble)
+    coeffs, powers = coeffs.reshape(-1, 1), np.arange(first - 2 * n, 1 - n).reshape(-1, 1)
+    coeffs.setflags(write=False)
+    powers.setflags(write=False)
+    return first, coeffs, powers
 
 
-def radial_op(derivs, x: float, n: int, variant: str = "minus") -> float:
+def radial_op(derivs, x, n: int, variant: str = "minus"):
     """Apply (x^-1 d/dx)^n ("minus") or (d/dx x^-1)^n ("plus") at x.
 
-    derivs holds g(x), g'(x), ..., up to order at least n; the expansion
-    uses exact integer coefficients, so the only rounding is the final
-    float combination.  n = 0 returns g(x) for either variant.
+    derivs stacks g(x), g'(x), ..., at least to order n, along its first
+    axis: shape (order+1, *batch), with x broadcasting to the batch shape.
+    The terms ((-1)^(n+j) a x^(j-2n)) g^(j), with exact integers a, are
+    formed and summed in longdouble in increasing j, then rounded once to
+    float64: a Python float at a single point, else a batch-shaped array.
+    n = 0 returns g(x) for either variant.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = int(n)
     if n < 0:
         raise ValueError(f"operator order must be nonnegative, got {n}")
-    g = np.asarray(derivs, dtype=np.float64)
-    if g.ndim != 1 or g.size < n + 1:
+    g = np.asarray(derivs, dtype=np.longdouble)
+    if g.ndim == 0 or g.shape[0] < n + 1:
         raise ValueError(f"need derivatives up to order {n}, got shape {g.shape}")
-    x = float(x)
+    batch = g.shape[1:]
     if n == 0:
-        return float(g[0])
-    if x == 0.0:
-        raise ValueError("radial operators are singular at x = 0")
-    total = 0.0
-    if variant == "minus":
-        for j in range(1, n + 1):
-            total += (-1.0) ** (n + j) * coeff_a(j, n) * x ** (j - 2 * n) * g[j]
+        out = g[0]
     else:
-        for j in range(0, n + 1):
-            total += (-1.0) ** (n + j) * coeff_a(j + 1, n + 1) * x ** (j - 2 * n) * g[j]
-    return float(total)
+        xs = np.asarray(x, dtype=np.longdouble)
+        if xs.shape != batch:
+            xs = np.broadcast_to(xs, batch)
+        xs = xs.reshape(-1)
+        if np.count_nonzero(xs) < xs.size:
+            raise ValueError("radial operators are singular at x = 0")
+        first, coeffs, powers = _op_terms(n, variant)
+        terms = coeffs * np.power(xs, powers)
+        terms *= g[first : n + 1].reshape(len(coeffs), -1)
+        # a matrix product sums in a fixed order, whatever the batch shape
+        out = (np.ones(len(coeffs), dtype=np.longdouble) @ terms).reshape(batch)
+    return float(out) if not batch else out.astype(np.float64)
 
 
 class RadialField:

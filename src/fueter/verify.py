@@ -8,17 +8,16 @@ the max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import Multivector
-from .forward import FueterConfig, fueter_map, as_field
+from .clifford import Multivector, Paravector
+from .forward import FueterConfig, fueter_map
 from .inverse import Rectangle
 from .jets import power
 from .polynomials import MonogenicPolynomial, builtin_pk
-from .clifford import Paravector
 
 DEFAULT_REL_STEP = 1e-4
 
@@ -102,33 +101,29 @@ def vekua_residual(
 
     the first-order system every axial monogenic profile satisfies.
     """
-    h = grid.step
     gamma = 2 * k + m - 1
-    vals = []
-    for x0, r in grid.points():
-        da_dx0 = (A(x0 + h, r) - A(x0 - h, r)) / (2 * h)
-        da_dr = (A(x0, r + h) - A(x0, r - h)) / (2 * h)
-        db_dx0 = (B(x0 + h, r) - B(x0 - h, r)) / (2 * h)
-        db_dr = (B(x0, r + h) - B(x0, r - h)) / (2 * h)
-        res1 = da_dx0 - db_dr - gamma / r * B(x0, r)
-        res2 = db_dx0 + da_dr
-        vals.append(max(abs(float(res1)), abs(float(res2))))
+    vals = [
+        max(abs(float(ax - br - gamma / r * B(x0, r))), abs(float(bx + ar)))
+        for x0, r, ax, ar, bx, br in _gradients(A, B, grid)
+    ]
     return _report("vekua", grid, vals)
 
 
 def cr_residual(u: Callable, v: Callable, grid: GridSpec) -> ResidualReport:
     """Cauchy-Riemann residual of (u, v) as functions of (x0, r)."""
-    h = grid.step
-    vals = []
-    for x0, r in grid.points():
-        du_dx0 = (u(x0 + h, r) - u(x0 - h, r)) / (2 * h)
-        du_dr = (u(x0, r + h) - u(x0, r - h)) / (2 * h)
-        dv_dx0 = (v(x0 + h, r) - v(x0 - h, r)) / (2 * h)
-        dv_dr = (v(x0, r + h) - v(x0, r - h)) / (2 * h)
-        res1 = du_dx0 - dv_dr
-        res2 = du_dr + dv_dx0
-        vals.append(max(abs(float(res1)), abs(float(res2))))
+    vals = [max(abs(float(ux - vr)), abs(float(ur + vx))) for _, _, ux, ur, vx, vr in _gradients(u, v, grid)]
     return _report("cauchy-riemann", grid, vals)
+
+
+def _gradients(f: Callable, g: Callable, grid: GridSpec):
+    """Per grid point: x0, r and the central differences f_x0, f_r, g_x0, g_r."""
+    h = grid.step
+    for x0, r in grid.points():
+        yield (
+            x0, r,
+            (f(x0 + h, r) - f(x0 - h, r)) / (2 * h), (f(x0, r + h) - f(x0, r - h)) / (2 * h),
+            (g(x0 + h, r) - g(x0 - h, r)) / (2 * h), (g(x0, r + h) - g(x0, r - h)) / (2 * h),
+        )
 
 
 def _default_direction(m: int) -> np.ndarray:

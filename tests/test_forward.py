@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from fueter import jets
 from fueter.clifford import Multivector, Paravector
 from fueter.forward import FueterConfig, as_field, fueter_fields, fueter_map, fueter_profile, laplacian_oracle
 from fueter.polynomials import builtin_pk
+from fueter.radial import coeff_row
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -151,3 +155,125 @@ class TestLaplacianOracle:
     def test_axis_crossing_refused(self):
         with pytest.raises(ValueError, match="stencil"):
             laplacian_oracle(jets.recip(), builtin_pk(3, 0), cfg3(), Paravector(1.0, 1e-4 * E1))
+
+
+def exact_power_profile(n: int, m: int, k: int, x0: float, r: float) -> tuple[Fraction, Fraction]:
+    """Exact (A, B) of Ft[z^n] at the float point (x0, r).
+
+    u + iv = (x0 + i r)^n as polynomials in r with rational coefficients; the
+    operators act on monomials exactly: (r^-1 d/dr) r^p = p r^(p-2) and
+    (d/dr r^-1) r^p = (p-1) r^(p-2).
+    """
+    N = k + (m - 1) // 2
+    X, R = Fraction(x0), Fraction(r)
+    u = {j: (-1) ** (j // 2) * math.comb(n, j) * X ** (n - j) for j in range(0, n + 1, 2)}
+    v = {j: (-1) ** (j // 2) * math.comb(n, j) * X ** (n - j) for j in range(1, n + 1, 2)}
+    for _ in range(N):
+        u = {p - 2: c * p for p, c in u.items() if p != 0}
+        v = {p - 2: c * (p - 1) for p, c in v.items() if p != 1}
+    g = math.prod(range(2 * k + m - 1, 0, -2))
+    return g * sum(c * R**p for p, c in u.items()), g * sum(c * R**p for p, c in v.items())
+
+
+def exact_recip_profile(m: int, k: int, x0: float, r: float) -> tuple[Fraction, Fraction]:
+    """Exact (A, B) of Ft[1/z] at the float point (x0, r).
+
+    With s = r^2, r^-1 d/dr = 2 d/ds; u = x0/(x0^2 + s) and v = -r/(x0^2 + s),
+    and (d/dr r^-1)^N (r f(s)) = r 2^N f^(N)(s).
+    """
+    N = k + (m - 1) // 2
+    X, R = Fraction(x0), Fraction(r)
+    f = Fraction(2**N * (-1) ** N * math.factorial(N)) / (X * X + R * R) ** (N + 1)
+    g = math.prod(range(2 * k + m - 1, 0, -2))
+    return g * X * f, -g * R * f
+
+
+def relative_error(a: float, b: float, ref: tuple[Fraction, Fraction]) -> float:
+    """max |(a, b) - ref| over the two components, relative to max |ref|."""
+    scale = max(abs(ref[0]), abs(ref[1]))
+    return float(max(abs(Fraction(a) - ref[0]), abs(Fraction(b) - ref[1])) / scale)
+
+
+BATCH_FUNCTIONS = ("recip", "arctan", "log", "z*arctan", "power", "poly:1,-2,0,0.5,0,0,0,0,0,0,0,0,0,0.25")
+
+
+class TestBatchShape:
+    """A point's profile has the same bits alone, in a column and in a grid."""
+
+    @pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+    @pytest.mark.parametrize("m,k", [(3, 0), (3, 2), (9, 0), (9, 2)])
+    def test_profile_bits_independent_of_batch(self, name, m, k):
+        h = jets.power(2 * k + m) if name == "power" else jets.by_name(name)
+        cfg = FueterConfig(m, k)
+        x0s, rs = np.meshgrid(np.linspace(0.1, 1.4, 5), np.geomspace(0.01, 1.7, 8), indexing="ij")
+        grid = fueter_profile(h, cfg, x0s, rs)
+        column = fueter_profile(h, cfg, x0s.ravel(), rs.ravel())
+        A, B = fueter_fields(h, cfg)
+        for which in (0, 1):
+            assert grid[which].shape == (5, 8) and grid[which].dtype == np.float64
+            assert np.array_equal(grid[which].ravel(), column[which])
+        assert np.array_equal(A(x0s, rs), grid[0]) and np.array_equal(B(x0s, rs), grid[1])
+        for i, j in np.ndindex(5, 8):
+            a, b = fueter_profile(h, cfg, float(x0s[i, j]), float(rs[i, j]))
+            assert type(a) is float and type(b) is float
+            assert (a, b) == (grid[0][i, j], grid[1][i, j])
+
+    def test_scalar_x0_broadcasts_over_r(self):
+        rs = np.array([0.5, 1.0, 1.5])
+        a, b = fueter_profile(jets.recip(), cfg3(), 0.8, rs)
+        assert a.shape == b.shape == (3,)
+        assert [a[1], b[1]] == list(fueter_profile(jets.recip(), cfg3(), 0.8, 1.0))
+
+    def test_nonpositive_r_in_batch_rejected(self):
+        rs = np.array([0.5, 1.0, -0.25, 1.5])
+        with pytest.raises(ValueError, match="r > 0, got r=-0.25"):
+            fueter_profile(jets.recip(), cfg3(), 0.8, rs)
+        A, _ = fueter_fields(jets.arctan(), cfg3())
+        with pytest.raises(ValueError, match="r > 0, got r=0.0"):
+            A(np.array([0.3, 0.4]), np.array([0.5, 0.0]))
+
+
+LONGDOUBLE_EXTENDED = np.finfo(np.longdouble).eps < 2.0**-60
+
+
+class TestNearAxisAccuracy:
+    """Near the axis the radial expansion cancels; extended precision keeps digits.
+
+    Where longdouble is wider than double (x86-64 Linux), the bounds are those
+    extended precision reaches; where it is not, the float64 errors of the
+    double-precision evaluation.
+    """
+
+    @pytest.mark.parametrize(
+        "m,k,r,extended_tol,double_tol",
+        [(9, 0, 0.01, 1e-6, 1e-3), (9, 1, 0.01, 1e-3, 2.0), (5, 1, 0.01, 1e-9, 1e-7)],
+    )
+    def test_power_against_exact_reference(self, m, k, r, extended_tol, double_tol):
+        n = 2 * k + m
+        a, b = fueter_profile(jets.power(n), FueterConfig(m, k), 0.7, r)
+        err = relative_error(a, b, exact_power_profile(n, m, k, 0.7, r))
+        assert err <= (extended_tol if LONGDOUBLE_EXTENDED else double_tol)
+
+    def test_reference_against_pinned_value(self):
+        # Ft[z^3] for (m, k) = (3, 0) is (-12 x0, -4 r)
+        assert exact_power_profile(3, 3, 0, 0.5, 0.25) == (Fraction(-6), Fraction(-1))
+
+
+class TestLargeOrder:
+    """At N = 16 and N = 26 the expansion's integers pass 2**63."""
+
+    @pytest.mark.parametrize("r", [0.8, 1.3])
+    def test_power_m9_k12(self, r):
+        cfg = FueterConfig(9, 12)
+        assert math.perm(33, cfg.N) > 2**63
+        a, b = fueter_profile(jets.power(33), cfg, np.array([0.7]), np.array([r]))
+        assert a.dtype == b.dtype == np.float64
+        assert relative_error(a[0], b[0], exact_power_profile(33, 9, 12, 0.7, r)) <= 1e-8
+
+    @pytest.mark.parametrize("r", [0.8, 1.3])
+    def test_recip_m3_k25(self, r):
+        cfg = FueterConfig(3, 25)
+        assert max(coeff_row(cfg.N)) > 2**63
+        a, b = fueter_profile(jets.recip(), cfg, np.array([0.7]), np.array([r]))
+        assert a.dtype == b.dtype == np.float64
+        assert relative_error(a[0], b[0], exact_recip_profile(3, 25, 0.7, r)) <= 1e-10

@@ -23,7 +23,7 @@ def jets_close(a: Jet, b: Jet, tol=TOL) -> bool:
 class TestElementaryJets:
     def test_recip_at_one(self):
         j = jet_recip(1.0, 3)
-        assert j.coeffs == (1.0, -1.0, 2.0, -6.0)
+        assert np.array_equal(j.coeffs, (1.0, -1.0, 2.0, -6.0))
 
     def test_arctan_at_zero(self):
         j = jet_arctan(0.0, 3)
@@ -39,7 +39,7 @@ class TestElementaryJets:
 
     def test_power_jet(self):
         j = jet_power(3, 2.0, 4)
-        assert j.coeffs == (8.0, 12.0, 12.0, 6.0, 0.0)
+        assert np.array_equal(j.coeffs, (8.0, 12.0, 12.0, 6.0, 0.0))
 
     def test_recip_rejects_origin(self):
         with pytest.raises(ValueError):
@@ -62,6 +62,22 @@ class TestBranchCuts:
             jet_log(-1.0, 2)
         with pytest.raises(ValueError):
             jet_log(complex(-2.0, 0.5 * CUT_TOL), 1)
+
+    def test_cut_anywhere_in_a_batch_rejected(self):
+        z = np.array([[0.5 + 0.5j, 0.2 + 1.5j], [1.5j, 0.3 + 0.1j]])
+        with pytest.raises(ValueError, match=r"branch cut: z=1\.5j"):
+            jet_arctan(z, 2)
+        with pytest.raises(ValueError, match=r"arctan is not defined at z=1\.5j"):
+            jets.arctan().jet(z, 2)
+        with pytest.raises(ValueError, match=r"z\*arctan is not defined at z=1\.5j"):
+            jets.z_arctan().jet(z, 2)
+        z = np.array([0.5 + 0.5j, -2.0 + 0j, 1.0 + 0j])
+        with pytest.raises(ValueError, match=r"branch cut: z=\(-2\+0j\)"):
+            jet_log(z, 1)
+        with pytest.raises(ValueError, match=r"log is not defined at z=\(-2\+0j\)"):
+            jets.log().jet(z, 1)
+        with pytest.raises(ValueError, match="not defined at z=0j"):
+            jets.recip().jet(np.array([1.0, 0.0]), 1)
 
     def test_log_off_axis_accepted(self):
         j = jet_log(complex(-2.0, 0.1), 1)
@@ -88,7 +104,7 @@ class TestJetAlgebra:
 
     def test_truncate_is_prefix(self):
         j = jet_arctan(0.3, 6)
-        assert j.truncate(2).coeffs == j.coeffs[:3]
+        assert np.array_equal(j.truncate(2).coeffs, j.coeffs[:3])
 
     def test_mismatched_points_rejected(self):
         with pytest.raises(ValueError):
@@ -136,6 +152,18 @@ class TestHolomorphicFn:
         assert not f.in_domain(0.0)
         assert not f.in_domain(1.5j)
         assert f.in_domain(1.0)
+        assert f.in_domain(np.array([0.0, 1.5j, 1.0])).tolist() == [False, False, True]
+        assert jets.power(2).in_domain(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_array_points(self):
+        z = np.array([[0.5 + 0.5j, 1.0 + 0.2j, 2.0 + 1.0j]])
+        j = jets.z_arctan().jet(z, 3)
+        assert j.coeffs.shape == (4, 1, 3) and j.coeffs.dtype == np.clongdouble
+        for i, zi in enumerate(z[0]):
+            assert np.array_equal(j.coeffs[:, 0, i], jets.z_arctan().jet(zi, 3).coeffs)
+        values = jets.arctan()(z)
+        assert values.dtype == np.complex128
+        assert np.allclose(values, np.arctan(z), rtol=1e-15, atol=0)
 
 
 class TestByName:

@@ -116,9 +116,21 @@ class TestRadialOp:
                 derivs = [float(sympy.diff(g, X, i).subs(X, x)) for i in range(n + 1)]
                 assert radial_op(np.array(derivs), x, n, "plus") == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("variant", ["minus", "plus"])
+    def test_stack_matches_columns(self, variant):
+        n = 4
+        rng = np.random.default_rng(7)
+        derivs = rng.uniform(-2.0, 2.0, (n + 1, 7))
+        xs = rng.uniform(0.05, 2.0, 7)
+        got = radial_op(derivs, xs, n, variant)
+        assert got.shape == (7,) and got.dtype == np.float64
+        assert got.tolist() == [radial_op(derivs[:, i], xs[i], n, variant) for i in range(7)]
+
     def test_singular_at_origin(self):
         with pytest.raises(ValueError, match="singular"):
             radial_op([1.0, 1.0], 0.0, 1)
+        with pytest.raises(ValueError, match="singular"):
+            radial_op(np.ones((2, 3)), np.array([1.0, 0.0, 2.0]), 1)
 
     def test_short_derivative_array(self):
         with pytest.raises(ValueError):
