@@ -4,7 +4,8 @@ Subcommands: forward, invert, roundtrip, kernel, oracles, selftest.
 Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
 configuration, 3 numerical failure.  forward evaluates its whole grid's
-profiles in one array call; the other grids run serially, point by point.
+profiles in one array call and invert its primitive in one eval call; the
+other grids run point by point.
 """
 
 from __future__ import annotations
@@ -216,7 +217,9 @@ def _cmd_invert(args) -> int:
     prim = invert(H, init=init, quad=opts.quad())
     nx0, nr = opts.grid()
 
-    points = [{"x0": x0, "r": r, "value": list(prim.eval(x0, r))} for x0, r in zip(*_full_grid(H.rect, nx0, nr))]
+    xs, rs = _full_grid(H.rect, nx0, nr)
+    us, vs = (c.tolist() for c in prim.eval(np.array(xs), np.array(rs)))
+    points = [{"x0": x0, "r": r, "value": [u, v]} for x0, r, u, v in zip(xs, rs, us, vs)]
     payload = {
         "meta": {
             "command": "invert",

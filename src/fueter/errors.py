@@ -11,5 +11,6 @@ class NumericalError(RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge within the allowed depth."""
+    """Adaptive quadrature met a non-finite panel sum, or a piece (in any
+    component of a vector integrand) still disagreed at the maximum depth."""
 

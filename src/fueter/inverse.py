@@ -177,15 +177,17 @@ class AxialFunction:
         pts = data["points"]
         if len(pts) != nx0 * nr:
             raise ValueError(f"expected {nx0 * nr} grid points, got {len(pts)}")
+        table = np.fromiter(
+            (v for p in pts for v in (p["x0"], p["r"], p["value"][0], p["value"][1])),
+            np.float64, count=4 * len(pts),
+        ).reshape(-1, 4)
         xs = np.array(sorted({float(p["x0"]) for p in pts}))
         rs = np.array(sorted({float(p["r"]) for p in pts}))
-        if xs.size != nx0 or rs.size != nr:
+        if xs.size != nx0 or rs.size != nr or not np.all(np.isfinite(table[:, :2])):
             raise ValueError("points do not form a full nx0 x nr grid")
         vals = np.full((nx0, nr, 2), np.nan)
-        for p in pts:
-            i = int(np.searchsorted(xs, float(p["x0"])))
-            j = int(np.searchsorted(rs, float(p["r"])))
-            vals[i, j, :] = [float(p["value"][0]), float(p["value"][1])]
+        # a repeated point leaves another grid slot empty, which the check below catches
+        vals[np.searchsorted(xs, table[:, 0]), np.searchsorted(rs, table[:, 1])] = table[:, 2:]
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid has missing or non-finite points")
 
@@ -340,10 +342,10 @@ def solve_alpha_beta(
 class FueterPrimitive:
     """A computed primitive: correction coefficients plus on-demand integrals.
 
-    eval(x0, r) returns (u, v) with u + iv holomorphic in x0 + i r.  The
-    alpha_j, beta_j are stored at the chain's panel edges; between edges
-    they solve the chain exactly across one partial panel, remembered for
-    the last COEFF_CACHE distinct x0.
+    eval(x0, r) returns (u, v) with u + iv holomorphic in x0 + i r, at one
+    point or at arrays of points.  The alpha_j, beta_j are stored at the
+    chain's panel edges; between edges they solve the chain exactly across
+    one partial panel, remembered for the last COEFF_CACHE distinct x0.
     """
 
     __slots__ = (
@@ -405,18 +407,37 @@ class FueterPrimitive:
     def beta(self, j: int, x0) -> float | np.ndarray:
         return self._family(self.N + range(self.N)[j], x0)
 
-    def eval(self, x0: float, r: float) -> tuple[float, float]:
-        """(u, v) at a rectangle point."""
+    def eval(self, x0, r) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+        """(u, v) at rectangle points.
+
+        x0 and r broadcast against each other; scalars give a pair of
+        floats, arrays a pair of float64 arrays of the broadcast shape.
+        """
+        x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
+        if x0.ndim == r.ndim == 0:
+            return self._eval_at(float(x0), float(r))
+        xx, rr = np.broadcast_arrays(x0, r)
+        uv = np.array([self._eval_at(float(x), float(t)) for x, t in zip(xx.flat, rr.flat)]).reshape(-1, 2)
+        return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
+
+    def _eval_at(self, x0: float, r: float) -> tuple[float, float]:
         self.rect.require(x0, r)
+        N, H = self.N, self.field
+        A, B = H.A, H.B
+
+        def integrands(t):
+            # I1 and I2 / r share their nodes and kernel: one A and one B call
+            w = (r * r - t * t) ** (N - 1)
+            return np.array([t * w * A(x0, t), w * B(x0, t)])
+
+        c = self.rect.c
+        i1, i2 = integrate(integrands, c, r, self.quad, H.r_knots) if r != c else (0.0, 0.0)
         kn = float(self.K_N)
-        H = self.field
-        i1 = integral_I(1, H.A, x0, r, self.rect, self.N, self.quad, H.r_knots)
-        i2 = integral_I(2, H.B, x0, r, self.rect, self.N, self.quad, H.r_knots)
-        coeffs = self._coefficients(float(x0))
-        powers = r ** (2.0 * np.arange(self.N))  # r^(2j)
-        u = kn * i1 + float(coeffs[: self.N] @ powers)
-        v = kn * i2 + r * float(coeffs[self.N :] @ powers)
-        return u, v
+        coeffs = self._coefficients(x0)
+        powers = r ** (2.0 * np.arange(N))  # r^(2j)
+        u = kn * i1 + float(coeffs[:N] @ powers)
+        v = kn * (r * i2) + r * float(coeffs[N:] @ powers)
+        return float(u), float(v)
 
     def __call__(self, z: complex) -> complex:
         """u + iv at z = x0 + i r."""

@@ -2,12 +2,20 @@
 
 Fixed-order panels, bisected until the two-half refinement agrees with the
 parent panel to the requested absolute tolerance (halved per split, so the
-leaf budgets sum to the original).  Integrands must accept numpy arrays of
-nodes and return arrays of values.  Known kinks of the integrand (say, an
+leaf budgets sum to the original).  Known kinks of the integrand (say, an
 interpolant's grid lines) are passed as ``breaks``: the interval is split
 there first, each piece taking the tolerance share of its width (QUADPACK's
 QAGP); on a piece where the integrand is a polynomial of degree
 < 2 * panel_order, the first refinement agrees up to rounding.
+
+Integrands take a 1-d array of nodes and return values of shape (n,), or
+(p, n) for p integrals sharing the nodes; a piece is accepted when every
+component meets its tolerance, and each component refines exactly where
+it would alone.  The integrand is called once per level: the first call
+takes every piece's whole panel and both halves, and a piece that fails
+refines depth-first, each step evaluating the two halves of one
+subinterval in one call, so a non-converging integral fails after as few
+evaluations as a panel-at-a-time recursion.
 """
 
 from __future__ import annotations
@@ -45,14 +53,18 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel(f: Callable, lo: float, hi: float, order: int) -> float:
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+    """The Gauss panel sums on [lo[i], hi[i]] from one call of f; shape (len(lo),) or (p, len(lo))."""
     nodes, weights = _rule(order)
     half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * nodes
+    x = ((0.5 * (hi + lo))[:, None] + half[:, None] * nodes).ravel()
     y = np.asarray(f(x), dtype=np.float64)
-    if y.shape != x.shape:
-        raise ValueError("integrand must map a node array to a value array of equal shape")
-    return half * float(weights @ y)
+    if y.shape != x.shape and (y.ndim != 2 or y.shape[1] != x.size):
+        raise ValueError("integrand must map n nodes to values of shape (n,) or (p, n)")
+    # a (1, order) @ (order,) product is one dot per panel, the same sum
+    # whatever the number of panels in the call
+    sums = (y.reshape(*y.shape[:-1], lo.size, 1, order) @ weights)[..., 0]
+    return half * sums
 
 
 def integrate(
@@ -61,11 +73,13 @@ def integrate(
     b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     breaks: Sequence[float] = (),
-) -> float:
+) -> float | np.ndarray:
     """Integrate f over [a, b], split at the breaks inside it, to abs tolerance cfg.abs_tol.
 
-    Raises QuadratureError when a subinterval still disagrees at depth
-    cfg.max_depth.
+    Returns a float for an integrand of shape (n,) and an array of shape
+    (p,) for one of shape (p, n); an empty interval returns 0.0 without
+    calling f.  Raises QuadratureError on a non-finite panel sum or when a
+    subinterval still disagrees at depth cfg.max_depth.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -74,25 +88,53 @@ def integrate(
     if b < a:
         a, b, sign = b, a, -1.0
     edges = (a, *sorted({float(t) for t in breaks if a < t < b}), b) if len(breaks) else (a, b)
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        whole = _panel(f, lo, hi, cfg.panel_order)
-        total += _refine(f, lo, hi, whole, cfg.abs_tol * ((hi - lo) / (b - a)), 0, cfg)
-    return sign * total
+    lo, hi = edges[:-1], edges[1:]
+    mid = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
+    tols = np.array([cfg.abs_tol * ((h - l) / (b - a)) for l, h in zip(lo, hi)])
+    n = len(lo)
+    first = _panels(f, np.array(lo + lo + mid), np.array(hi + mid + hi), cfg.panel_order)
+    whole, left, right = first[..., :n], first[..., n : 2 * n], first[..., 2 * n :]
+    pieces = left + right
+    settled = np.isfinite(pieces)
+    if settled.all():
+        settled = np.abs(pieces - whole) <= tols
+    if not settled.all():
+        for i in np.flatnonzero(~settled.reshape(-1, n).all(axis=0)):  # in order, depth-first
+            pieces[..., i] = _refine(f, lo[i], hi[i], whole[..., i], left[..., i], right[..., i], tols[i], 0, cfg)
+    totals = []  # piece by piece in order, as one scalar integral per row would
+    for row in pieces.reshape(-1, n).tolist():
+        total = 0.0
+        for value in row:
+            total += value
+        totals.append(sign * total)
+    return totals[0] if pieces.ndim == 1 else np.array(totals)
 
 
-def _refine(f, lo, hi, whole, tol, depth, cfg):
-    mid = 0.5 * (lo + hi)
-    left = _panel(f, lo, mid, cfg.panel_order)
-    right = _panel(f, mid, hi, cfg.panel_order)
-    if not np.isfinite(left + right):
+def _refine(f, lo, hi, whole, left, right, tol, depth, cfg, active=True):
+    """left + right, refined below [lo, hi] in the active components that disagree with whole.
+
+    A component that agrees keeps its value here, as a scalar integral
+    would, even while the others refine further.
+    """
+    halves = left + right
+    if np.any(active & ~np.isfinite(halves)):
         raise QuadratureError(f"non-finite panel value on [{lo:g}, {hi:g}]")
-    if abs(left + right - whole) <= tol:
-        return left + right
+    pending = active & ~(np.abs(halves - whole) <= tol)
+    if not np.any(pending):
+        return halves
     if depth >= cfg.max_depth:
         raise QuadratureError(
             f"no convergence on [{lo:g}, {hi:g}] at depth {depth} (tol {tol:g})"
         )
-    return _refine(f, lo, mid, left, tol / 2, depth + 1, cfg) + _refine(
-        f, mid, hi, right, tol / 2, depth + 1, cfg
+    mid = 0.5 * (lo + hi)
+    refined = _split(f, lo, mid, left, tol / 2, depth + 1, cfg, pending) + _split(
+        f, mid, hi, right, tol / 2, depth + 1, cfg, pending
     )
+    return np.where(pending, refined, halves)
+
+
+def _split(f, lo, hi, whole, tol, depth, cfg, active):
+    """Refine [lo, hi], whose panel sum is whole, after evaluating its halves in one call."""
+    mid = 0.5 * (lo + hi)
+    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), cfg.panel_order)
+    return _refine(f, lo, hi, whole, halves[..., 0], halves[..., 1], tol, depth, cfg, active)

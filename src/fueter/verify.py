@@ -99,31 +99,38 @@ def vekua_residual(
 
     dA/dx0 - dB/dr = ((2k+m-1)/r) B    and    dB/dx0 + dA/dr = 0,
 
-    the first-order system every axial monogenic profile satisfies.
+    the first-order system every axial monogenic profile satisfies.  A and
+    B take x0 and r arrays, as AxialFunction fields do.
     """
     gamma = 2 * k + m - 1
-    vals = [
-        max(abs(float(ax - br - gamma / r * B(x0, r))), abs(float(bx + ar)))
-        for x0, r, ax, ar, bx, br in _gradients(A, B, grid)
-    ]
+    x0, r, ax, ar, bx, br = _gradients(A, B, grid)
+    vals = np.maximum(np.abs(ax - br - gamma / r * B(x0, r)), np.abs(bx + ar))
     return _report("vekua", grid, vals)
 
 
 def cr_residual(u: Callable, v: Callable, grid: GridSpec) -> ResidualReport:
-    """Cauchy-Riemann residual of (u, v) as functions of (x0, r)."""
-    vals = [max(abs(float(ux - vr)), abs(float(ur + vx))) for _, _, ux, ur, vx, vr in _gradients(u, v, grid)]
-    return _report("cauchy-riemann", grid, vals)
+    """Cauchy-Riemann residual of (u, v) as functions of x0 and r arrays."""
+    _, _, ux, ur, vx, vr = _gradients(u, v, grid)
+    return _report("cauchy-riemann", grid, np.maximum(np.abs(ux - vr), np.abs(ur + vx)))
 
 
 def _gradients(f: Callable, g: Callable, grid: GridSpec):
-    """Per grid point: x0, r and the central differences f_x0, f_r, g_x0, g_r."""
+    """x0, r of the grid points (x0-major) and the central differences f_x0, f_r, g_x0, g_r there.
+
+    One array call of f and of g per stencil offset.
+    """
     h = grid.step
-    for x0, r in grid.points():
-        yield (
-            x0, r,
-            (f(x0 + h, r) - f(x0 - h, r)) / (2 * h), (f(x0, r + h) - f(x0, r - h)) / (2 * h),
-            (g(x0 + h, r) - g(x0 - h, r)) / (2 * h), (g(x0, r + h) - g(x0, r - h)) / (2 * h),
-        )
+    x0, r = (t.ravel() for t in np.meshgrid(*grid.axes(), indexing="ij"))
+
+    def diff(fn, plus, minus):
+        return np.broadcast_to((fn(*plus) - fn(*minus)) / (2 * h), x0.shape)
+
+    east, west, north, south = (x0 + h, r), (x0 - h, r), (x0, r + h), (x0, r - h)
+    return (
+        x0, r,
+        diff(f, east, west), diff(f, north, south),
+        diff(g, east, west), diff(g, north, south),
+    )
 
 
 def _default_direction(m: int) -> np.ndarray:

@@ -10,6 +10,8 @@ from fueter import jets
 from fueter.cli import main
 from fueter.clifford import Multivector, Paravector
 from fueter.forward import FueterConfig, fueter_fields, fueter_map
+from fueter.inverse import invert
+from fueter.oracles import axial_field
 from fueter.polynomials import builtin_pk
 
 
@@ -97,6 +99,17 @@ class TestInvert:
         u, v = data["points"][3]["value"]
         want = z**3 + 0.25 * z
         assert complex(u, v) == pytest.approx(want, abs=1e-10)
+
+    def test_grid_values_match_pointwise_eval(self, capsys):
+        # the grid goes through one array eval; each point keeps the bits of
+        # a scalar eval (JSON floats round-trip exactly)
+        code, out = run(capsys, "invert", "--field", "example1", "--grid", "3,4")
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert len(points) == 12
+        prim = invert(axial_field("example1"))
+        for p in points:
+            assert tuple(p["value"]) == prim.eval(p["x0"], p["r"])
 
     def test_csv_output(self, capsys):
         code, out = run(capsys, "invert", "--field", "cubic", "--grid", "2,2", "--format", "csv")

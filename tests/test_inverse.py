@@ -11,7 +11,7 @@ import pytest
 
 import fueter
 from fueter import jets
-from fueter.errors import NumericalError
+from fueter.errors import NumericalError, QuadratureError
 from fueter.forward import FueterConfig, fueter_fields
 from fueter.inverse import (
     AxialFunction,
@@ -230,6 +230,20 @@ class TestTabulatedFields:
         with pytest.raises(ValueError):
             AxialFunction.from_grid(data)
 
+    def test_duplicated_point_rejected(self):
+        # the count and both axes still match, but one grid slot is empty
+        H = axial_field("cubic")
+        data = self.grid_json(H)
+        data["points"][5] = dict(data["points"][4])
+        with pytest.raises(ValueError, match="missing"):
+            AxialFunction.from_grid(data)
+
+    def test_non_finite_coordinate_rejected(self):
+        data = self.grid_json(axial_field("cubic"), nx0=3, nr=3)
+        data["points"][4]["r"] = float("nan")
+        with pytest.raises(ValueError, match="full nx0 x nr grid"):
+            AxialFunction.from_grid(data)
+
     def test_ragged_grid_rejected(self):
         H = axial_field("cubic")
         data = self.grid_json(H)
@@ -371,6 +385,104 @@ class TestExactChain:
         H = AxialFunction(a_field, lambda x0, r: np.zeros_like(r), 3, 0, RECT)
         with pytest.raises(NumericalError, match=r"x0=0\.6"):
             invert(H)
+
+
+def _counting(H, scale=1.0):
+    """H with A and B wrapped to record the node count of every call."""
+    calls = {"A": [], "B": []}
+
+    def counted(fn, key):
+        return lambda x0, r: calls[key].append(np.size(r)) or scale * fn(x0, r)
+
+    G = AxialFunction(counted(H.A, "A"), counted(H.B, "B"), H.m, H.k, H.rect, r_knots=H.r_knots)
+    return G, calls
+
+
+class TestFusedEval:
+    @pytest.mark.parametrize("name", ["cubic", "example1", "example2-nplus", "cauchy-kernel"])
+    def test_closed_form_eval_calls_each_field_once(self, name):
+        G, calls = _counting(axial_field(name))
+        prim = invert(G)
+        a, b, c, d = G.rect.as_tuple()
+        x0, r = a + 0.37 * (b - a), c + 0.71 * (d - c)
+        prim.alpha(0, x0)  # the coefficient chain's own two calls
+        calls["A"].clear()
+        calls["B"].clear()
+        prim.eval(x0, r)
+        assert calls == {"A": [48], "B": [48]}
+
+    def test_tabulated_eval_calls_each_field_once(self):
+        rect = Rectangle(0.3, 1.3, 0.45, 1.45)
+        A, B = fueter_fields(jets.arctan(), FueterConfig(3, 0))
+        grid = TestTabulatedFields().grid_json(AxialFunction(A, B, 3, 0, rect), 40, 40)
+        G, calls = _counting(AxialFunction.from_grid(grid))
+        prim = invert(G)
+        x0, r = 0.77, 1.234
+        prim.alpha(0, x0)
+        calls["A"].clear()
+        calls["B"].clear()
+        u, v = prim.eval(x0, r)
+        # every cell from c to r in one call per field: whole panel and halves
+        cells = 1 + sum(rect.c < t < r for t in G.r_knots)
+        assert calls == {"A": [48 * cells], "B": [48 * cells]}
+        # the split integrals of integral_I agree bit for bit
+        kn = float(prim.K_N)
+        i1 = integral_I(1, G.A, x0, r, rect, G.N, breaks=G.r_knots)
+        i2 = integral_I(2, G.B, x0, r, rect, G.N, breaks=G.r_knots)
+        coeffs = [prim.alpha(0, x0), prim.beta(0, x0)]
+        assert (u, v) == (kn * i1 + coeffs[0], kn * i2 + r * coeffs[1])
+
+    def test_scaled_example1_still_fails_with_fewer_calls(self):
+        # example1 x 1e6 needs a per-leaf tolerance below one ulp (ROADMAP
+        # item 5); refining one panel per call took 117 integrand calls at
+        # this point before it raised
+        G, calls = _counting(axial_field("example1"), scale=1e6)
+        prim = invert(G)
+        prim.alpha(0, 0.5)
+        calls["A"].clear()
+        calls["B"].clear()
+        with pytest.raises(QuadratureError, match="no convergence"):
+            prim.eval(0.5, 1.4)
+        assert len(calls["A"]) == len(calls["B"]) <= 117
+
+    def test_empty_radial_interval(self):
+        # r = c integrates over nothing and calls no field
+        G, calls = _counting(axial_field("example1"))
+        prim = invert(G)
+        prim.alpha(0, 0.3)
+        calls["A"].clear()
+        u, v = prim.eval(0.3, G.rect.c)
+        assert calls["A"] == []
+        c = G.rect.c
+        assert u == prim.alpha(0, 0.3) + prim.alpha(1, 0.3) * c * c
+        assert v == c * (prim.beta(0, 0.3) + prim.beta(1, 0.3) * c * c)
+
+
+class TestArrayEval:
+    def test_arrays_match_pointwise(self):
+        prim = invert(axial_field("example1"))
+        x0 = np.array([[0.1, 0.35, 0.6], [0.5, 0.77, 1.0]])
+        r = np.array([[0.5, 0.9, 1.4], [0.62, 1.1, 1.5]])
+        u, v = prim.eval(x0, r)
+        assert u.shape == v.shape == x0.shape and u.dtype == np.float64
+        for i, j in np.ndindex(x0.shape):
+            assert (u[i, j], v[i, j]) == prim.eval(float(x0[i, j]), float(r[i, j]))
+
+    def test_broadcast_and_scalars(self):
+        prim = invert(axial_field("cubic"))
+        rs = np.linspace(0.5, 1.5, 5)
+        u, v = prim.eval(0.4, rs)
+        assert u.shape == (5,)
+        assert [(a, b) for a, b in zip(u, v)] == [prim.eval(0.4, t) for t in rs]
+        got = prim.eval(0.4, 1.1)
+        assert type(got) is tuple and all(type(t) is float for t in got)
+        u, v = prim.eval(np.array(0.4), np.array(1.1))
+        assert (u, v) == got
+
+    def test_any_point_outside_rejected(self):
+        prim = invert(axial_field("cubic"))
+        with pytest.raises(ValueError, match="outside"):
+            prim.eval(np.array([0.5, 2.0]), 1.0)
 
 
 def _field_cases():

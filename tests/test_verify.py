@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fueter import jets
-from fueter.forward import FueterConfig, as_field
+from fueter.forward import FueterConfig, as_field, fueter_fields
 from fueter.inverse import Rectangle
 from fueter.polynomials import builtin_pk
 from fueter.verify import (
@@ -77,6 +77,38 @@ class TestCrResidual:
         report = cr_residual(u, lambda x0, r: 0.0, grid)
         xs, _ = grid.axes()
         assert report.max == pytest.approx(2 * xs.max(), rel=1e-6)
+
+
+class TestStencilCalls:
+    def pointwise(self, A, B, k, m, grid):
+        """The Vekua residuals one scalar stencil at a time."""
+        h, gamma = grid.step, 2 * k + m - 1
+        vals = []
+        for x0, r in grid.points():
+            ax = (A(x0 + h, r) - A(x0 - h, r)) / (2 * h)
+            ar = (A(x0, r + h) - A(x0, r - h)) / (2 * h)
+            bx = (B(x0 + h, r) - B(x0 - h, r)) / (2 * h)
+            br = (B(x0, r + h) - B(x0, r - h)) / (2 * h)
+            vals.append(max(abs(float(ax - br - gamma / r * B(x0, r))), abs(float(bx + ar))))
+        return vals
+
+    def test_one_array_call_per_stencil_offset(self):
+        A, B = fueter_fields(jets.arctan(), FueterConfig(5, 1))
+        sizes = []
+
+        def counted(fn):
+            return lambda x0, r: sizes.append(np.size(r)) or fn(x0, r)
+
+        grid = GridSpec(RECT, 6, 7)
+        report = vekua_residual(counted(A), counted(B), 1, 5, grid)
+        assert sizes == [42] * 9  # four offsets per field and B at the centre
+        # fueter_fields gives a point the same bits alone or in a batch, so
+        # the report equals the scalar stencils' bit for bit
+        vals = self.pointwise(A, B, 1, 5, grid)
+        assert (report.max, report.mean) == (max(vals), float(np.mean(vals)))
+        sizes.clear()
+        cr_residual(counted(A), counted(B), grid)
+        assert sizes == [42] * 8
 
 
 class TestMonogenicity:
