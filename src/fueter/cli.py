@@ -4,8 +4,10 @@ Subcommands: forward, invert, roundtrip, kernel, oracles, selftest.
 Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
 configuration, 3 numerical failure.  forward evaluates its whole grid's
-profiles in one array call and invert its primitive in one eval call; the
-other grids run point by point.
+profiles in one array call, invert its primitive in one eval call and
+roundtrip in one per grid or stencil offset (its FD field residual and kernel
+run point by point).  JSON output is json.dumps(payload, indent=2): 2-space
+indent, Python float repr, NaN/Infinity if non-finite, stable byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import io
 import json
 import math
 import sys
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,19 +127,44 @@ def _full_grid(rect: Rectangle, nx0: int, nr: int) -> tuple[list[float], list[fl
     return xs.ravel().tolist(), rs.ravel().tolist()
 
 
-def _emit(opts: _Options, payload: dict, csv_rows: tuple[list[str], list[list]] | None) -> None:
+def _dumps(payload: dict) -> str:
+    """json.dumps(payload, indent=2), byte for byte, without json's pure-Python indenting encoder.
+
+    A last "points" list of {"x0", "r", "value": [floats]} of one width, all
+    finite, takes one %-template per point (json writes floats as %r does)
+    spliced into json's rendering of the rest; any other payload is json's.
+    """
+    points = payload.get("points")
+    try:
+        width = len(points[0]["value"])
+        rows = [(p["x0"], p["r"], *p["value"]) for p in points
+                if tuple(p) == ("x0", "r", "value") and type(p["value"]) is list and len(p["value"]) == width]
+    except (TypeError, KeyError, IndexError):
+        width, rows = 0, []
+    flat = [v for row in rows for v in row]
+    if width and len(rows) == len(points) and set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+        head = json.dumps({**payload, "points": []}, indent=2)
+        if head.endswith('\n  "points": []\n}'):
+            values = ",\n".join(["        %r"] * width)
+            item = f'    {{\n      "x0": %r,\n      "r": %r,\n      "value": [\n{values}\n      ]\n    }}'
+            return head[:-4] + "[\n" + ",\n".join([item] * len(rows)) % tuple(flat) + "\n  ]\n}"
+    return json.dumps(payload, indent=2)
+
+
+def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list]]] | None) -> None:
+    """Write payload as JSON, or as CSV from csv_rows(), built only when asked for."""
     fmt = opts.get("format", "json")
     if fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output is not available for this subcommand")
-        header, rows = csv_rows
+        header, rows = csv_rows()
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _dumps(payload) + "\n"
     out = opts.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -165,15 +193,10 @@ def _cmd_forward(args) -> int:
 
     xs, rs = _full_grid(rect, nx0, nr)
     a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, np.array(xs), np.array(rs)))
-    points, rows = [], []
+    points = []
     for x0, r, a, b in zip(xs, rs, a_all, b_all):
-        if profiles:
-            value = coeffs = [a, b]
-        else:
-            value = axial_image(P, Paravector(x0, r * direction), a, b).to_pairs()
-            coeffs = Multivector.from_pairs(m, value).coeffs.tolist()
+        value = [a, b] if profiles else axial_image(P, Paravector(x0, r * direction), a, b).to_pairs()
         points.append({"x0": x0, "r": r, "value": value})
-        rows.append([x0, r] + coeffs)
     payload = {
         "meta": {
             "command": "forward",
@@ -187,8 +210,14 @@ def _cmd_forward(args) -> int:
         },
         "points": points,
     }
-    labels = ["A", "B"] if profiles else ["c" + _blade_label(idx) for idx in range(1 << m)]
-    _emit(opts, payload, (["x0", "r"] + labels, rows))
+
+    def csv_rows():
+        if profiles:
+            return ["x0", "r", "A", "B"], [[p["x0"], p["r"], *p["value"]] for p in points]
+        rows = [[p["x0"], p["r"]] + Multivector.from_pairs(m, p["value"]).coeffs.tolist() for p in points]
+        return ["x0", "r"] + ["c" + _blade_label(idx) for idx in range(1 << m)], rows
+
+    _emit(opts, payload, csv_rows)
     return 0
 
 
@@ -233,9 +262,7 @@ def _cmd_invert(args) -> int:
         "trajectories": prim.to_json(),
         "points": points,
     }
-    header = ["x0", "r", "u", "v"]
-    rows = [[p["x0"], p["r"], p["value"][0], p["value"][1]] for p in points]
-    _emit(opts, payload, (header, rows))
+    _emit(opts, payload, lambda: (["x0", "r", "u", "v"], [[x0, r, u, v] for x0, r, u, v in zip(xs, rs, us, vs)]))
     return 0
 
 
@@ -271,11 +298,10 @@ def _cmd_roundtrip(args) -> int:
     H = AxialFunction(A, B, m, k, rect, name=f"forward:{h.name}")
     prim = invert(H, quad=opts.quad())
 
-    samples = []
-    for x0, r in zip(*_full_grid(rect, nx0, nr)):
-        z = complex(x0, r)
-        samples.append((z, prim(z) - h(z)))
-    fit = polynomial_fit_residual(samples, cfg.kernel_degree)
+    xs, rs = _full_grid(rect, nx0, nr)
+    z = [complex(x0, r) for x0, r in zip(xs, rs)]
+    w = np.array([complex(u, v) for u, v in zip(*prim.eval(np.array(xs), np.array(rs)))]) - h(np.array(z))
+    fit = polynomial_fit_residual(list(zip(z, w.tolist())), cfg.kernel_degree)
 
     # field-space residual: forward the computed primitive (FD in r) and
     # compare with the field that was inverted
@@ -288,7 +314,7 @@ def _cmd_roundtrip(args) -> int:
     worst = float(np.max(np.abs(fd - np.stack([A(xv, rv), B(xv, rv)], axis=1))))
 
     grid = GridSpec(rect, min(nx0, 8), min(nr, 8))
-    cr = cr_residual(lambda x0, r: prim.eval(x0, r)[0], lambda x0, r: prim.eval(x0, r)[1], grid)
+    cr = cr_residual(prim.eval, None, grid)
     vk = vekua_residual(A, B, k, m, grid)
     payload = {
         "meta": {"command": "roundtrip", "m": m, "k": k, "h": h.name,
@@ -332,8 +358,7 @@ def _cmd_kernel(args) -> int:
         "results": results,
     }
     header = ["n", "max_norm", "expected_zero"]
-    rows = [[r["n"], r["max_norm"], r["expected_zero"]] for r in results]
-    _emit(opts, payload, (header, rows))
+    _emit(opts, payload, lambda: (header, [[r["n"], r["max_norm"], r["expected_zero"]] for r in results]))
     return 0
 
 
@@ -361,6 +386,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the fueter command line."""
     parser = argparse.ArgumentParser(
         prog="fueter",
         description="Axial monogenic transforms: forward evaluation, inversion, verification.",
@@ -406,9 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process (parse_args keeps no state)."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

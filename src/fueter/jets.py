@@ -232,7 +232,11 @@ def jet_arctan(z, d: int) -> Jet:
     The derivative chain is the jet of 1/(1 + z^2), so higher derivatives
     are exact rational expressions in z.
     """
-    z, d = _checked(z, _off_arctan_cut, "arctan"), _check_order(d)
+    return _arctan(_checked(z, _off_arctan_cut, "arctan"), _check_order(d))
+
+
+def _arctan(z: np.ndarray, d: int) -> Jet:
+    """jet_arctan at clongdouble points already checked against the cuts."""
     zf = z.reshape(-1)
     rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
     rows[0] = np.arctan(zf)
@@ -243,7 +247,11 @@ def jet_arctan(z, d: int) -> Jet:
 
 def jet_log(z, d: int) -> Jet:
     """Principal log, cut on (-inf, 0]."""
-    z, d = _checked(z, _off_log_cut, "log"), _check_order(d)
+    return _log(_checked(z, _off_log_cut, "log"), _check_order(d))
+
+
+def _log(z: np.ndarray, d: int) -> Jet:
+    """jet_log at clongdouble points already checked against the cut."""
     zf = z.reshape(-1)
     rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
     rows[0] = np.log(zf)
@@ -261,6 +269,7 @@ class HolomorphicFn:
     Wraps a jet builder (z, order) -> Jet and a domain predicate z -> bool
     array, both called with a clongdouble array of points; evaluation
     outside the domain raises instead of returning garbage on a branch cut.
+    jet tests the predicate once, so the builder need not test it again.
     """
 
     __slots__ = ("name", "_jet_fn", "_domain")
@@ -348,13 +357,13 @@ def power(n: int) -> HolomorphicFn:
     return HolomorphicFn(f"z^{n}", lambda z, d: jet_power(n, z, d))
 
 def recip() -> HolomorphicFn:
-    return HolomorphicFn("recip", jet_recip, lambda z: z != 0)
+    return HolomorphicFn("recip", lambda z, d: _laurent(z, -1, (1.0,), d), lambda z: z != 0)
 
 def arctan() -> HolomorphicFn:
-    return HolomorphicFn("arctan", jet_arctan, _off_arctan_cut)
+    return HolomorphicFn("arctan", _arctan, _off_arctan_cut)
 
 def log() -> HolomorphicFn:
-    return HolomorphicFn("log", jet_log, _off_log_cut)
+    return HolomorphicFn("log", _log, _off_log_cut)
 
 def z_arctan() -> HolomorphicFn:
     f = identity() * arctan()

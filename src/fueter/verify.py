@@ -103,34 +103,33 @@ def vekua_residual(
     B take x0 and r arrays, as AxialFunction fields do.
     """
     gamma = 2 * k + m - 1
-    x0, r, ax, ar, bx, br = _gradients(A, B, grid)
+    x0, r, ax, ar, bx, br = _gradients(lambda x0, r: (A(x0, r), B(x0, r)), grid)
     vals = np.maximum(np.abs(ax - br - gamma / r * B(x0, r)), np.abs(bx + ar))
     return _report("vekua", grid, vals)
 
 
-def cr_residual(u: Callable, v: Callable, grid: GridSpec) -> ResidualReport:
-    """Cauchy-Riemann residual of (u, v) as functions of x0 and r arrays."""
-    _, _, ux, ur, vx, vr = _gradients(u, v, grid)
+def cr_residual(u: Callable, v: Callable | None, grid: GridSpec) -> ResidualReport:
+    """Cauchy-Riemann residual of (u, v) as functions of x0 and r arrays.
+
+    With v = None, u returns the pair (u, v), as FueterPrimitive.eval does.
+    """
+    _, _, ux, ur, vx, vr = _gradients(u if v is None else lambda x0, r: (u(x0, r), v(x0, r)), grid)
     return _report("cauchy-riemann", grid, np.maximum(np.abs(ux - vr), np.abs(ur + vx)))
 
 
-def _gradients(f: Callable, g: Callable, grid: GridSpec):
+def _gradients(fg: Callable, grid: GridSpec):
     """x0, r of the grid points (x0-major) and the central differences f_x0, f_r, g_x0, g_r there.
 
-    One array call of f and of g per stencil offset.
+    fg maps x0, r arrays to the pair (f, g); one array call per stencil offset.
     """
     h = grid.step
     x0, r = (t.ravel() for t in np.meshgrid(*grid.axes(), indexing="ij"))
+    (fe, ge), (fw, gw), (fn, gn), (fs, gs) = (fg(*p) for p in ((x0 + h, r), (x0 - h, r), (x0, r + h), (x0, r - h)))
 
-    def diff(fn, plus, minus):
-        return np.broadcast_to((fn(*plus) - fn(*minus)) / (2 * h), x0.shape)
+    def diff(plus, minus):
+        return np.broadcast_to((plus - minus) / (2 * h), x0.shape)
 
-    east, west, north, south = (x0 + h, r), (x0 - h, r), (x0, r + h), (x0, r - h)
-    return (
-        x0, r,
-        diff(f, east, west), diff(f, north, south),
-        diff(g, east, west), diff(g, north, south),
-    )
+    return x0, r, diff(fe, fw), diff(fn, fs), diff(ge, gw), diff(gn, gs)
 
 
 def _default_direction(m: int) -> np.ndarray:

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fueter import jets
+from fueter import cli, jets
 from fueter.cli import main
 from fueter.clifford import Multivector, Paravector
 from fueter.forward import FueterConfig, fueter_fields, fueter_map
@@ -19,6 +21,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """The payloads the CLI renders as JSON, in order."""
+    seen, real = [], cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda payload: seen.append(payload) or real(payload))
+    return seen
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The number of points of each payload handed to json.dumps."""
+    seen, real = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: seen.append(len(obj.get("points", ()))) or real(obj, **kw))
+    return seen
 
 
 class TestForward:
@@ -213,6 +231,18 @@ class TestRoundtrip:
         assert data["cr_residual"]["max"] <= 1e-6
         assert data["vekua_residual"]["max"] <= 1e-6
 
+    def test_primitive_evaluated_once_per_grid(self, capsys, monkeypatch):
+        # the gauge samples take one array eval and the CR stencil one per
+        # offset; only the finite-difference forward image stays pointwise
+        from fueter.inverse import FueterPrimitive
+
+        sizes, real = [], FueterPrimitive.eval
+        monkeypatch.setattr(FueterPrimitive, "eval", lambda self, x0, r: sizes.append(np.size(r)) or real(self, x0, r))
+        code, _ = run(capsys, "roundtrip", "--h", "z^3", "--m", "3", "--grid", "4,4")
+        assert code == 0
+        assert [n for n in sizes if n > 1] == [16] * 5
+        assert sizes.count(1) == 16 * 3  # 4 x 4 points, 2N + 1 = 3 radial samples each
+
     def test_second_order_case(self, capsys):
         code, out = run(capsys, "roundtrip", "--h", "recip", "--m", "5", "--grid", "4,4")
         assert code == 0
@@ -284,3 +314,121 @@ class TestConfigMerging:
             main(["forward", "--nope"])
         assert err.value.code == 2
 
+
+
+RECT = "0.2,1.0,0.5,1.5"
+
+
+class TestJsonOutput:
+    """Every JSON output is json.dumps(payload, indent=2) + newline, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("forward", "--h", "arctan", "--m", "3", "--profiles", "--rect", RECT, "--grid", "7,5"),
+            # k = 0 on the e1 axis: exactly two nonzero blades, so value is two pairs
+            ("forward", "--h", "recip", "--m", "3", "--rect", RECT, "--grid", "3,2"),
+            ("forward", "--h", "arctan", "--m", "5", "--k", "1", "--rect", RECT, "--grid", "2,2"),
+            ("invert", "--field", "example1", "--grid", "3,4"),
+            ("kernel", "--m", "3", "--k", "1"),
+            ("roundtrip", "--h", "z^3", "--m", "3", "--grid", "4,4"),
+        ],
+    )
+    def test_cli_output_equals_stdlib_rendering(self, capsys, payloads, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert len(payloads) == 1
+        assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+    def test_two_blade_values_are_pairs(self, capsys, payloads):
+        code, _ = run(capsys, "forward", "--h", "recip", "--m", "3", "--rect", RECT, "--grid", "2,2")
+        assert code == 0
+        for pt in payloads[0]["points"]:
+            assert [label for label, _ in pt["value"]] == ["", "1"]
+
+    def test_float_points_skip_the_stdlib_encoder(self, capsys, encoded):
+        run(capsys, "forward", "--h", "arctan", "--m", "3", "--profiles", "--rect", RECT, "--grid", "4,4")
+        run(capsys, "invert", "--field", "cubic", "--grid", "3,3")
+        assert encoded == [0, 0]
+        run(capsys, "forward", "--h", "recip", "--m", "3", "--rect", RECT, "--grid", "2,2")
+        assert encoded == [0, 0, 4]
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [{"x0": 0.5, "r": -0.0, "value": [-0.0, 1e-300]}, {"x0": 1e22, "r": 2.5e-8, "value": [0.1, -7.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [float("nan"), 1.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [float("inf"), 1.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [1.0, float("-inf")]}],
+            [{"x0": 1.7e308, "r": 1.7e308, "value": [1.7e308]}],
+            [{"x0": 0, "r": 1.0, "value": [1.0, 2.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [True, 2.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [1.0, 2]}],
+            [{"x0": 0.5, "r": 1.0, "value": [1.0]}, {"x0": 0.5, "r": 1.0, "value": [1.0, 2.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [1.0, 2.0]}, {"x0": 0.5, "r": 1.0, "value": [1.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": v} for v in ([1.0, 2.0], [1.0], [1.0, 2.0, 3.0])],
+            [{"x0": 0.5, "r": 1.0, "value": []}],
+            [{"x0": 0.5, "r": 1.0, "value": (1.0, 2.0)}],
+            [{"x0": 0.5, "r": 1.0, "value": {1.0: 2.0}}],
+            [{"x0": 0.5, "r": 1.0, "value": [["", 1.0], ["1", 2.0]]}],
+            [{"r": 1.0, "x0": 0.5, "value": [1.0, 2.0]}],
+            [{"x0": 0.5, "r": 1.0, "value": [1.0, 2.0], "w": 1.0}],
+            [{"x0": 0.5, "r": 1.0}],
+            [[0.5, 1.0, [1.0, 2.0]]],
+            [],
+            None,
+        ],
+    )
+    @pytest.mark.parametrize("last", [True, False])
+    def test_helper_equals_stdlib_rendering(self, points, last):
+        meta = {"n": 3, "flag": True, "off": False, "gap": None, "x": -0.0, "bad": [float("nan"), float("-inf")]}
+        payload = {"meta": meta, "points": points} if last else {"points": points, "meta": meta}
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.fixed_dictionaries({
+        "x0": st.floats(), "r": st.floats(width=32),
+        "value": st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=3),
+    }), max_size=4))
+    def test_helper_equals_stdlib_on_random_points(self, points):
+        payload = {"meta": {"n": len(points)}, "points": points}
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+    def test_csv_rows_match_json_values(self, capsys):
+        argv = ("forward", "--h", "arctan", "--m", "3", "--rect", RECT, "--grid", "3,2")
+        for extra, coeffs in (((), lambda v: Multivector.from_pairs(3, v).coeffs.tolist()),
+                              (("--profiles",), lambda v: v)):
+            _, out = run(capsys, *argv, *extra)
+            points = json.loads(out)["points"]
+            _, out = run(capsys, *argv, *extra, "--format", "csv")
+            rows = list(csv.reader(out.splitlines()))
+            assert rows[1:] == [[repr(v) for v in [p["x0"], p["r"]] + coeffs(p["value"])] for p in points]
+        _, out = run(capsys, "invert", "--field", "cubic", "--grid", "2,3")
+        points = json.loads(out)["points"]
+        _, out = run(capsys, "invert", "--field", "cubic", "--grid", "2,3", "--format", "csv")
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[1:] == [[repr(v) for v in [p["x0"], p["r"], *p["value"]]] for p in points]
+
+
+class TestParserReuse:
+    def test_one_parser_serves_successive_calls(self, capsys):
+        argv = ["forward", "--h", "recip", "--m", "3", "--rect", RECT, "--grid", "2,2"]
+        _, out = run(capsys, *argv, "--profiles")
+        assert json.loads(out)["meta"]["profiles"] is True
+        _, out = run(capsys, *argv)
+        data = json.loads(out)
+        assert data["meta"]["profiles"] is False
+        assert all(isinstance(pair, list) for pt in data["points"] for pair in pt["value"])
+        _, out = run(capsys, *argv, "--format", "csv")
+        assert out.startswith("x0,r,c,")
+        _, out = run(capsys, *argv)
+        assert json.loads(out)["meta"]["command"] == "forward"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--nope"])
+        assert err.value.code == 2
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["points"]
+
+    def test_build_parser_is_fresh(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()

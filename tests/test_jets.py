@@ -79,6 +79,22 @@ class TestBranchCuts:
         with pytest.raises(ValueError, match="not defined at z=0j"):
             jets.recip().jet(np.array([1.0, 0.0]), 1)
 
+    @pytest.mark.parametrize("name,predicate", [
+        ("arctan", "_off_arctan_cut"), ("z*arctan", "_off_arctan_cut"), ("log", "_off_log_cut"),
+    ])
+    def test_cut_tested_once_per_jet(self, monkeypatch, name, predicate):
+        calls = []
+        real = getattr(jets, predicate)
+        monkeypatch.setattr(jets, predicate, lambda z: calls.append(z.shape) or real(z))
+        h = jets.by_name(name)
+        z = np.array([0.5 + 0.5j, 0.2 + 0.7j])
+        ref = jet_arctan(z, 3) if name == "arctan" else jet_log(z, 3) if name == "log" else None
+        calls.clear()
+        j = h.jet(z, 3)
+        assert calls == [(2,)]
+        if ref is not None:
+            assert np.array_equal(j.coeffs, ref.coeffs)
+
     def test_log_off_axis_accepted(self):
         j = jet_log(complex(-2.0, 0.1), 1)
         assert cmath.isclose(j.coeffs[1], 1.0 / complex(-2.0, 0.1))

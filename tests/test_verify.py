@@ -110,6 +110,19 @@ class TestStencilCalls:
         cr_residual(counted(A), counted(B), grid)
         assert sizes == [42] * 8
 
+    def test_pair_function_called_once_per_offset(self):
+        A, B = fueter_fields(jets.arctan(), FueterConfig(5, 1))
+        sizes = []
+
+        def pair(x0, r):
+            sizes.append(np.size(r))
+            return A(x0, r), B(x0, r)
+
+        grid = GridSpec(RECT, 6, 7)
+        report = cr_residual(pair, None, grid)
+        assert sizes == [42] * 4
+        assert report == cr_residual(A, B, grid)
+
 
 class TestMonogenicity:
     @pytest.mark.parametrize("m,k", [(3, 0), (3, 1), (5, 0)])
