@@ -314,7 +314,7 @@ def _cmd_roundtrip(args) -> int:
     worst = float(np.max(np.abs(fd - np.stack([A(xv, rv), B(xv, rv)], axis=1))))
 
     grid = GridSpec(rect, min(nx0, 8), min(nr, 8))
-    cr = cr_residual(prim.eval, None, grid)
+    cr = cr_residual(prim.eval, grid)
     vk = vekua_residual(A, B, k, m, grid)
     payload = {
         "meta": {"command": "roundtrip", "m": m, "k": k, "h": h.name,
@@ -434,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process (parse_args keeps no state)."""
+    """The parser main uses, built once per process (parse_args keeps no state): a
+    saving only for callers that run main more than once in one process."""
     return build_parser()
 
 

@@ -108,12 +108,10 @@ def vekua_residual(
     return _report("vekua", grid, vals)
 
 
-def cr_residual(u: Callable, v: Callable | None, grid: GridSpec) -> ResidualReport:
-    """Cauchy-Riemann residual of (u, v) as functions of x0 and r arrays.
-
-    With v = None, u returns the pair (u, v), as FueterPrimitive.eval does.
-    """
-    _, _, ux, ur, vx, vr = _gradients(u if v is None else lambda x0, r: (u(x0, r), v(x0, r)), grid)
+def cr_residual(uv: Callable, grid: GridSpec) -> ResidualReport:
+    """Cauchy-Riemann residual of uv, which maps x0 and r arrays to the pair
+    (u, v), as FueterPrimitive.eval does."""
+    _, _, ux, ur, vx, vr = _gradients(uv, grid)
     return _report("cauchy-riemann", grid, np.maximum(np.abs(ux - vr), np.abs(ur + vx)))
 
 
