@@ -281,23 +281,35 @@ def _propagator_terms(N: int) -> np.ndarray:
 def _propagator(N: int, s) -> np.ndarray:
     """E(s) = exp(M s) as a matrix polynomial; shape s.shape + (2N, 2N)."""
     s = np.asarray(s, dtype=np.float64)
-    powers = s[..., None] ** np.arange(2 * N)
-    return np.tensordot(powers, _propagator_terms(N), axes=1)
+    n2 = 2 * N
+    powers = s[..., None] ** np.arange(n2)
+    # np.tensordot(powers, terms, axes=1) without its axis bookkeeping: the same dot
+    out = np.dot(powers.reshape(-1, n2), _propagator_terms(N).reshape(n2, -1))
+    return out.reshape(s.shape + (n2, n2))
+
+
+@lru_cache(maxsize=64)
+def _forcing_weights(k: int, m: int, c: float) -> np.ndarray:
+    """(-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) for j < N: the forcing weights of the r = c edge."""
+    N = k + (m - 1) // 2
+    j = np.arange(N)
+    w = float(compute_KN(k, m)) * np.array([math.comb(N - 1, i) for i in j])
+    w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
+    w.flags.writeable = False
+    return w
 
 
 def _edge_forcing(H: AxialFunction, t: np.ndarray) -> np.ndarray:
     """The forcing F at x0 nodes t (one A and one B call on r = c), shape (len(t), 2N)."""
-    N, c = H.N, H.rect.c
+    c = H.rect.c
     r = np.full_like(t, c)
     a_c = np.broadcast_to(np.asarray(H.A(t, r), dtype=np.float64), t.shape)
     b_c = np.broadcast_to(np.asarray(H.B(t, r), dtype=np.float64), t.shape)
     bad = ~(np.isfinite(a_c) & np.isfinite(b_c))
     if bad.any():
         raise NumericalError(f"non-finite edge trace at x0={t[bad][0]:g} (r={c:g})")
-    j = np.arange(N)
-    # (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) drives beta_j; -c times it drives alpha_j
-    w = float(compute_KN(H.k, H.m)) * np.array([math.comb(N - 1, i) for i in j])
-    w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
+    # w drives beta_j; -c times it drives alpha_j
+    w = _forcing_weights(H.k, H.m, c)
     return np.concatenate([-c * np.outer(b_c, w), np.outer(a_c, w)], axis=1)
 
 
@@ -350,7 +362,7 @@ class FueterPrimitive:
 
     __slots__ = (
         "field", "rect", "m", "k", "N", "K_N", "init", "quad",
-        "xs", "alphas", "betas", "_edges", "_coefficients",
+        "xs", "alphas", "betas", "_edges", "_coefficients", "_kn", "_exponents",
     )
 
     def __init__(
@@ -368,6 +380,8 @@ class FueterPrimitive:
         self.k = field.k
         self.N = field.N
         self.K_N = compute_KN(field.k, field.m)
+        self._kn = float(self.K_N)
+        self._exponents = 2.0 * np.arange(self.N)  # r^(2j) = r ** _exponents
         if alphas.shape != (self.N, len(xs)) or betas.shape != alphas.shape:
             raise ValueError(f"trajectories need shape (N, len(xs)) = {(self.N, len(xs))}")
         self.init = np.asarray(init, dtype=np.float64)
@@ -382,7 +396,7 @@ class FueterPrimitive:
     def _solve_at(self, x0: float) -> np.ndarray:
         """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0."""
         self.rect.require(x0, self.rect.c)
-        i = int(np.clip(np.searchsorted(self.xs, x0, side="right") - 1, 0, len(self.xs) - 1))
+        i = min(max(int(np.searchsorted(self.xs, x0, side="right")) - 1, 0), len(self.xs) - 1)
         lo = float(self.xs[i])
         if x0 == lo:
             return self._edges[i]
@@ -413,12 +427,14 @@ class FueterPrimitive:
         x0 and r broadcast against each other; scalars give a pair of
         floats, arrays a pair of float64 arrays of the broadcast shape.
         """
-        x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
-        if x0.ndim == r.ndim == 0:
-            return self._eval_at(float(x0), float(r))
-        xx, rr = np.broadcast_arrays(x0, r)
-        uv = np.array([self._eval_at(float(x), float(t)) for x, t in zip(xx.flat, rr.flat)]).reshape(-1, 2)
-        return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
+        if not (isinstance(x0, float) and isinstance(r, float)):  # floats skip numpy
+            x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
+            if x0.ndim or r.ndim:
+                xx, rr = np.broadcast_arrays(x0, r)
+                uv = np.array([self._eval_at(float(x), float(t)) for x, t in zip(xx.flat, rr.flat)])
+                uv = uv.reshape(-1, 2)
+                return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
+        return self._eval_at(float(x0), float(r))
 
     def _eval_at(self, x0: float, r: float) -> tuple[float, float]:
         self.rect.require(x0, r)
@@ -431,13 +447,12 @@ class FueterPrimitive:
             return np.array([t * w * A(x0, t), w * B(x0, t)])
 
         c = self.rect.c
-        i1, i2 = integrate(integrands, c, r, self.quad, H.r_knots) if r != c else (0.0, 0.0)
-        kn = float(self.K_N)
+        i1, i2 = integrate(integrands, c, r, self.quad, H.r_knots).tolist() if r != c else (0.0, 0.0)
         coeffs = self._coefficients(x0)
-        powers = r ** (2.0 * np.arange(N))  # r^(2j)
-        u = kn * i1 + float(coeffs[:N] @ powers)
-        v = kn * (r * i2) + r * float(coeffs[N:] @ powers)
-        return float(u), float(v)
+        powers = r ** self._exponents
+        u = self._kn * i1 + float(coeffs[:N] @ powers)
+        v = self._kn * (r * i2) + r * float(coeffs[N:] @ powers)
+        return u, v
 
     def __call__(self, z: complex) -> complex:
         """u + iv at z = x0 + i r."""

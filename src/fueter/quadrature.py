@@ -16,10 +16,18 @@ takes every piece's whole panel and both halves, and a piece that fails
 refines depth-first, each step evaluating the two halves of one
 subinterval in one call, so a non-converging integral fails after as few
 evaluations as a panel-at-a-time recursion.
+
+The first level's layout (pieces, tolerance shares, panel half-widths and
+nodes) depends only on the interval, the breaks inside it and the config,
+so it is cached for the last LAYOUT_CACHE intervals, and integrands receive
+read-only nodes.  The first level is accepted in Python floats, whose
+IEEE arithmetic gives numpy's bits; only failing pieces refine in numpy.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -45,6 +53,8 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+# Intervals whose first-level layout integrate remembers.
+LAYOUT_CACHE = 64
 
 
 @lru_cache(maxsize=None)
@@ -53,18 +63,45 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
-    """The Gauss panel sums on [lo[i], hi[i]] from one call of f; shape (len(lo),) or (p, len(lo))."""
-    nodes, weights = _rule(order)
+def _nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-widths of the panels [lo[i], hi[i]] and their Gauss nodes, panel by panel."""
+    nodes, _ = _rule(order)
     half = 0.5 * (hi - lo)
-    x = ((0.5 * (hi + lo))[:, None] + half[:, None] * nodes).ravel()
+    return half, ((0.5 * (hi + lo))[:, None] + half[:, None] * nodes).ravel()
+
+
+def _sums(f: Callable, half: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """The Gauss panel sums from one call of f at the nodes x; shape (len(half),) or (p, len(half))."""
     y = np.asarray(f(x), dtype=np.float64)
     if y.shape != x.shape and (y.ndim != 2 or y.shape[1] != x.size):
         raise ValueError("integrand must map n nodes to values of shape (n,) or (p, n)")
     # a (1, order) @ (order,) product is one dot per panel, the same sum
     # whatever the number of panels in the call
-    sums = (y.reshape(*y.shape[:-1], lo.size, 1, order) @ weights)[..., 0]
+    sums = (y.reshape(*y.shape[:-1], half.size, 1, order) @ _rule(order)[1])[..., 0]
     return half * sums
+
+
+def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+    """The Gauss panel sums on [lo[i], hi[i]] from one call of f; shape (len(lo),) or (p, len(lo))."""
+    return _sums(f, *_nodes(lo, hi, order), order)
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _layout(edges: tuple[float, ...], abs_tol: float, order: int) -> tuple:
+    """The first level on the pieces between edges: (lo, hi, tols, half, x).
+
+    Each piece takes the tolerance share of its width; half and x, read-only,
+    hold every piece's whole panel, then every left half, then every right
+    half.
+    """
+    a, b = edges[0], edges[-1]
+    lo, hi = edges[:-1], edges[1:]
+    mid = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
+    tols = tuple(abs_tol * ((h - l) / (b - a)) for l, h in zip(lo, hi))
+    half, x = _nodes(np.array(lo + lo + mid), np.array(hi + mid + hi), order)
+    half.flags.writeable = False
+    x.flags.writeable = False  # every call on these edges shares them
+    return lo, hi, tols, half, x
 
 
 def integrate(
@@ -78,7 +115,9 @@ def integrate(
 
     Returns a float for an integrand of shape (n,) and an array of shape
     (p,) for one of shape (p, n); an empty interval returns 0.0 without
-    calling f.  Raises QuadratureError on a non-finite panel sum or when a
+    calling f.  The first level's nodes are cached per interval, breaks
+    and cfg and handed to f read-only, so f must not write into its
+    argument.  Raises QuadratureError on a non-finite panel sum or when a
     subinterval still disagrees at depth cfg.max_depth.
     """
     a, b = float(a), float(b)
@@ -88,26 +127,33 @@ def integrate(
     if b < a:
         a, b, sign = b, a, -1.0
     edges = (a, *sorted({float(t) for t in breaks if a < t < b}), b) if len(breaks) else (a, b)
-    lo, hi = edges[:-1], edges[1:]
-    mid = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
-    tols = np.array([cfg.abs_tol * ((h - l) / (b - a)) for l, h in zip(lo, hi)])
-    n = len(lo)
-    first = _panels(f, np.array(lo + lo + mid), np.array(hi + mid + hi), cfg.panel_order)
-    whole, left, right = first[..., :n], first[..., n : 2 * n], first[..., 2 * n :]
-    pieces = left + right
-    settled = np.isfinite(pieces)
-    if settled.all():
-        settled = np.abs(pieces - whole) <= tols
-    if not settled.all():
-        for i in np.flatnonzero(~settled.reshape(-1, n).all(axis=0)):  # in order, depth-first
-            pieces[..., i] = _refine(f, lo[i], hi[i], whole[..., i], left[..., i], right[..., i], tols[i], 0, cfg)
+    # 0.0 and -0.0 hash alike but print apart in error messages
+    lo, hi, tols, half, x = (_layout.__wrapped__ if 0.0 in edges else _layout)(
+        edges, cfg.abs_tol, cfg.panel_order
+    )
+    first = _sums(f, half, x, cfg.panel_order)
+    table = first.reshape(-1, 3, len(lo))  # (row, whole/left/right, piece)
+    pieces, failing = [], []
+    for whole, left, right in table.tolist():  # IEEE doubles: numpy's bits
+        row = list(map(operator.add, left, right))
+        pieces.append(row)
+        for i, s in enumerate(row):
+            if not (abs(s - whole[i]) <= tols[i] and math.isfinite(s)):
+                failing.append(i)
+    if failing:
+        failing = sorted(set(failing))
+        nonfinite = [i for i in failing if not all(math.isfinite(row[i]) for row in pieces)]
+        for i in nonfinite or failing:  # in order, depth-first; a non-finite piece raises first
+            refined = _refine(f, lo[i], hi[i], *table[:, :, i].T, tols[i], 0, cfg)
+            for row, value in zip(pieces, refined.tolist()):
+                row[i] = value
     totals = []  # piece by piece in order, as one scalar integral per row would
-    for row in pieces.reshape(-1, n).tolist():
+    for row in pieces:
         total = 0.0
         for value in row:
             total += value
         totals.append(sign * total)
-    return totals[0] if pieces.ndim == 1 else np.array(totals)
+    return totals[0] if first.ndim == 1 else np.array(totals)
 
 
 def _refine(f, lo, hi, whole, left, right, tol, depth, cfg, active=True):

@@ -479,6 +479,17 @@ class TestArrayEval:
         u, v = prim.eval(np.array(0.4), np.array(1.1))
         assert (u, v) == got
 
+    def test_scalar_types_agree(self):
+        # Python floats skip numpy's 0-d arrays; every scalar type gives their pair
+        prim = invert(axial_field("example1"))
+        got = prim.eval(0.4, 1.1)
+        scalars = ((np.float64(0.4), np.float64(1.1)), (np.array(0.4), 1.1), (0.4, np.array([1.1])[0]))
+        for x0, r in scalars:
+            pair = prim.eval(x0, r)
+            assert pair == got and all(type(t) is float for t in pair)
+        assert prim.eval(1, 1) == prim.eval(1.0, 1.0)
+        assert all(type(t) is float for t in prim.eval(1, 1))
+
     def test_any_point_outside_rejected(self):
         prim = invert(axial_field("cubic"))
         with pytest.raises(ValueError, match="outside"):
