@@ -281,11 +281,8 @@ def _propagator_terms(N: int) -> np.ndarray:
 def _propagator(N: int, s) -> np.ndarray:
     """E(s) = exp(M s) as a matrix polynomial; shape s.shape + (2N, 2N)."""
     s = np.asarray(s, dtype=np.float64)
-    n2 = 2 * N
-    powers = s[..., None] ** np.arange(n2)
-    # np.tensordot(powers, terms, axes=1) without its axis bookkeeping: the same dot
-    out = np.dot(powers.reshape(-1, n2), _propagator_terms(N).reshape(n2, -1))
-    return out.reshape(s.shape + (n2, n2))
+    powers = s[..., None] ** np.arange(2 * N)
+    return np.tensordot(powers, _propagator_terms(N), axes=1)
 
 
 @lru_cache(maxsize=64)
@@ -396,7 +393,7 @@ class FueterPrimitive:
     def _solve_at(self, x0: float) -> np.ndarray:
         """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0."""
         self.rect.require(x0, self.rect.c)
-        i = min(max(int(np.searchsorted(self.xs, x0, side="right")) - 1, 0), len(self.xs) - 1)
+        i = int(np.clip(np.searchsorted(self.xs, x0, side="right") - 1, 0, len(self.xs) - 1))
         lo = float(self.xs[i])
         if x0 == lo:
             return self._edges[i]

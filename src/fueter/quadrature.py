@@ -88,11 +88,12 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarr
 
 @lru_cache(maxsize=LAYOUT_CACHE)
 def _layout(edges: tuple[float, ...], abs_tol: float, order: int) -> tuple:
-    """The first level on the pieces between edges: (lo, hi, tols, half, x).
+    """The first level on the pieces between edges: (tols, half, x).
 
     Each piece takes the tolerance share of its width; half and x, read-only,
     hold every piece's whole panel, then every left half, then every right
-    half.
+    half.  No value depends on the sign of a zero edge, so edges that hash
+    alike (0.0 and -0.0) may share a layout.
     """
     a, b = edges[0], edges[-1]
     lo, hi = edges[:-1], edges[1:]
@@ -101,7 +102,7 @@ def _layout(edges: tuple[float, ...], abs_tol: float, order: int) -> tuple:
     half, x = _nodes(np.array(lo + lo + mid), np.array(hi + mid + hi), order)
     half.flags.writeable = False
     x.flags.writeable = False  # every call on these edges shares them
-    return lo, hi, tols, half, x
+    return tols, half, x
 
 
 def integrate(
@@ -127,10 +128,8 @@ def integrate(
     if b < a:
         a, b, sign = b, a, -1.0
     edges = (a, *sorted({float(t) for t in breaks if a < t < b}), b) if len(breaks) else (a, b)
-    # 0.0 and -0.0 hash alike but print apart in error messages
-    lo, hi, tols, half, x = (_layout.__wrapped__ if 0.0 in edges else _layout)(
-        edges, cfg.abs_tol, cfg.panel_order
-    )
+    lo, hi = edges[:-1], edges[1:]
+    tols, half, x = _layout(edges, cfg.abs_tol, cfg.panel_order)
     first = _sums(f, half, x, cfg.panel_order)
     table = first.reshape(-1, 3, len(lo))  # (row, whole/left/right, piece)
     pieces, failing = [], []

@@ -234,6 +234,7 @@ class TestLayoutCache:
             got = outcome(np.sqrt, a, 1.0, self.SHALLOW)
             depth3 = f"no convergence on [{a:g}, 0.125] at depth 3 (tol 1.25e-15)"
             assert got == (depth3, [FIRST] + [2 * PANEL] * 3)
+        assert _layout.cache_info().misses == 1  # 0.0 and -0.0 share one layout
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_breaks_as_tuple_list_or_array_agree(self, vector):
