@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -192,7 +193,14 @@ def _cmd_forward(args) -> int:
     direction[0] = 1.0
 
     xs, rs = _full_grid(rect, nx0, nr)
-    a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, np.array(xs), np.array(rs)))
+    try:
+        a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, np.array(xs), np.array(rs)))
+    except ValueError as exc:  # h undefined at a grid point
+        which = "the default rectangle" if opts.get("rect") is None else "the rectangle"
+        raise ValueError(
+            f"{exc} on {which} [{rect.a:g}, {rect.b:g}] x [{rect.c:g}, {rect.d:g}]; "
+            f"choose one inside the domain of {h.name} with --rect a,b,c,d"
+        ) from exc
     points = []
     for x0, r, a, b in zip(xs, rs, a_all, b_all):
         value = [a, b] if profiles else axial_image(P, Paravector(x0, r * direction), a, b).to_pairs()
@@ -439,8 +447,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_number_lists(argv: Sequence[str]) -> list[str]:
+    """argv with "--rect -0.5,0.5,0.5,1.5" joined into "--rect=-0.5,0.5,0.5,1.5".
+
+    argparse reads a separate value that starts with a minus sign as an
+    option unless it is one plain negative number; no option of this
+    command line starts with a minus sign and a digit or a point.  The
+    options may be abbreviated, as argparse allows.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and any(opt.startswith(prev) for opt in ("--rect", "--init")) and re.match(r"-\.?\d", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_number_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -20,12 +20,21 @@ chain in x0 forced by the field's trace on the r = c edge:
     alpha_j' - (2j+1) beta_j = (-1)^(N-j-1) K_N C(N-1, j) c^(2(N-j)-1) B(x0, c)
     beta_j'  + 2(j+1) alpha_(j+1) = (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) A(x0, c)
 
-for j = 0..N-1, reading alpha_N = 0 in the last line.  Integrals are
-adaptive Gauss-Legendre.  The chain y' = M y + F is nilpotent (M^(2N) = 0),
-so y(x0) = E(x0 - x_i) y(x_i) + integral_{x_i}^{x0} E(x0 - t) F(t) dt holds
-exactly with the matrix polynomial E(s) = sum_{p<2N} M^p s^p / p!; the
-forcing integral is Gauss-Legendre on fixed panels.  Different initial
-constants change h only by a real polynomial of degree <= 2k+m-2 = 2N-1.
+for j = 0..N-1, reading alpha_N = 0 in the last line.
+
+The radial integrals are adaptive Gauss-Legendre with a kernel-weighted
+first level: for a fixed r the kernel (r^2 - t^2)^(N-1), the nodes and the
+panel half-widths are constants, so a cached rule holds them, and a
+point's first level is one A and one B call, one product with the kernels
+and one batched Gauss product, with integrate's arithmetic and bits.
+Pieces that fail the acceptance refine on the kernel-times-field
+integrands through quadrature's shared engine.
+
+The chain y' = M y + F is nilpotent (M^(2N) = 0), so y(x0) =
+E(x0 - x_i) y(x_i) + integral_{x_i}^{x0} E(x0 - t) F(t) dt holds exactly
+with the matrix polynomial E(s) = sum_{p<2N} M^p s^p / p!; the forcing
+integral is Gauss-Legendre on fixed panels.  Different initial constants
+change h only by a real polynomial of degree <= 2k+m-2 = 2N-1.
 """
 
 from __future__ import annotations
@@ -40,7 +49,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _rule, integrate
+from .quadrature import (
+    DEFAULT_QUADRATURE, LAYOUT_CACHE, QuadratureConfig, _interval, _layout, _rule, _weigh, quadrature,
+)
 from .radial import double_factorial
 
 # Points this close outside a rectangle (or a tabulated grid) count as on
@@ -229,6 +240,59 @@ class AxialFunction:
         )
 
 
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _radial_rule(edges: tuple[float, ...], sign: float, N: int, abs_tol: float, order: int) -> tuple:
+    """The first level of the weighted radial integrals on the pieces between edges: (tols, x, blocks).
+
+    tols and the read-only nodes x are integrate's cached layout; r is the
+    integral's upper end, edges[0] when sign is -1.0.  blocks[variants]
+    holds, for the integrals named by variants ((1,), (2,) or (1, 2)), one
+    row per integral of the kernel at x, t (r^2 - t^2)^(N-1) for I1 and
+    (r^2 - t^2)^(N-1) for I2 / r, and one row per integral of the panel
+    half-widths; all are read-only.  Field values times the kernel rows
+    are the integrand values integrate would see, bit for bit.
+    """
+    tols, half, x = _layout(edges, abs_tol, order)
+    r = edges[-1] if sign > 0 else edges[0]
+    kernel = (r * r - x * x) ** (N - 1)
+    kernels, halves = np.stack([x * kernel, kernel]), np.stack([half, half])
+    kernels.flags.writeable = halves.flags.writeable = False  # every point on these edges shares them
+    return tols, x, {
+        (1,): (kernels[:1], halves[:1]),
+        (2,): (kernels[1:], halves[1:]),
+        (1, 2): (kernels, halves),
+    }
+
+
+def _radial(fields: dict, x0: float, r: float, c: float, N: int, quad: QuadratureConfig, breaks) -> list[float]:
+    """The weighted radial integrals from c to r at x0, one per {variant: field} entry of fields, in order.
+
+    Variant 1 gives I1 and variant 2 gives I2 / r.  The first level takes
+    one call per field at the rule's nodes, one product with the cached
+    kernels and one batched Gauss product; quadrature accepts it and
+    refines the failing pieces on the kernel-times-field integrands.
+    """
+    variants = tuple(fields)
+    if r == c:
+        return [0.0] * len(variants)
+    edges, sign = _interval(c, r, breaks)
+    order = quad.panel_order
+    tols, x, blocks = _radial_rule(edges, sign, N, quad.abs_tol, order)
+    kernels, halves = blocks[variants]
+    values = np.empty((len(variants), x.size))
+    for row, f in enumerate(fields.values()):
+        values[row] = f(x0, x)
+    values *= kernels
+    table = _weigh(values, halves, order).reshape(len(variants), 3, -1)
+
+    def integrands(t):
+        # the integrals share their nodes and kernel: one call per field
+        k = (r * r - t * t) ** (N - 1)
+        return np.array([(t * k if v == 1 else k) * f(x0, t) for v, f in fields.items()])
+
+    return quadrature(integrands, table, edges, tols, quad, sign)
+
+
 def integral_I(
     variant: int,
     f: Callable,
@@ -245,6 +309,8 @@ def integral_I(
     variant 2: r integral_c^r (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with B)
 
     The quadrature splits at breaks, r values where f may lose smoothness.
+    FueterPrimitive.eval uses the same radial rule, so the two agree bit
+    for bit.
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
@@ -253,13 +319,8 @@ def integral_I(
         raise ValueError(f"N must be >= 1, got {N}")
     rect.require(x0, r)
     x0, r = float(x0), float(r)
-    if variant == 1:
-        return integrate(
-            lambda t: t * (r * r - t * t) ** (N - 1) * f(x0, t), rect.c, r, quad, breaks
-        )
-    return r * integrate(
-        lambda t: (r * r - t * t) ** (N - 1) * f(x0, t), rect.c, r, quad, breaks
-    )
+    value = _radial({variant: f}, x0, r, rect.c, N, quad, breaks)[0]
+    return value if variant == 1 else r * value
 
 
 @lru_cache(maxsize=None)
@@ -287,27 +348,34 @@ def _propagator(N: int, s) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _forcing_weights(k: int, m: int, c: float) -> np.ndarray:
-    """(-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) for j < N: the forcing weights of the r = c edge."""
+    """The forcing of the r = c edge per unit (B, A) trace: a read-only (2, 2N) matrix.
+
+    With w_j = (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) for j < N, the trace of
+    B drives alpha_j with weight -c w_j (row 0) and the trace of A drives
+    beta_j with weight w_j (row 1).
+    """
     N = k + (m - 1) // 2
     j = np.arange(N)
     w = float(compute_KN(k, m)) * np.array([math.comb(N - 1, i) for i in j])
     w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
-    w.flags.writeable = False
-    return w
+    weights = np.zeros((2, 2 * N))
+    weights[0, :N] = -c * w
+    weights[1, N:] = w
+    weights.flags.writeable = False
+    return weights
 
 
 def _edge_forcing(H: AxialFunction, t: np.ndarray) -> np.ndarray:
     """The forcing F at x0 nodes t (one A and one B call on r = c), shape (len(t), 2N)."""
     c = H.rect.c
     r = np.full_like(t, c)
-    a_c = np.broadcast_to(np.asarray(H.A(t, r), dtype=np.float64), t.shape)
-    b_c = np.broadcast_to(np.asarray(H.B(t, r), dtype=np.float64), t.shape)
-    bad = ~(np.isfinite(a_c) & np.isfinite(b_c))
-    if bad.any():
-        raise NumericalError(f"non-finite edge trace at x0={t[bad][0]:g} (r={c:g})")
-    # w drives beta_j; -c times it drives alpha_j
-    w = _forcing_weights(H.k, H.m, c)
-    return np.concatenate([-c * np.outer(b_c, w), np.outer(a_c, w)], axis=1)
+    traces = np.empty((2, t.size))
+    traces[1] = H.A(t, r)
+    traces[0] = H.B(t, r)
+    finite = np.isfinite(traces)
+    if not finite.all():
+        raise NumericalError(f"non-finite edge trace at x0={t[~finite.all(axis=0)][0]:g} (r={c:g})")
+    return traces.T @ _forcing_weights(H.k, H.m, c)
 
 
 def solve_alpha_beta(
@@ -359,7 +427,7 @@ class FueterPrimitive:
 
     __slots__ = (
         "field", "rect", "m", "k", "N", "K_N", "init", "quad",
-        "xs", "alphas", "betas", "_edges", "_coefficients", "_kn", "_exponents",
+        "xs", "alphas", "betas", "_edges", "_coefficients", "_kn",
     )
 
     def __init__(
@@ -378,7 +446,6 @@ class FueterPrimitive:
         self.N = field.N
         self.K_N = compute_KN(field.k, field.m)
         self._kn = float(self.K_N)
-        self._exponents = 2.0 * np.arange(self.N)  # r^(2j) = r ** _exponents
         if alphas.shape != (self.N, len(xs)) or betas.shape != alphas.shape:
             raise ValueError(f"trajectories need shape (N, len(xs)) = {(self.N, len(xs))}")
         self.init = np.asarray(init, dtype=np.float64)
@@ -387,25 +454,23 @@ class FueterPrimitive:
         self.alphas = alphas
         self.betas = betas
         self._edges = np.concatenate([alphas, betas]).T  # (len(xs), 2N)
-        self._edges.flags.writeable = False  # rows are cached results too
         self._coefficients = lru_cache(maxsize=COEFF_CACHE)(self._solve_at)
 
-    def _solve_at(self, x0: float) -> np.ndarray:
-        """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0."""
+    def _solve_at(self, x0: float) -> tuple[float, ...]:
+        """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0, as Python floats."""
         self.rect.require(x0, self.rect.c)
         i = int(np.clip(np.searchsorted(self.xs, x0, side="right") - 1, 0, len(self.xs) - 1))
         lo = float(self.xs[i])
         if x0 == lo:
-            return self._edges[i]
-        # one Gauss-Legendre panel on [lo, x0] for the forcing integral
+            return tuple(self._edges[i].tolist())
+        # one Gauss-Legendre panel on [lo, x0] for the forcing integral; E at
+        # x0 minus its nodes and, last, E(x0 - lo) in one propagator call
         nodes, weights = _rule(CHAIN_ORDER)
         half = 0.5 * (x0 - lo)
-        t = lo + half * (nodes + 1.0)
+        t = lo + half * np.append(nodes + 1.0, 0.0)
         kernel = _propagator(self.N, x0 - t)
-        drive = half * np.einsum("q,qrc,qc->r", weights, kernel, _edge_forcing(self.field, t))
-        y = _propagator(self.N, x0 - lo) @ self._edges[i] + drive
-        y.flags.writeable = False  # the cache hands it to every caller
-        return y
+        drive = half * np.einsum("q,qrc,qc->r", weights, kernel[:-1], _edge_forcing(self.field, t[:-1]))
+        return tuple((kernel[-1] @ self._edges[i] + drive).tolist())
 
     def _family(self, index: int, x0) -> float | np.ndarray:
         x = np.asarray(x0, dtype=np.float64)
@@ -436,20 +501,14 @@ class FueterPrimitive:
     def _eval_at(self, x0: float, r: float) -> tuple[float, float]:
         self.rect.require(x0, r)
         N, H = self.N, self.field
-        A, B = H.A, H.B
-
-        def integrands(t):
-            # I1 and I2 / r share their nodes and kernel: one A and one B call
-            w = (r * r - t * t) ** (N - 1)
-            return np.array([t * w * A(x0, t), w * B(x0, t)])
-
-        c = self.rect.c
-        i1, i2 = integrate(integrands, c, r, self.quad, H.r_knots).tolist() if r != c else (0.0, 0.0)
+        i1, i2 = _radial({1: H.A, 2: H.B}, x0, r, self.rect.c, N, self.quad, H.r_knots)
         coeffs = self._coefficients(x0)
-        powers = r ** self._exponents
-        u = self._kn * i1 + float(coeffs[:N] @ powers)
-        v = self._kn * (r * i2) + r * float(coeffs[N:] @ powers)
-        return u, v
+        r2 = r * r
+        u, v = coeffs[N - 1], coeffs[-1]
+        for j in range(N - 2, -1, -1):  # the correction polynomials, Horner in r^2
+            u = u * r2 + coeffs[j]
+            v = v * r2 + coeffs[N + j]
+        return self._kn * i1 + u, self._kn * (r * i2) + r * v
 
     def __call__(self, z: complex) -> complex:
         """u + iv at z = x0 + i r."""

@@ -20,8 +20,14 @@ evaluations as a panel-at-a-time recursion.
 The first level's layout (pieces, tolerance shares, panel half-widths and
 nodes) depends only on the interval, the breaks inside it and the config,
 so it is cached for the last LAYOUT_CACHE intervals, and integrands receive
-read-only nodes.  The first level is accepted in Python floats, whose
-IEEE arithmetic gives numpy's bits; only failing pieces refine in numpy.
+read-only nodes.  One acceptance and refinement engine, ``quadrature``,
+takes a first-level table of panel sums, however it was computed: it
+accepts the table in Python floats, whose IEEE arithmetic gives numpy's
+bits, and only failing pieces refine in numpy.  ``integrate`` fills the
+table from one integrand call on the layout's nodes; the radial rule of
+``inverse`` fills it from field values times kernels it caches on the
+same nodes, with the same arithmetic, and hands the engine the
+kernel-times-field integrand to refine.
 """
 
 from __future__ import annotations
@@ -75,15 +81,33 @@ def _sums(f: Callable, half: np.ndarray, x: np.ndarray, order: int) -> np.ndarra
     y = np.asarray(f(x), dtype=np.float64)
     if y.shape != x.shape and (y.ndim != 2 or y.shape[1] != x.size):
         raise ValueError("integrand must map n nodes to values of shape (n,) or (p, n)")
+    return _weigh(y, half, order)
+
+
+def _weigh(y: np.ndarray, half: np.ndarray, order: int) -> np.ndarray:
+    """The Gauss panel sums of integrand values y, shape (n,) or (p, n), at the nodes of panels of half-widths half.
+
+    half has one entry per panel, shape (panels,), or one row of them per
+    row of y (a same-shape product is numpy's cheapest).
+    """
     # a (1, order) @ (order,) product is one dot per panel, the same sum
-    # whatever the number of panels in the call
-    sums = (y.reshape(*y.shape[:-1], half.size, 1, order) @ _rule(order)[1])[..., 0]
+    # whatever the number of panels or rows in the call
+    sums = (y.reshape(*y.shape[:-1], half.shape[-1], 1, order) @ _rule(order)[1])[..., 0]
     return half * sums
 
 
 def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
     """The Gauss panel sums on [lo[i], hi[i]] from one call of f; shape (len(lo),) or (p, len(lo))."""
     return _sums(f, *_nodes(lo, hi, order), order)
+
+
+def _interval(a: float, b: float, breaks: Sequence[float]) -> tuple[tuple[float, ...], float]:
+    """(edges, sign): the ends of [a, b] in increasing order with the breaks strictly inside
+    between them, and -1.0 when b < a (the integral changes sign), else 1.0."""
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    return ((a, *sorted({float(t) for t in breaks if a < t < b}), b) if len(breaks) else (a, b)), sign
 
 
 @lru_cache(maxsize=LAYOUT_CACHE)
@@ -124,14 +148,26 @@ def integrate(
     a, b = float(a), float(b)
     if a == b:
         return 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    edges = (a, *sorted({float(t) for t in breaks if a < t < b}), b) if len(breaks) else (a, b)
-    lo, hi = edges[:-1], edges[1:]
+    edges, sign = _interval(a, b, breaks)
     tols, half, x = _layout(edges, cfg.abs_tol, cfg.panel_order)
     first = _sums(f, half, x, cfg.panel_order)
-    table = first.reshape(-1, 3, len(lo))  # (row, whole/left/right, piece)
+    totals = quadrature(f, first.reshape(-1, 3, len(edges) - 1), edges, tols, cfg, sign)
+    return totals[0] if first.ndim == 1 else np.array(totals)
+
+
+def quadrature(
+    f: Callable, table: np.ndarray, edges: tuple, tols: tuple, cfg: QuadratureConfig, sign: float
+) -> list[float]:
+    """The integrals over [edges[0], edges[-1]], times sign, from a first-level table of panel sums.
+
+    table[row, 0 / 1 / 2, i] holds the whole-panel, left-half and right-half
+    sums of component row on the piece [edges[i], edges[i + 1]], whose
+    tolerance share is tols[i].  A piece is accepted in Python floats when
+    every component's halves are finite and agree with its whole; failing
+    pieces refine depth-first, in order, through f (a non-finite piece
+    raises first).  Returns one total per row, summed piece by piece in
+    order, as one scalar integral per row would be.
+    """
     pieces, failing = [], []
     for whole, left, right in table.tolist():  # IEEE doubles: numpy's bits
         row = list(map(operator.add, left, right))
@@ -140,19 +176,20 @@ def integrate(
             if not (abs(s - whole[i]) <= tols[i] and math.isfinite(s)):
                 failing.append(i)
     if failing:
+        lo, hi = edges[:-1], edges[1:]
         failing = sorted(set(failing))
         nonfinite = [i for i in failing if not all(math.isfinite(row[i]) for row in pieces)]
         for i in nonfinite or failing:  # in order, depth-first; a non-finite piece raises first
             refined = _refine(f, lo[i], hi[i], *table[:, :, i].T, tols[i], 0, cfg)
             for row, value in zip(pieces, refined.tolist()):
                 row[i] = value
-    totals = []  # piece by piece in order, as one scalar integral per row would
+    totals = []
     for row in pieces:
         total = 0.0
         for value in row:
             total += value
         totals.append(sign * total)
-    return totals[0] if first.ndim == 1 else np.array(totals)
+    return totals
 
 
 def _refine(f, lo, hi, whole, left, right, tol, depth, cfg, active=True):

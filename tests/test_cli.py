@@ -96,6 +96,17 @@ class TestForward:
         for pt in points:
             assert pt["value"] == [A(pt["x0"], pt["r"]), B(pt["x0"], pt["r"])]
 
+    def test_point_outside_the_domain_names_the_rectangle(self, capsys):
+        # the default rectangle's x0 = 0 edge lies on arctan's cut for r >= 1
+        code = main(["forward", "--h", "arctan"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "arctan is not defined at z=" in err
+        assert "on the default rectangle [0, 1] x [0.5, 1.5]; choose one inside the domain of arctan with --rect" in err
+        code = main(["forward", "--h", "arctan", "--rect", "0,0.5,0.5,1.5", "--grid", "2,2"])
+        assert code == 2
+        assert "on the rectangle [0, 0.5] x [0.5, 1.5]; " in capsys.readouterr().err
+
     def test_kernel_member_gives_zero_grid(self, capsys):
         code, out = run(capsys, "forward", "--h", "z^1", "--m", "3", "--k", "0", "--grid", "3,3")
         assert code == 0
@@ -139,6 +150,28 @@ class TestInvert:
     def test_init_length_checked(self, capsys):
         code, _ = run(capsys, "invert", "--field", "cubic", "--init", "1,2,3")
         assert code == 2
+
+    @pytest.mark.parametrize("form", ["joined", "separate", "abbreviated"])
+    def test_negative_rect_and_init_as_separate_values(self, capsys, form):
+        # a value starting with a minus sign is read as a value, not an option
+        rect, init = "-0.5,0.5,0.5,1.5", "-1,-2.5e-1"
+        argv = ["invert", "--field", "cubic", "--grid", "2,2"]
+        argv += {
+            "joined": [f"--rect={rect}", f"--init={init}"],
+            "separate": ["--rect", rect, "--init", init],
+            "abbreviated": ["--re", rect, "--ini", init],
+        }[form]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["meta"]["rect"] == [-0.5, 0.5, 0.5, 1.5]
+        assert data["trajectories"]["init"] == [-1.0, -0.25]
+
+    def test_option_after_number_list_option_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["invert", "--field", "cubic", "--rect", "--grid", "2,2"])
+        assert err.value.code == 2
+        assert "--rect: expected one argument" in capsys.readouterr().err
 
     def test_unknown_field(self, capsys):
         code, _ = run(capsys, "invert", "--field", "example9")

@@ -17,13 +17,14 @@ from fueter.inverse import (
     AxialFunction,
     FueterPrimitive,
     Rectangle,
+    _radial_rule,
     compute_KN,
     integral_I,
     invert,
     solve_alpha_beta,
 )
 from fueter.oracles import axial_field, example1_oracle
-from fueter.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from fueter.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from fueter.verify import polynomial_fit_residual
 
 RECT = Rectangle(0.0, 1.0, 0.5, 1.5)
@@ -456,6 +457,122 @@ class TestFusedEval:
         c = G.rect.c
         assert u == prim.alpha(0, 0.3) + prim.alpha(1, 0.3) * c * c
         assert v == c * (prim.beta(0, 0.3) + prim.beta(1, 0.3) * c * c)
+
+
+CLOSED_FORM = [("cubic", None), ("example1", None), ("example2-nplus", None), ("example2-nminus", None)]
+CLOSED_FORM += [("cauchy-kernel", m) for m in (3, 5, 7, 9)]
+
+
+def _closed_form(name, m):
+    return axial_field(name, m=m) if m else axial_field(name)
+
+
+def _tabulated_40():
+    rect = Rectangle(0.3, 1.3, 0.45, 1.45)
+    A, B = fueter_fields(jets.arctan(), FueterConfig(3, 0))
+    return AxialFunction.from_grid(TestTabulatedFields().grid_json(AxialFunction(A, B, 3, 0, rect), 40, 40))
+
+
+def _explicit_integrals(H, x0, r, quad=DEFAULT_QUADRATURE):
+    """(I1, I2 / r) from integrate on the kernel-times-field integrands, one A and one B call per level."""
+    N = H.N
+
+    def integrands(t):
+        k = (r * r - t * t) ** (N - 1)
+        return np.array([t * k * H.A(x0, t), k * H.B(x0, t)])
+
+    return integrate(integrands, H.rect.c, r, quad, H.r_knots)
+
+
+def _seeded_points(rect, n, seed):
+    rng = np.random.default_rng(seed)
+    return [(float(x), float(r)) for x, r in zip(rng.uniform(rect.a, rect.b, n), rng.uniform(rect.c, rect.d, n))]
+
+
+class TestRadialRule:
+    """The kernel-weighted first level that eval and integral_I share."""
+
+    @pytest.mark.parametrize("name,m", CLOSED_FORM)
+    def test_eval_is_kn_integral_I_plus_corrections_bit_for_bit(self, name, m):
+        H = _closed_form(name, m)
+        if name == "example1":  # scaled, two of these points refine and one fails
+            A, B = H.A, H.B
+            H = AxialFunction(lambda x0, r: 1e4 * A(x0, r), lambda x0, r: 1e4 * B(x0, r), H.m, H.k, H.rect)
+        prim = invert(H)
+        kn, N = float(prim.K_N), prim.N
+        a, b, c, d = H.rect.as_tuple()
+        points = _seeded_points(H.rect, 12, 17) + [(a, c), (b, d), (0.5 * (a + b), d), (a, c + 1e-9)]
+        checked = 0
+        for x0, r in points:
+            try:
+                u, v = prim.eval(x0, r)
+            except QuadratureError:
+                continue
+            # the correction polynomials as eval sums them: Horner in r^2
+            alphas = [prim.alpha(j, x0) for j in range(N)]
+            betas = [prim.beta(j, x0) for j in range(N)]
+            cu, cv, r2 = alphas[-1], betas[-1], r * r
+            for j in range(N - 2, -1, -1):
+                cu, cv = cu * r2 + alphas[j], cv * r2 + betas[j]
+            i1 = integral_I(1, H.A, x0, r, H.rect, N)
+            i2 = integral_I(2, H.B, x0, r, H.rect, N)
+            assert (u, v) == (kn * i1 + cu, kn * i2 + r * cv), (x0, r)
+            checked += 1
+        assert checked >= len(points) - 2
+
+    @pytest.mark.parametrize("name,m", CLOSED_FORM + [("tabulated", None)])
+    def test_agrees_with_integrate_on_the_kernel_times_field(self, name, m):
+        H = _tabulated_40() if name == "tabulated" else _closed_form(name, m)
+        # the rule's first level is integrate's arithmetic on cached kernels,
+        # so the two agree bit for bit, well inside 1e-14 * max(1, |I|)
+        for x0, r in _seeded_points(H.rect, 64, 29):
+            i1, i2 = _explicit_integrals(H, x0, r).tolist()
+            got1 = integral_I(1, H.A, x0, r, H.rect, H.N, breaks=H.r_knots)
+            got2 = integral_I(2, H.B, x0, r, H.rect, H.N, breaks=H.r_knots)
+            assert (got1, got2) == (i1, r * i2), (x0, r)
+
+    def test_failure_matches_integrate_message_and_calls(self):
+        # example1 x 1e6 cannot meet the absolute tolerance at (0.5, 1.4)
+        G, calls = _counting(axial_field("example1"), scale=1e6)
+        prim = invert(G)
+        prim.alpha(0, 0.5)
+        outcomes = []
+        for run in (lambda: prim.eval(0.5, 1.4), lambda: _explicit_integrals(G, 0.5, 1.4)):
+            calls["A"].clear()
+            calls["B"].clear()
+            with pytest.raises(QuadratureError) as err:
+                run()
+            outcomes.append((str(err.value), list(calls["A"]), list(calls["B"])))
+        assert "no convergence" in outcomes[0][0]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][0] == 48 and len(outcomes[0][1]) > 1
+
+    def test_reversed_interval_below_c(self):
+        # r up to EDGE_TOL below c integrates from c down to r
+        H = axial_field("example1")
+        r = H.rect.c - 5e-13
+        for variant, f in ((1, H.A), (2, H.B)):
+            got = integral_I(variant, f, 0.3, r, H.rect, H.N)
+            want = _explicit_integrals(H, 0.3, r)[variant - 1] * (r if variant == 2 else 1.0)
+            assert got == want and got != 0.0
+
+    def test_rule_arrays_are_read_only(self):
+        H = _tabulated_40()
+        prim = invert(H)
+        prim.eval(0.77, 1.234)
+        edges = (H.rect.c, *[t for t in H.r_knots if t < 1.234], 1.234)
+        tols, x, blocks = _radial_rule(edges, 1.0, H.N, prim.quad.abs_tol, prim.quad.panel_order)
+        assert _radial_rule.cache_info().hits >= 1
+        assert len(tols) == len(edges) - 1 and x.size == 48 * len(tols)
+        assert {v: (k.shape, h.shape) for v, (k, h) in blocks.items()} == {
+            (1,): ((1, x.size), (1, 3 * len(tols))),
+            (2,): ((1, x.size), (1, 3 * len(tols))),
+            (1, 2): ((2, x.size), (2, 3 * len(tols))),
+        }
+        for arr in (x, *[a for block in blocks.values() for a in block]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
 
 
 class TestArrayEval:
