@@ -31,8 +31,6 @@ from .oracles import (
 from .polynomials import MonogenicPolynomial, builtin_pk
 from .quadrature import QuadratureConfig, integrate
 from .radial import (
-    RadialField,
-    antiderivative,
     coeff_a,
     coeff_row,
     double_factorial,
@@ -56,8 +54,8 @@ __all__ = [
     "MonogenicPolynomial", "builtin_pk",
     "Jet", "HolomorphicFn", "radial_derivatives",
     "QuadratureConfig", "integrate",
-    "RadialField", "coeff_a", "coeff_row", "double_factorial",
-    "radial_op", "antiderivative", "nested_antiderivative_oracle",
+    "coeff_a", "coeff_row", "double_factorial",
+    "radial_op", "nested_antiderivative_oracle",
     "FueterConfig", "fueter_map", "fueter_profile", "fueter_fields", "laplacian_oracle",
     "Rectangle", "AxialFunction", "FueterPrimitive",
     "compute_KN", "integral_I", "solve_alpha_beta", "invert",

@@ -20,8 +20,7 @@ from .inverse import Rectangle, integral_I, invert
 from .jets import polynomial, power, recip
 from .oracles import SphereQuadrature, axial_field, example1_oracle, example2_oracle, sphere_cauchy_integral
 from .polynomials import builtin_pk
-from .quadrature import QuadratureConfig
-from .radial import RadialField, antiderivative, coeff_a, coeff_row, nested_antiderivative_oracle
+from .radial import coeff_a, coeff_row, double_factorial, nested_antiderivative_oracle
 from .verify import GridSpec, kernel_check, polynomial_fit_residual
 
 
@@ -195,31 +194,32 @@ def criterion_4() -> CriterionResult:
 
 ANTI_TOL = 1e-9
 ANTI_FIELDS = 50
+ANTI_ORACLE_ORDER = 8  # 16-node levels, exact for these degrees
 
 
 def criterion_5() -> CriterionResult:
-    """antiderivative == nested_antiderivative_oracle on random polynomial fields."""
+    """integral_I / (2n-2)!! == nested_antiderivative_oracle on random polynomial fields."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(505)
-    oracle_quad = QuadratureConfig(panel_order=8)  # 16-node levels, exact for these degrees
     worst = 0.0
     for _ in range(ANTI_FIELDS):
         deg = int(rng.integers(0, 6))
         coeffs = rng.uniform(-2.0, 2.0, deg + 1)
         a = float(rng.uniform(0.1, 1.5))
         x = float(rng.uniform(a + 0.2, 3.0))
-        field = RadialField(lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c), a, 3.0)
+        p = lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c)
+        rect = Rectangle(0.0, 1.0, a, 3.0)
         for n in range(1, 5):
-            for variant in ("phi", "psi"):
-                direct = antiderivative(field, x, n, variant)
-                nested = nested_antiderivative_oracle(field, x, n, variant, oracle_quad)
+            for variant in (1, 2):
+                direct = integral_I(variant, lambda x0, t: p(t), 0.0, x, rect, n) / double_factorial(2 * n - 2)
+                nested = nested_antiderivative_oracle(p, a, x, n, variant, ANTI_ORACLE_ORDER)
                 worst = max(worst, abs(direct - nested))
     ok = worst <= ANTI_TOL
     detail = (
         f"max |single-integral - nested| = {worst:.2e} (tol {ANTI_TOL:g}; "
         f"{ANTI_FIELDS} fields, n<=4, both variants)"
     )
-    return _result(5, "antiderivative vs nested recursion oracle", t0, ok, detail)
+    return _result(5, "integral_I vs nested recursion oracle", t0, ok, detail)
 
 
 # -- 6: operator expansion identities, exact rational --------------------------

@@ -113,12 +113,12 @@ class AxialFunction:
     ndarray r (the radial quadrature feeds r nodes at fixed x0), or as two
     ndarrays of equal shape (the coefficient chain feeds x0 nodes along
     r = c), and return float values of r's shape.  The radial integrals
-    split at ``r_knots``, r values where A and B may lose smoothness.  The
-    ``certified`` flag records that a Vekua-system residual check was run;
-    nothing here requires it, but verification reports carry it.
+    split at ``r_knots``, r values where A and B may lose smoothness.
+    Nothing here checks that (A, B) solves the Vekua system;
+    verify.vekua_residual measures that on a sample grid.
     """
 
-    __slots__ = ("A", "B", "m", "k", "rect", "name", "certified", "certified_tol", "r_knots")
+    __slots__ = ("A", "B", "m", "k", "rect", "name", "r_knots")
 
     def __init__(
         self,
@@ -128,8 +128,6 @@ class AxialFunction:
         k: int,
         rect: Rectangle,
         name: str = "axial-field",
-        certified: bool = False,
-        certified_tol: float | None = None,
         r_knots: Sequence[float] = (),
     ):
         m, k = int(m), int(k)
@@ -145,28 +143,11 @@ class AxialFunction:
         self.k = k
         self.rect = rect
         self.name = str(name)
-        self.certified = bool(certified)
-        self.certified_tol = certified_tol
         self.r_knots = tuple(float(t) for t in r_knots)
 
     @property
     def N(self) -> int:
         return self.k + (self.m - 1) // 2
-
-    def certify(self, nx0: int = 12, nr: int = 12, tol: float = 1e-6) -> "AxialFunction":
-        """Check the Vekua residual on a sample grid and return a flagged copy."""
-        from .verify import GridSpec, vekua_residual
-
-        grid = GridSpec(self.rect, nx0, nr)
-        report = vekua_residual(self.A, self.B, self.k, self.m, grid)
-        if report.max > tol:
-            raise ValueError(
-                f"field {self.name!r} failed certification: Vekua residual {report.max:g} > {tol:g}"
-            )
-        return AxialFunction(
-            self.A, self.B, self.m, self.k, self.rect,
-            name=self.name, certified=True, certified_tol=tol, r_knots=self.r_knots,
-        )
 
     @classmethod
     def from_grid(cls, data: dict | str) -> "AxialFunction":
@@ -236,7 +217,7 @@ class AxialFunction:
     def __repr__(self) -> str:
         return (
             f"AxialFunction({self.name!r}, m={self.m}, k={self.k}, "
-            f"rect={self.rect.as_tuple()}, certified={self.certified})"
+            f"rect={self.rect.as_tuple()})"
         )
 
 
@@ -395,6 +376,9 @@ def solve_alpha_beta(
         y = np.asarray(init, dtype=np.float64).copy()
         if y.shape != (2 * N,):
             raise ValueError(f"init must have 2N = {2 * N} entries, got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            i = int(np.argmin(np.isfinite(y)))
+            raise ValueError(f"init must be finite, but entry {i} is {y[i]}")
 
     xs = np.linspace(rect.a, rect.b, CHAIN_PANELS + 1)
     h = (rect.b - rect.a) / CHAIN_PANELS

@@ -15,8 +15,8 @@ on the batch it is evaluated in.
 
 The upper half plane Im z = r > 0 is the working domain.  arctan keeps its
 standard cuts {iy : |y| >= 1} on the imaginary axis and log the cut
-(-inf, 0]; evaluation within 1e-12 of a cut is rejected rather than
-silently picking a side.
+(-inf, 0]; HolomorphicFn.jet rejects evaluation within 1e-12 of a cut
+rather than silently picking a side.
 """
 
 from __future__ import annotations
@@ -201,14 +201,6 @@ def jet_polynomial(real_coeffs: Sequence[float], z, d: int) -> Jet:
     return _laurent(z, 0, tuple(float(c) for c in real_coeffs), d)
 
 
-def jet_recip(z, d: int) -> Jet:
-    """1/z; every base point must be off the origin."""
-    z = np.asarray(z, dtype=np.clongdouble)
-    if np.count_nonzero(z) < z.size:
-        raise ValueError("1/z is singular at the origin")
-    return _laurent(z, -1, (1.0,), d)
-
-
 def _off_arctan_cut(z: np.ndarray) -> np.ndarray:
     return (np.abs(z.real) > CUT_TOL) | (np.abs(z.imag) < 1.0 - CUT_TOL)
 
@@ -217,26 +209,12 @@ def _off_log_cut(z: np.ndarray) -> np.ndarray:
     return (np.abs(z.imag) > CUT_TOL) | (z.real > CUT_TOL)
 
 
-def _checked(z, off_cut: Callable, name: str) -> np.ndarray:
-    """z as a clongdouble array, after rejecting points within CUT_TOL of a cut."""
-    z = np.asarray(z, dtype=np.clongdouble)
-    bad = _violation(off_cut(z), z)
-    if bad is not None:
-        raise ValueError(f"{name} evaluated within {CUT_TOL:g} of its branch cut: z={bad}")
-    return z
-
-
-def jet_arctan(z, d: int) -> Jet:
-    """Principal arctan, cuts on {iy : |y| >= 1}.
+def _arctan(z: np.ndarray, d: int) -> Jet:
+    """Principal arctan at clongdouble points off its cuts {iy : |y| >= 1}.
 
     The derivative chain is the jet of 1/(1 + z^2), so higher derivatives
     are exact rational expressions in z.
     """
-    return _arctan(_checked(z, _off_arctan_cut, "arctan"), _check_order(d))
-
-
-def _arctan(z: np.ndarray, d: int) -> Jet:
-    """jet_arctan at clongdouble points already checked against the cuts."""
     zf = z.reshape(-1)
     rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
     rows[0] = np.arctan(zf)
@@ -245,13 +223,8 @@ def _arctan(z: np.ndarray, d: int) -> Jet:
     return _jet(z, rows)
 
 
-def jet_log(z, d: int) -> Jet:
-    """Principal log, cut on (-inf, 0]."""
-    return _log(_checked(z, _off_log_cut, "log"), _check_order(d))
-
-
 def _log(z: np.ndarray, d: int) -> Jet:
-    """jet_log at clongdouble points already checked against the cut."""
+    """Principal log at clongdouble points off its cut (-inf, 0]."""
     zf = z.reshape(-1)
     rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
     rows[0] = np.log(zf)
@@ -283,12 +256,6 @@ class HolomorphicFn:
         self.name = str(name)
         self._jet_fn = jet_fn
         self._domain = domain
-
-    def in_domain(self, z):
-        """Whether h is defined at z: a bool, or a bool array for an array z."""
-        z = np.asarray(z, dtype=np.clongdouble)
-        ok = np.ones(z.shape, dtype=bool) if self._domain is None else np.asarray(self._domain(z))
-        return bool(ok) if ok.ndim == 0 else ok
 
     def jet(self, z, order: int) -> Jet:
         """The jet of h to the given order at every point of z."""

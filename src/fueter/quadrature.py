@@ -50,7 +50,7 @@ class QuadratureConfig:
     panel_order: int = 16
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:  # NaN fails this too; inf is a valid tolerance
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be nonnegative, got {self.max_depth}")

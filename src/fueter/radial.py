@@ -1,4 +1,4 @@
-"""Radial calculus: iterated x^(-1)d/dx operators and their antiderivatives.
+"""Radial calculus: iterated x^(-1)d/dx operators and their exact coefficients.
 
 Two first-order operators drive everything here, in two interleavings:
 
@@ -17,9 +17,11 @@ nested n-fold integral to a single one):
     psi_n(x) = x (2n-2)!!^-1 integral_a^x (x^2-t^2)^(n-1) f(t) dt
 
 and (x^-1 d/dx)^n phi_n = f, (d/dx x^-1)^n psi_n = f, with phi_n, psi_n the
-particular solutions vanishing (to order n) at x = a.  The recursion
-phi_n = integral_a^x t phi_(n-1) dt, psi_n = x integral_a^x psi_(n-1) dt is
-kept alongside as an independent brute-force oracle for tests.
+particular solutions vanishing (to order n) at x = a.  These are the
+weighted integrals of inverse.integral_I divided by (2n-2)!!: variant 1
+gives phi_n and variant 2 gives psi_n, with the rectangle's c as a.  The
+recursion phi_n = integral_a^x t phi_(n-1) dt, psi_n = x integral_a^x
+psi_(n-1) dt is kept here as an independent brute-force oracle for tests.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-
 VARIANTS = ("minus", "plus")
-ANTIDERIVATIVE_VARIANTS = ("phi", "psi")
 
 
 def double_factorial(n: int) -> int:
@@ -124,87 +123,38 @@ def radial_op(derivs, x, n: int, variant: str = "minus"):
     return float(out) if not batch else out.astype(np.float64)
 
 
-class RadialField:
-    """A scalar profile f on an interval [a, b], vectorized over x."""
-
-    __slots__ = ("_f", "a", "b")
-
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-        self.a = float(a)
-        self.b = float(b)
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        self._f = f
-
-    def __call__(self, x):
-        xv = np.asarray(x, dtype=np.float64)
-        if np.any(xv < self.a - 1e-12) or np.any(xv > self.b + 1e-12):
-            raise ValueError(f"evaluation outside [{self.a:g}, {self.b:g}]")
-        return np.asarray(self._f(xv), dtype=np.float64)
-
-
-def _check_anti_args(field: RadialField, x: float, n: int, variant: str) -> tuple[float, int]:
-    if variant not in ANTIDERIVATIVE_VARIANTS:
-        raise ValueError(
-            f"variant must be one of {ANTIDERIVATIVE_VARIANTS}, got {variant!r}"
-        )
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"antiderivative order must be >= 1, got {n}")
-    x = float(x)
-    if not field.a <= x <= field.b:
-        raise ValueError(f"x={x:g} outside the field interval [{field.a:g}, {field.b:g}]")
-    return x, n
-
-
-def antiderivative(
-    field: RadialField,
-    x: float,
-    n: int,
-    variant: str = "phi",
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Particular n-th order inverse of the radial operators at x.
-
-    "phi" solves (x^-1 d/dx)^n g = f, "psi" solves (d/dx x^-1)^n g = f;
-    both vanish at the interval's left endpoint a together with enough
-    derivatives to make the inversion exact.
-    """
-    x, n = _check_anti_args(field, x, n, variant)
-    norm = 1.0 / double_factorial(2 * n - 2)
-    if variant == "phi":
-        value = integrate(
-            lambda t: t * (x * x - t * t) ** (n - 1) * field(t), field.a, x, quad
-        )
-        return norm * value
-    value = integrate(lambda t: (x * x - t * t) ** (n - 1) * field(t), field.a, x, quad)
-    return norm * x * value
-
-
 def nested_antiderivative_oracle(
-    field: RadialField,
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
     x: float,
     n: int,
-    variant: str = "phi",
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
+    variant: int = 1,
+    order: int = 16,
 ) -> float:
     """Brute-force n-fold nesting of the defining recursion (test oracle).
 
-    phi_n = integral_a^x t phi_(n-1)(t) dt and psi_n = x integral_a^x
-    psi_(n-1)(t) dt are evaluated literally, one fixed-order Gauss-Legendre
-    rule per nesting level (order 2 * quad.panel_order), vectorized over
-    the level's node tensor.  Independent of the single-integral formula.
+    phi_n = integral_a^x t phi_(n-1)(t) dt (variant 1) and psi_n = x
+    integral_a^x psi_(n-1)(t) dt (variant 2), with phi_0 = psi_0 = f, are
+    evaluated literally, one fixed Gauss-Legendre rule of 2 * order nodes
+    per nesting level, vectorized over the level's node tensor.
+    Independent of the single-integral formula: integral_I / (2n-2)!!
+    with c = a should agree.
     """
-    x, n = _check_anti_args(field, x, n, variant)
-    nodes, weights = np.polynomial.legendre.leggauss(2 * quad.panel_order)
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant}")
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"antiderivative order must be >= 1, got {n}")
+    a = float(a)
+    nodes, weights = np.polynomial.legendre.leggauss(2 * int(order))
 
     def level(upper: np.ndarray, depth: int) -> np.ndarray:
         if depth == 0:
-            return field(upper)
-        half = 0.5 * (upper - field.a)
-        t = (field.a + half)[..., None] + half[..., None] * nodes
+            return np.asarray(f(upper), dtype=np.float64)
+        half = 0.5 * (upper - a)
+        t = (a + half)[..., None] + half[..., None] * nodes
         inner = level(t, depth - 1)
-        if variant == "phi":
+        if variant == 1:
             return half * np.sum(weights * t * inner, axis=-1)
         return upper * half * np.sum(weights * inner, axis=-1)
 

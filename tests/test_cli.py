@@ -151,6 +151,16 @@ class TestInvert:
         code, _ = run(capsys, "invert", "--field", "cubic", "--init", "1,2,3")
         assert code == 2
 
+    def test_non_finite_init_is_config_error(self, capsys):
+        code = main(["invert", "--field", "cubic", "--grid", "2,2", "--init", "nan,0"])
+        assert code == 2
+        assert "init must be finite, but entry 0 is nan" in capsys.readouterr().err
+
+    def test_nan_quadrature_tolerance_is_config_error(self, capsys):
+        code = main(["invert", "--field", "cubic", "--grid", "2,2", "--quad-tol", "nan"])
+        assert code == 2
+        assert "abs_tol must be positive, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("form", ["joined", "separate", "abbreviated"])
     def test_negative_rect_and_init_as_separate_values(self, capsys, form):
         # a value starting with a minus sign is read as a value, not an option

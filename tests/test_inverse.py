@@ -25,7 +25,7 @@ from fueter.inverse import (
 )
 from fueter.oracles import axial_field, example1_oracle
 from fueter.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from fueter.verify import polynomial_fit_residual
+from fueter.verify import GridSpec, polynomial_fit_residual, vekua_residual
 
 RECT = Rectangle(0.0, 1.0, 0.5, 1.5)
 
@@ -158,6 +158,11 @@ class TestGaugeFreedom:
         H = axial_field("cubic")
         with pytest.raises(ValueError, match="2N"):
             solve_alpha_beta(H, init=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_init_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"init must be finite, but entry 1 is"):
+            solve_alpha_beta(axial_field("cubic"), [0.0, bad])
 
     def test_ode_trajectories_shape(self):
         H = axial_field("example1")
@@ -324,15 +329,13 @@ class TestPrimitiveObject:
         with pytest.raises(ValueError, match="outside"):
             prim.eval(2.0, 1.0)
 
-    def test_certify_flags_good_field(self):
-        H = axial_field("cubic").certify(nx0=6, nr=6, tol=1e-8)
-        assert H.certified
-        assert H.certified_tol == 1e-8
+    def test_vekua_residual_passes_good_field(self):
+        H = axial_field("cubic")
+        assert vekua_residual(H.A, H.B, H.k, H.m, GridSpec(H.rect, 6, 6)).max <= 1e-8
 
-    def test_certify_rejects_non_monogenic_field(self):
+    def test_vekua_residual_flags_non_monogenic_field(self):
         bad = AxialFunction(lambda x0, r: x0 * 0 + 1.0, lambda x0, r: r * 0 + 1.0, 3, 0, RECT)
-        with pytest.raises(ValueError, match="certification"):
-            bad.certify(nx0=5, nr=5, tol=1e-8)
+        assert vekua_residual(bad.A, bad.B, bad.k, bad.m, GridSpec(RECT, 5, 5)).max > 1e-8
 
     def test_quadrature_config_threads_through(self):
         H = axial_field("example1")

@@ -307,3 +307,10 @@ class TestVectorIntegrand:
             integrate(lambda t: t[:-1], 0.0, 1.0)
         with pytest.raises(ValueError, match=r"\(p, n\)"):
             integrate(lambda t: np.ones((2, 2, t.size)), 0.0, 1.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan])
+    def test_non_positive_or_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            QuadratureConfig(abs_tol=tol)

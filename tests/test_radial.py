@@ -13,10 +13,9 @@ import pytest
 import sympy
 
 from fueter.errors import QuadratureError
+from fueter.inverse import Rectangle, integral_I
 from fueter.quadrature import QuadratureConfig
 from fueter.radial import (
-    RadialField,
-    antiderivative,
     bessel_row,
     coeff_a,
     coeff_row,
@@ -162,51 +161,48 @@ class TestAntiderivative:
         assert sympy.simplify(sym_plus(psi, n) - (X**2 + 1)) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("variant", ["phi", "psi"])
+    @pytest.mark.parametrize("variant", [1, 2], ids=["phi", "psi"])
     def test_numeric_matches_symbolic(self, n, variant):
+        # integral_I / (2n-2)!! is phi_n (variant 1) or psi_n (variant 2) with a = c
         a = 0.5
-        field = RadialField(lambda t: t**2 + 1.0, a, 2.0)
+        rect = Rectangle(0.0, 1.0, a, 2.0)
         f = T**2 + 1
-        if variant == "phi":
+        if variant == 1:
             expr = sympy.integrate(T * (X**2 - T**2) ** (n - 1) * f, (T, a, X))
         else:
             expr = X * sympy.integrate((X**2 - T**2) ** (n - 1) * f, (T, a, X))
         expr = expr / double_factorial(2 * n - 2)
         for x in (0.5, 0.9, 1.7, 2.0):
-            got = antiderivative(field, x, n, variant)
+            got = integral_I(variant, lambda x0, t: t**2 + 1.0, 0.0, x, rect, n) / double_factorial(2 * n - 2)
             want = float(expr.subs(X, x))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-    def test_vanishes_at_left_endpoint(self):
-        field = RadialField(np.cos, 0.3, 1.5)
-        for n in (1, 2):
-            assert antiderivative(field, 0.3, n, "phi") == 0.0
-            assert antiderivative(field, 0.3, n, "psi") == 0.0
-
     def test_agrees_with_nested_recursion(self):
-        field = RadialField(lambda t: np.exp(-t) * np.sin(3 * t), 0.2, 1.4)
+        def f(t):
+            return np.exp(-t) * np.sin(3 * t)
+
+        rect = Rectangle(0.0, 1.0, 0.2, 1.4)
         for n in (1, 2, 3):
-            for variant in ("phi", "psi"):
-                single = antiderivative(field, 1.3, n, variant)
-                nested = nested_antiderivative_oracle(field, 1.3, n, variant)
+            for variant in (1, 2):
+                single = integral_I(variant, lambda x0, t: f(t), 0.0, 1.3, rect, n) / double_factorial(2 * n - 2)
+                nested = nested_antiderivative_oracle(f, 0.2, 1.3, n, variant)
                 assert single == pytest.approx(nested, abs=1e-10)
 
     def test_argument_validation(self):
-        field = RadialField(np.cos, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            antiderivative(field, 0.5, 0)
-        with pytest.raises(ValueError):
-            antiderivative(field, 1.5, 1)
-        with pytest.raises(ValueError):
-            antiderivative(field, 0.5, 1, "chi")
-
-    def test_field_range_enforced(self):
-        field = RadialField(np.cos, 0.0, 1.0)
+        rect = Rectangle(0.0, 1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="N must be"):
+            integral_I(1, lambda x0, t: np.cos(t), 0.0, 0.7, rect, 0)
         with pytest.raises(ValueError, match="outside"):
-            field(1.5)
+            integral_I(1, lambda x0, t: np.cos(t), 0.0, 1.5, rect, 1)
+        with pytest.raises(ValueError, match="variant"):
+            integral_I(3, lambda x0, t: np.cos(t), 0.0, 0.7, rect, 1)
+        with pytest.raises(ValueError, match="order"):
+            nested_antiderivative_oracle(np.cos, 0.0, 0.5, 0)
+        with pytest.raises(ValueError, match="variant"):
+            nested_antiderivative_oracle(np.cos, 0.0, 0.5, 1, 3)
 
     def test_quadrature_failure_surfaces(self):
-        field = RadialField(lambda t: np.sin(200.0 / (t + 0.01)), 0.0, 1.0)
+        rect = Rectangle(0.0, 1.0, 0.001, 1.0)
         strict = QuadratureConfig(abs_tol=1e-300, max_depth=3)
         with pytest.raises(QuadratureError):
-            antiderivative(field, 1.0, 1, "phi", quad=strict)
+            integral_I(1, lambda x0, t: np.sin(200.0 / (t + 0.01)), 0.0, 1.0, rect, 1, quad=strict)
