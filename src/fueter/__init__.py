@@ -13,7 +13,6 @@ from .inverse import (
     AxialFunction,
     FueterPrimitive,
     Rectangle,
-    compute_KN,
     integral_I,
     invert,
     solve_alpha_beta,
@@ -58,7 +57,7 @@ __all__ = [
     "radial_op", "nested_antiderivative_oracle",
     "FueterConfig", "fueter_map", "fueter_profile", "fueter_fields", "laplacian_oracle",
     "Rectangle", "AxialFunction", "FueterPrimitive",
-    "compute_KN", "integral_I", "solve_alpha_beta", "invert",
+    "integral_I", "solve_alpha_beta", "invert",
     "unit_sphere_area", "cauchy_kernel", "example1_oracle", "example2_oracle",
     "SphereQuadrature", "sphere_cauchy_integral", "axial_field",
     "GridSpec", "ResidualReport", "vekua_residual", "cr_residual",

@@ -4,7 +4,15 @@ Basis blades are indexed by bit patterns: bit j-1 set in the index means
 the generator e_j is a factor, so index 0 is the scalar 1 and index
 2**(j-1) is e_j.  A product e_A e_B lands on the blade A XOR B; its sign
 is the parity of the transpositions needed to interleave the two index
-sequences, times -1 for every repeated generator (e_j e_j = -1).
+sequences, times -1 for every repeated generator (e_j e_j = -1).  Both
+are bit counts, so the sign tables are built by integer arithmetic on
+index arrays, with no loop over blade pairs.
+
+A product gathers one signed, permuted row of the right factor per
+nonzero blade of the left factor and sums the rows in ascending blade
+order: n * 2**m multiplications for a left factor with n nonzero blades.
+The forward image multiplies a paravector (m + 1 blades) by P_k(x_), so
+it never pays the dense 4**m.
 
 Elements are stored densely as 2**m coefficients, which is the right
 trade-off for the small m used here (m <= 9, enforced; this also keeps
@@ -22,32 +30,25 @@ import numpy as np
 MAX_DIM = 9
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    # Parity of #{(i, j) : i in A, j in B, i > j}, i.e. the transpositions
-    # needed to sort the concatenation of two ascending index sequences.
-    swaps = 0
-    a >>= 1
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
 @lru_cache(maxsize=None)
 def _tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Product/conjugation tables for R_{0,m}: (xor_flat, signs, conj_signs, grades)."""
+    """Read-only product/conjugation tables for R_{0,m}: (perm, signs, conj_signs, grades).
+
+    Row a of the product tables pairs each output blade k with the right
+    factor's blade perm[a, k] = a ^ k, so e_a e_(a ^ k) = signs[a, k] e_k.
+    """
     dim = 1 << m
     blades = np.arange(dim)
-    xor = (blades[:, None] ^ blades[None, :]).ravel()
-    signs = np.empty((dim, dim), dtype=np.float64)
-    for a in range(dim):
-        for b in range(dim):
-            contractions = (a & b).bit_count()
-            s = _reorder_sign(a, b)
-            signs[a, b] = -s if contractions & 1 else s
     grades = np.array([i.bit_count() for i in range(dim)])
+    a = blades[:, None]
+    perm = a ^ blades
+    # for each generator j of B = a ^ k, the generators of A above it
+    swaps = sum(grades[a >> (j + 1)] * (perm >> j & 1) for j in range(m))
+    signs = np.where((swaps + grades[a & perm]) & 1, -1.0, 1.0)
     conj_signs = np.where(grades * (grades + 1) // 2 % 2, -1.0, 1.0)
-    return xor, signs, conj_signs, grades
+    for table in (perm, signs, conj_signs, grades):
+        table.setflags(write=False)
+    return perm, signs, conj_signs, grades
 
 
 def _check_m(m: int) -> int:
@@ -171,10 +172,13 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._like(other)
-            xor, signs, _, _ = _tables(self._m)
-            contrib = (self._c[:, None] * other._c[None, :]) * signs
-            out = np.bincount(xor, weights=contrib.ravel(), minlength=1 << self._m)
-            return Multivector(self._m, out)
+            perm, signs, _, _ = _tables(self._m)
+            nz = np.flatnonzero(self._c)
+            terms = signs[nz]  # a copy, scaled in place: one (n, 2**m) temporary fewer
+            terms *= self._c[nz, None]
+            terms *= other._c[perm[nz]]
+            # initial=0.0: a column of -0.0 terms sums to +0.0 on every numpy
+            return Multivector(self._m, terms.sum(axis=0, initial=0.0))
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Multivector(self._m, self._c * float(other))
         return NotImplemented

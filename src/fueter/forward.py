@@ -16,6 +16,7 @@ kept as an independent oracle (N <= 2) for tests.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,11 @@ class FueterConfig:
     def N(self) -> int:
         """Operator order k + (m-1)/2."""
         return self.k + (self.m - 1) // 2
+
+    @property
+    def K_N(self) -> Fraction:
+        """The inversion's exact normalization 1 / (2N ((2N-2)!!)^2)."""
+        return Fraction(1, 2 * self.N * double_factorial(2 * self.N - 2) ** 2)
 
     @property
     def leading_constant(self) -> int:
@@ -96,8 +102,7 @@ def _check_pair(P: MonogenicPolynomial, cfg: FueterConfig) -> None:
 
 def axial_image(P: MonogenicPolynomial, p: Paravector, a: float, b: float) -> Multivector:
     """Ft[h, P_k] at p from the profile (a, b) of h at (p.x0, p.r): (a + omega b) P_k(x_)."""
-    omega = Multivector.from_vector(p.m, p.omega)
-    return (Multivector.scalar(p.m, a) + b * omega) * P(p.vec)
+    return Paravector(a, b * p.omega).embed() * P(p.vec)
 
 
 def fueter_map(

@@ -42,17 +42,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericalError
+from .forward import FueterConfig
 from .quadrature import (
     DEFAULT_QUADRATURE, LAYOUT_CACHE, QuadratureConfig, _interval, _layout, _rule, _weigh, quadrature,
 )
-from .radial import double_factorial
 
 # Points this close outside a rectangle (or a tabulated grid) count as on
 # its edge: upstream arithmetic lands an ulp or two past it.
@@ -74,6 +73,9 @@ class Rectangle:
     d: float
 
     def __post_init__(self):
+        for edge, value in zip("abcd", self.as_tuple()):
+            if not math.isfinite(value):
+                raise ValueError(f"rectangle edge {edge} must be finite, got {value}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if not 0 < self.c < self.d:
@@ -95,17 +97,6 @@ class Rectangle:
         return (self.a, self.b, self.c, self.d)
 
 
-def compute_KN(k: int, m: int) -> Fraction:
-    """The exact rational normalization 1 / (2N ((2N-2)!!)^2), N = k + (m-1)/2."""
-    k, m = int(k), int(m)
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 3, got m={m}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got k={k}")
-    N = k + (m - 1) // 2
-    return Fraction(1, 2 * N * double_factorial(2 * N - 2) ** 2)
-
-
 class AxialFunction:
     """An axial field on a rectangle: scalar profiles (A, B) plus (m, k).
 
@@ -118,7 +109,7 @@ class AxialFunction:
     verify.vekua_residual measures that on a sample grid.
     """
 
-    __slots__ = ("A", "B", "m", "k", "rect", "name", "r_knots")
+    __slots__ = ("A", "B", "m", "k", "N", "rect", "name", "r_knots")
 
     def __init__(
         self,
@@ -130,24 +121,15 @@ class AxialFunction:
         name: str = "axial-field",
         r_knots: Sequence[float] = (),
     ):
-        m, k = int(m), int(k)
-        if m < 3 or m % 2 == 0:
-            raise ValueError(f"m must be odd and >= 3, got m={m}")
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got k={k}")
         if not isinstance(rect, Rectangle):
             raise TypeError("rect must be a Rectangle")
         self.A = A
         self.B = B
-        self.m = m
-        self.k = k
+        cfg = FueterConfig(m, k)
+        self.m, self.k, self.N = cfg.m, cfg.k, cfg.N
         self.rect = rect
         self.name = str(name)
         self.r_knots = tuple(float(t) for t in r_knots)
-
-    @property
-    def N(self) -> int:
-        return self.k + (self.m - 1) // 2
 
     @classmethod
     def from_grid(cls, data: dict | str) -> "AxialFunction":
@@ -335,9 +317,10 @@ def _forcing_weights(k: int, m: int, c: float) -> np.ndarray:
     B drives alpha_j with weight -c w_j (row 0) and the trace of A drives
     beta_j with weight w_j (row 1).
     """
-    N = k + (m - 1) // 2
+    cfg = FueterConfig(m, k)
+    N = cfg.N
     j = np.arange(N)
-    w = float(compute_KN(k, m)) * np.array([math.comb(N - 1, i) for i in j])
+    w = float(cfg.K_N) * np.array([math.comb(N - 1, i) for i in j])
     w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
     weights = np.zeros((2, 2 * N))
     weights[0, :N] = -c * w
@@ -428,7 +411,7 @@ class FueterPrimitive:
         self.m = field.m
         self.k = field.k
         self.N = field.N
-        self.K_N = compute_KN(field.k, field.m)
+        self.K_N = FueterConfig(field.m, field.k).K_N
         self._kn = float(self.K_N)
         if alphas.shape != (self.N, len(xs)) or betas.shape != alphas.shape:
             raise ValueError(f"trajectories need shape (N, len(xs)) = {(self.N, len(xs))}")

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .clifford import Multivector, Paravector
+from .forward import FueterConfig
 from .inverse import AxialFunction, Rectangle
 from . import jets
 
@@ -248,9 +249,7 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
             m=3, k=0, rect=rect, name="cubic",
         )
     if name == "cauchy-kernel":
-        mm = 3 if m is None else int(m)
-        if mm < 3 or mm % 2 == 0:
-            raise ValueError(f"cauchy-kernel field needs odd m >= 3, got {mm}")
+        mm = FueterConfig(3 if m is None else m, 0).m
         rect = rect or Rectangle(0.0, 1.0, 0.5, 1.5)
         area = unit_sphere_area(mm + 1)
         power = (mm + 1) / 2

@@ -21,21 +21,14 @@ class MonogenicPolynomial:
     """Homogeneous degree-k polynomial in x_1..x_m with Multivector coefficients.
 
     Monogenicity is a property, not a precondition: any homogeneous
-    polynomial can be represented, and ``validate()`` flags those whose
-    Dirac image vanishes identically.  Built-in constructors return
-    already-validated instances.
+    polynomial can be represented, and ``validate()`` rejects those whose
+    Dirac image does not vanish.  Built-in constructors validate what they
+    return.
     """
 
-    __slots__ = ("_m", "_k", "_terms", "_validated")
+    __slots__ = ("_m", "_k", "_terms")
 
-    def __init__(
-        self,
-        m: int,
-        k: int,
-        terms: Mapping[Sequence[int], Multivector],
-        *,
-        validated: bool = False,
-    ):
+    def __init__(self, m: int, k: int, terms: Mapping[Sequence[int], Multivector]):
         self._m = _check_m(m)
         k = int(k)
         if k < 0:
@@ -56,7 +49,6 @@ class MonogenicPolynomial:
                 continue
             clean[e] = clean[e] + coeff if e in clean else coeff
         self._terms = clean
-        self._validated = bool(validated)
 
     @property
     def m(self) -> int:
@@ -69,11 +61,6 @@ class MonogenicPolynomial:
     @property
     def terms(self) -> dict[tuple[int, ...], Multivector]:
         return dict(self._terms)
-
-    @property
-    def validated(self) -> bool:
-        """True when construction certified that the Dirac image is zero."""
-        return self._validated
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -114,12 +101,12 @@ class MonogenicPolynomial:
         return MonogenicPolynomial(self._m, out_deg, acc)
 
     def validate(self, tol: float = 0.0) -> "MonogenicPolynomial":
-        """Return a validated copy, or raise if the Dirac image is not zero."""
+        """Return self, or raise if the Dirac image is not zero."""
         image = self.dirac()
         worst = max((c.norm() for c in image._terms.values()), default=0.0)
         if worst > tol:
             raise ValueError(f"polynomial is not monogenic: Dirac image has norm {worst:g}")
-        return MonogenicPolynomial(self._m, self._k, self._terms, validated=True)
+        return self
 
     # linear structure, used by the transform's linearity checks
     def __add__(self, other: "MonogenicPolynomial") -> "MonogenicPolynomial":
@@ -130,15 +117,13 @@ class MonogenicPolynomial:
         acc = dict(self._terms)
         for exp, coeff in other._terms.items():
             acc[exp] = acc[exp] + coeff if exp in acc else coeff
-        return MonogenicPolynomial(
-            self._m, self._k, acc, validated=self._validated and other._validated
-        )
+        return MonogenicPolynomial(self._m, self._k, acc)
 
     def __mul__(self, scale) -> "MonogenicPolynomial":
         if not isinstance(scale, (int, float, np.floating, np.integer)):
             return NotImplemented
         acc = {exp: coeff * float(scale) for exp, coeff in self._terms.items()}
-        return MonogenicPolynomial(self._m, self._k, acc, validated=self._validated)
+        return MonogenicPolynomial(self._m, self._k, acc)
 
     __rmul__ = __mul__
 

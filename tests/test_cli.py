@@ -107,6 +107,11 @@ class TestForward:
         assert code == 2
         assert "on the rectangle [0, 0.5] x [0.5, 1.5]; " in capsys.readouterr().err
 
+    def test_infinite_rect_edge_is_config_error(self, capsys):
+        code = main(["forward", "--h", "recip", "--rect", "0,1,0.5,inf", "--grid", "2,2"])
+        assert code == 2
+        assert "rectangle edge d must be finite, got inf" in capsys.readouterr().err
+
     def test_kernel_member_gives_zero_grid(self, capsys):
         code, out = run(capsys, "forward", "--h", "z^1", "--m", "3", "--k", "0", "--grid", "3,3")
         assert code == 0
@@ -155,6 +160,11 @@ class TestInvert:
         code = main(["invert", "--field", "cubic", "--grid", "2,2", "--init", "nan,0"])
         assert code == 2
         assert "init must be finite, but entry 0 is nan" in capsys.readouterr().err
+
+    def test_infinite_rect_edge_is_config_error(self, capsys):
+        code = main(["invert", "--field", "cubic", "--rect", "0,inf,0.5,1.5", "--grid", "2,2"])
+        assert code == 2
+        assert "rectangle edge b must be finite, got inf" in capsys.readouterr().err
 
     def test_nan_quadrature_tolerance_is_config_error(self, capsys):
         code = main(["invert", "--field", "cubic", "--grid", "2,2", "--quad-tol", "nan"])

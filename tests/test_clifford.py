@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fueter.clifford import MAX_DIM, Multivector, Paravector
+from fueter.clifford import MAX_DIM, Multivector, Paravector, _tables
 
 REL_TOL = 1e-12
 
@@ -68,6 +68,68 @@ class TestProducts:
             a * b
         with pytest.raises(ValueError):
             a + b
+
+
+def oracle_sign(a: int, b: int) -> float:
+    """Sign of e_A e_B: pairs (i in A, j in B) with i > j, plus |A & B|."""
+    A = [i for i in range(MAX_DIM) if a >> i & 1]
+    B = [j for j in range(MAX_DIM) if b >> j & 1]
+    count = sum(1 for i in A for j in B if i > j) + len(set(A) & set(B))
+    return -1.0 if count % 2 else 1.0
+
+
+def bincount_product(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Dense outer product scattered onto a ^ b by bincount, in blade-pair order."""
+    perm, signs, _, _ = _tables(m)
+    blades = np.arange(1 << m)
+    pair_signs = np.take_along_axis(signs, perm, axis=1)  # sign of e_a e_b at [a, b]
+    contrib = (x[:, None] * y[None, :]) * pair_signs
+    return np.bincount((blades[:, None] ^ blades).ravel(), weights=contrib.ravel(), minlength=1 << m)
+
+
+class TestProductTables:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_tables_match_oracle_exhaustively(self, m):
+        perm, signs, _, _ = _tables(m)
+        dim = 1 << m
+        for a in range(dim):
+            for k in range(dim):
+                assert perm[a, k] == a ^ k
+                assert signs[a, k] == oracle_sign(a, a ^ k), (m, a, k)
+
+    @pytest.mark.parametrize("m", range(7, MAX_DIM + 1))
+    def test_tables_match_oracle_on_samples(self, m):
+        perm, signs, _, _ = _tables(m)
+        rng = np.random.default_rng(m)
+        for a, k in rng.integers(0, 1 << m, size=(300, 2)):
+            assert perm[a, k] == a ^ k
+            assert signs[a, k] == oracle_sign(int(a), int(a ^ k)), (m, a, k)
+
+    @pytest.mark.parametrize("m", range(1, MAX_DIM + 1))
+    def test_products_bitwise_equal_dense_scatter(self, m):
+        rng = np.random.default_rng(100 + m)
+        dim = 1 << m
+        for density in (1.0, 0.1, 0.02):
+            for _ in range(3):
+                # masked normals carry both +0.0 and -0.0
+                x = rng.standard_normal(dim) * (rng.random(dim) < density)
+                y = rng.standard_normal(dim) * (rng.random(dim) < density)
+                got = (Multivector(m, x) * Multivector(m, y)).coeffs
+                assert got.tobytes() == bincount_product(x, y, m).tobytes(), (m, density)
+        y = rng.standard_normal(dim)
+        got = (Multivector.zero(m) * Multivector(m, y)).coeffs
+        assert got.tobytes() == bincount_product(np.zeros(dim), y, m).tobytes()
+        assert got.tobytes() == np.zeros(dim).tobytes()
+        # every term -0.0: the sum is +0.0, as bincount's is
+        got = (Multivector.scalar(m, -1.0) * Multivector.zero(m)).coeffs
+        assert got.tobytes() == bincount_product(-np.eye(dim)[0], np.zeros(dim), m).tobytes()
+
+    @pytest.mark.parametrize("m", (1, 4, MAX_DIM))
+    def test_tables_are_read_only(self, m):
+        for table in _tables(m):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestConjugation:

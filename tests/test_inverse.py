@@ -18,7 +18,6 @@ from fueter.inverse import (
     FueterPrimitive,
     Rectangle,
     _radial_rule,
-    compute_KN,
     integral_I,
     invert,
     solve_alpha_beta,
@@ -39,6 +38,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Rectangle(0.0, 1.0, 1.5, 0.5)
 
+    @pytest.mark.parametrize("edges, name", [
+        ((0.0, np.inf, 0.5, 1.5), "b"),
+        ((-np.inf, 1.0, 0.5, 1.5), "a"),
+        ((0.0, 1.0, 0.5, np.inf), "d"),
+        ((0.0, 1.0, np.nan, 1.5), "c"),
+    ])
+    def test_rectangle_rejects_non_finite_edges(self, edges, name):
+        with pytest.raises(ValueError, match=f"rectangle edge {name} must be finite"):
+            Rectangle(*edges)
+
     def test_contains_and_require(self):
         assert RECT.contains(0.0, 0.5)
         assert RECT.contains(1.0, 1.5)
@@ -49,17 +58,24 @@ class TestGeometry:
 
 class TestNormalization:
     def test_exact_values(self):
-        assert compute_KN(0, 3) == Fraction(1, 2)
-        assert compute_KN(1, 3) == Fraction(1, 16)
-        assert compute_KN(0, 5) == Fraction(1, 16)
-        assert compute_KN(0, 7) == Fraction(1, 384)
+        assert FueterConfig(3, 0).K_N == Fraction(1, 2)
+        assert FueterConfig(3, 1).K_N == Fraction(1, 16)
+        assert FueterConfig(5, 0).K_N == Fraction(1, 16)
+        assert FueterConfig(7, 0).K_N == Fraction(1, 384)
 
     def test_exact_type(self):
-        assert isinstance(compute_KN(2, 5), Fraction)
+        assert isinstance(FueterConfig(5, 2).K_N, Fraction)
 
     def test_rejects_even_dimension(self):
         with pytest.raises(ValueError):
-            compute_KN(0, 4)
+            FueterConfig(4, 0)
+
+    def test_axial_function_validates_through_config(self):
+        H = AxialFunction(lambda x0, r: r, lambda x0, r: r, 5, 1, RECT)
+        assert (H.m, H.k, H.N) == (5, 1, 3)
+        for m, k in ((4, 0), (1, 0), (3, -1)):
+            with pytest.raises(ValueError, match="m must be odd|k must be nonnegative"):
+                AxialFunction(lambda x0, r: r, lambda x0, r: r, m, k, RECT)
 
 
 class TestWeightedIntegrals:
