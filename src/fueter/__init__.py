@@ -15,7 +15,6 @@ from .inverse import (
     Rectangle,
     integral_I,
     invert,
-    solve_alpha_beta,
 )
 from .jets import HolomorphicFn, Jet, radial_derivatives
 from .oracles import (
@@ -57,7 +56,7 @@ __all__ = [
     "radial_op", "nested_antiderivative_oracle",
     "FueterConfig", "fueter_map", "fueter_profile", "fueter_fields", "laplacian_oracle",
     "Rectangle", "AxialFunction", "FueterPrimitive",
-    "integral_I", "solve_alpha_beta", "invert",
+    "integral_I", "invert",
     "unit_sphere_area", "cauchy_kernel", "example1_oracle", "example2_oracle",
     "SphereQuadrature", "sphere_cauchy_integral", "axial_field",
     "GridSpec", "ResidualReport", "vekua_residual", "cr_residual",

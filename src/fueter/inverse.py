@@ -27,14 +27,16 @@ first level: for a fixed r the kernel (r^2 - t^2)^(N-1), the nodes and the
 panel half-widths are constants, so a cached rule holds them, and a
 point's first level is one A and one B call, one product with the kernels
 and one batched Gauss product, with integrate's arithmetic and bits.
-Pieces that fail the acceptance refine on the kernel-times-field
+An interval that fails the acceptance refines on the kernel-times-field
 integrands through quadrature's shared engine.
 
-The chain y' = M y + F is nilpotent (M^(2N) = 0), so y(x0) =
-E(x0 - x_i) y(x_i) + integral_{x_i}^{x0} E(x0 - t) F(t) dt holds exactly
-with the matrix polynomial E(s) = sum_{p<2N} M^p s^p / p!; the forcing
-integral is Gauss-Legendre on fixed panels.  Different initial constants
-change h only by a real polynomial of degree <= 2k+m-2 = 2N-1.
+The chain y' = M y + F is nilpotent (M^(2N) = 0), so with the matrix
+polynomial E(s) = exp(M s) = sum_{p<2N} M^p s^p / p! its solution is one
+integral, y(x0) = E(x0 - a) y(a) + integral_a^x0 E(x0 - t) F(t) dt, which
+integrate evaluates to the primitive's tolerance at each new x0.  Every
+integral of the inversion is thus one adaptive integral over one interval.
+Different initial constants change h only by a real polynomial of degree
+<= 2k+m-2 = 2N-1.
 """
 
 from __future__ import annotations
@@ -50,15 +52,16 @@ import numpy as np
 from .errors import NumericalError
 from .forward import FueterConfig
 from .quadrature import (
-    DEFAULT_QUADRATURE, LAYOUT_CACHE, QuadratureConfig, _interval, _layout, _rule, _weigh, quadrature,
+    DEFAULT_QUADRATURE, LAYOUT_CACHE, PANEL_ORDER, QuadratureConfig, _layout, _weigh, integrate, quadrature,
 )
 
 # Points this close outside a rectangle (or a tabulated grid) count as on
 # its edge: upstream arithmetic lands an ulp or two past it.
 EDGE_TOL = 1e-12
-# The composite Gauss-Legendre rule of the coefficient chain's forcing.
-CHAIN_PANELS = 256
-CHAIN_ORDER = 8
+# Blending degree of the Floater-Hormann interpolant of tabulated fields:
+# on 40 equispaced nodes its 1-D Lebesgue constant is 24.9 (5.5 at d = 3,
+# 138 at d = 9), and a 40 x 40 arctan grid inverts to about 1e-9.
+BLEND_DEGREE = 6
 # Distinct x0 whose coefficient vector one primitive remembers.
 COEFF_CACHE = 1024
 
@@ -97,19 +100,59 @@ class Rectangle:
         return (self.a, self.b, self.c, self.d)
 
 
+def _fh_weights(grid: np.ndarray, d: int) -> np.ndarray:
+    """Floater-Hormann barycentric weights of blending degree d on increasing nodes.
+
+    w_k = sum_{i in J_k} (-1)^i prod_{j=i..i+d, j != k} 1 / (x_k - x_j),
+    J_k = {i : 0 <= i <= n - d, k - d <= i <= k}, with d clipped to the
+    n = grid.size - 1 intervals; computed on the nodes mapped to [0, 1],
+    which scales every weight alike.
+    """
+    x = (grid - grid[0]) / (grid[-1] - grid[0])
+    d = min(d, x.size - 1)
+    w = np.zeros(x.size)
+    for i in range(x.size - d):
+        diff = x[i:i + d + 1, None] - x[i:i + d + 1]
+        np.fill_diagonal(diff, 1.0)
+        w[i:i + d + 1] += (-1.0) ** i / diff.prod(axis=1)
+    return w
+
+
+def _fh_basis(t: np.ndarray, grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The barycentric basis at points t: shape t.shape + (grid.size,), exactly one-hot at a node.
+
+    Each term w_k / (t - x_k) is scaled by the smallest |t - x_j|, so none
+    overflows however close t comes to a node.
+    """
+    diff = t[..., None] - grid
+    exact = diff == 0.0
+    if exact.any():  # a node's row keeps only w_k / 1: after normalising, exactly 1
+        diff = np.where(exact.any(axis=-1, keepdims=True), np.where(exact, 1.0, np.inf), diff)
+    terms = weights * (np.abs(diff).min(axis=-1, keepdims=True) / diff)
+    return terms / terms.sum(axis=-1, keepdims=True)
+
+
+def _snap(t: np.ndarray, grid: np.ndarray, axis: str) -> np.ndarray:
+    """t with what Rectangle.contains lets past the grid's ends snapped onto them; exterior points raise."""
+    t = np.where(np.abs(t - grid[0]) <= EDGE_TOL, grid[0], t)
+    t = np.where(np.abs(t - grid[-1]) <= EDGE_TOL, grid[-1], t)
+    if not np.all((grid[0] <= t) & (t <= grid[-1])):
+        raise ValueError(f"{axis} outside the tabulated [{grid[0]:g}, {grid[-1]:g}]")
+    return t
+
+
 class AxialFunction:
     """An axial field on a rectangle: scalar profiles (A, B) plus (m, k).
 
     A and B must accept (x0, r) as two scalars, as a scalar x0 with an
     ndarray r (the radial quadrature feeds r nodes at fixed x0), or as two
     ndarrays of equal shape (the coefficient chain feeds x0 nodes along
-    r = c), and return float values of r's shape.  The radial integrals
-    split at ``r_knots``, r values where A and B may lose smoothness.
-    Nothing here checks that (A, B) solves the Vekua system;
-    verify.vekua_residual measures that on a sample grid.
+    r = c), and return float values of r's shape.  The integrals assume A
+    and B smooth on the rectangle.  Nothing here checks that (A, B) solves
+    the Vekua system; verify.vekua_residual measures that on a sample grid.
     """
 
-    __slots__ = ("A", "B", "m", "k", "N", "rect", "name", "r_knots")
+    __slots__ = ("A", "B", "m", "k", "N", "rect", "name")
 
     def __init__(
         self,
@@ -119,7 +162,6 @@ class AxialFunction:
         k: int,
         rect: Rectangle,
         name: str = "axial-field",
-        r_knots: Sequence[float] = (),
     ):
         if not isinstance(rect, Rectangle):
             raise TypeError("rect must be a Rectangle")
@@ -129,17 +171,18 @@ class AxialFunction:
         self.m, self.k, self.N = cfg.m, cfg.k, cfg.N
         self.rect = rect
         self.name = str(name)
-        self.r_knots = tuple(float(t) for t in r_knots)
 
     @classmethod
     def from_grid(cls, data: dict | str) -> "AxialFunction":
-        """Tabulated field from grid JSON (bilinear interpolation).
+        """Tabulated field from grid JSON (Floater-Hormann interpolation).
 
         Expects the grid schema {"meta": {m, k, rect, nx0, nr},
         "points": [{x0, r, value: [A, B]}, ...]} of finite values on a full
-        regular grid, at least 2 x 2.  Bilinear interpolation is less accurate
-        than a closed form; its kinks, the grid's r lines, are the r_knots at
-        which the radial quadrature splits, leaving a polynomial per cell.
+        grid, at least 2 x 2, of any spacing.  A and B are tensor products
+        of Floater-Hormann barycentric rational interpolants of blending
+        degree BLEND_DEGREE (clipped to the grid size) in x0 and in r: smooth,
+        free of real poles, exact for polynomials of that degree in each
+        variable, and equal to the tabulated values at the grid's nodes.
         """
         if isinstance(data, str):
             data = json.loads(data)
@@ -159,42 +202,23 @@ class AxialFunction:
         rs = np.array(sorted({float(p["r"]) for p in pts}))
         if xs.size != nx0 or rs.size != nr or not np.all(np.isfinite(table[:, :2])):
             raise ValueError("points do not form a full nx0 x nr grid")
-        vals = np.full((nx0, nr, 2), np.nan)
+        vals = np.full((2, nx0, nr), np.nan)
         # a repeated point leaves another grid slot empty, which the check below catches
-        vals[np.searchsorted(xs, table[:, 0]), np.searchsorted(rs, table[:, 1])] = table[:, 2:]
+        vals[:, np.searchsorted(xs, table[:, 0]), np.searchsorted(rs, table[:, 1])] = table[:, 2:].T
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid has missing or non-finite points")
+        wx, wr = _fh_weights(xs, BLEND_DEGREE), _fh_weights(rs, BLEND_DEGREE)
 
-        def cell(t, grid, axis):
-            # what Rectangle.contains lets past the grid edge snaps back onto
-            # it; genuinely exterior points raise
-            t = np.where(np.abs(t - grid[0]) <= EDGE_TOL, grid[0], t)
-            t = np.where(np.abs(t - grid[-1]) <= EDGE_TOL, grid[-1], t)
-            if not np.all((grid[0] <= t) & (t <= grid[-1])):
-                raise ValueError(f"{axis} outside the tabulated [{grid[0]:g}, {grid[-1]:g}]")
-            i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
-            return i, (t - grid[i]) / (grid[i + 1] - grid[i])
-
-        def component(which: int):
-            v = vals[..., which]
-
+        def component(v: np.ndarray):
             def eval_field(x0, r):
-                xx, rr = np.broadcast_arrays(
-                    np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
-                )
-                i, s = cell(xx, xs, "x0")
-                j, t = cell(rr, rs, "r")
-                lo = (1.0 - t) * v[i, j] + t * v[i, j + 1]  # along r at x0 line i, then i + 1
-                hi = (1.0 - t) * v[i + 1, j] + t * v[i + 1, j + 1]
-                out = (1.0 - s) * lo + s * hi
-                return out if rr.ndim else float(out)
+                # the x0 basis contracts the table to one row of r values per x0
+                rows = _fh_basis(_snap(np.asarray(x0, dtype=np.float64), xs, "x0"), xs, wx) @ v
+                out = (rows * _fh_basis(_snap(np.asarray(r, dtype=np.float64), rs, "r"), rs, wr)).sum(axis=-1)
+                return out if out.ndim else float(out)
 
             return eval_field
 
-        return cls(
-            component(0), component(1), int(meta["m"]), int(meta["k"]), rect,
-            name="tabulated-grid", r_knots=rs[1:-1],
-        )
+        return cls(component(vals[0]), component(vals[1]), int(meta["m"]), int(meta["k"]), rect, name="tabulated-grid")
 
     def __repr__(self) -> str:
         return (
@@ -204,56 +228,55 @@ class AxialFunction:
 
 
 @lru_cache(maxsize=LAYOUT_CACHE)
-def _radial_rule(edges: tuple[float, ...], sign: float, N: int, abs_tol: float, order: int) -> tuple:
-    """The first level of the weighted radial integrals on the pieces between edges: (tols, x, blocks).
+def _radial_rule(lo: float, hi: float, sign: float, N: int, order: int) -> tuple:
+    """The first level of the weighted radial integrals on [lo, hi]: (x, blocks).
 
-    tols and the read-only nodes x are integrate's cached layout; r is the
-    integral's upper end, edges[0] when sign is -1.0.  blocks[variants]
-    holds, for the integrals named by variants ((1,), (2,) or (1, 2)), one
-    row per integral of the kernel at x, t (r^2 - t^2)^(N-1) for I1 and
-    (r^2 - t^2)^(N-1) for I2 / r, and one row per integral of the panel
-    half-widths; all are read-only.  Field values times the kernel rows
-    are the integrand values integrate would see, bit for bit.
+    x holds integrate's cached, read-only nodes; r is the integral's upper
+    end, lo when sign is -1.0.  blocks[variants] holds, for the integrals
+    named by variants ((1,), (2,) or (1, 2)), one row per integral of the
+    kernel at x, t (r^2 - t^2)^(N-1) for I1 and (r^2 - t^2)^(N-1) for
+    I2 / r, and one row per integral of the panel half-widths; all are
+    read-only.  Field values times the kernel rows are the integrand values
+    integrate would see, bit for bit.
     """
-    tols, half, x = _layout(edges, abs_tol, order)
-    r = edges[-1] if sign > 0 else edges[0]
+    half, x = _layout(lo, hi, order)
+    r = hi if sign > 0 else lo
     kernel = (r * r - x * x) ** (N - 1)
     kernels, halves = np.stack([x * kernel, kernel]), np.stack([half, half])
-    kernels.flags.writeable = halves.flags.writeable = False  # every point on these edges shares them
-    return tols, x, {
+    kernels.flags.writeable = halves.flags.writeable = False  # every point on this interval shares them
+    return x, {
         (1,): (kernels[:1], halves[:1]),
         (2,): (kernels[1:], halves[1:]),
         (1, 2): (kernels, halves),
     }
 
 
-def _radial(fields: dict, x0: float, r: float, c: float, N: int, quad: QuadratureConfig, breaks) -> list[float]:
+def _radial(fields: dict, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> list[float]:
     """The weighted radial integrals from c to r at x0, one per {variant: field} entry of fields, in order.
 
     Variant 1 gives I1 and variant 2 gives I2 / r.  The first level takes
     one call per field at the rule's nodes, one product with the cached
-    kernels and one batched Gauss product; quadrature accepts it and
-    refines the failing pieces on the kernel-times-field integrands.
+    kernels and one batched Gauss product; quadrature accepts it or
+    refines on the kernel-times-field integrands.
     """
     variants = tuple(fields)
     if r == c:
         return [0.0] * len(variants)
-    edges, sign = _interval(c, r, breaks)
-    order = quad.panel_order
-    tols, x, blocks = _radial_rule(edges, sign, N, quad.abs_tol, order)
+    lo, hi, sign = (c, r, 1.0) if c < r else (r, c, -1.0)
+    x, blocks = _radial_rule(lo, hi, sign, N, PANEL_ORDER)
     kernels, halves = blocks[variants]
     values = np.empty((len(variants), x.size))
     for row, f in enumerate(fields.values()):
         values[row] = f(x0, x)
     values *= kernels
-    table = _weigh(values, halves, order).reshape(len(variants), 3, -1)
+    table = _weigh(values, halves, PANEL_ORDER)
 
     def integrands(t):
         # the integrals share their nodes and kernel: one call per field
         k = (r * r - t * t) ** (N - 1)
         return np.array([(t * k if v == 1 else k) * f(x0, t) for v, f in fields.items()])
 
-    return quadrature(integrands, table, edges, tols, quad, sign)
+    return quadrature(integrands, table, lo, hi, quad.abs_tol, sign)
 
 
 def integral_I(
@@ -264,14 +287,12 @@ def integral_I(
     rect: Rectangle,
     N: int,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    breaks: Sequence[float] = (),
 ) -> float:
     """The weighted radial integral from the rectangle's lower edge.
 
     variant 1: integral_c^r t (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with A)
     variant 2: r integral_c^r (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with B)
 
-    The quadrature splits at breaks, r values where f may lose smoothness.
     FueterPrimitive.eval uses the same radial rule, so the two agree bit
     for bit.
     """
@@ -282,7 +303,7 @@ def integral_I(
         raise ValueError(f"N must be >= 1, got {N}")
     rect.require(x0, r)
     x0, r = float(x0), float(r)
-    value = _radial({variant: f}, x0, r, rect.c, N, quad, breaks)[0]
+    value = _radial({variant: f}, x0, r, rect.c, N, quad)[0]
     return value if variant == 1 else r * value
 
 
@@ -342,70 +363,19 @@ def _edge_forcing(H: AxialFunction, t: np.ndarray) -> np.ndarray:
     return traces.T @ _forcing_weights(H.k, H.m, c)
 
 
-def solve_alpha_beta(
-    H: AxialFunction, init: Sequence[float] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the coefficient chain exactly at the CHAIN_PANELS + 1 panel edges of [a, b].
-
-    Returns (xs, alphas, betas), each family of shape (N, len(xs)).  init
-    lists the 2N values (alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at
-    x0 = a; default all zero (any choice differs by a kernel polynomial).
-    """
-    N = H.N
-    rect = H.rect
-    if init is None:
-        y = np.zeros(2 * N)
-    else:
-        y = np.asarray(init, dtype=np.float64).copy()
-        if y.shape != (2 * N,):
-            raise ValueError(f"init must have 2N = {2 * N} entries, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            i = int(np.argmin(np.isfinite(y)))
-            raise ValueError(f"init must be finite, but entry {i} is {y[i]}")
-
-    xs = np.linspace(rect.a, rect.b, CHAIN_PANELS + 1)
-    h = (rect.b - rect.a) / CHAIN_PANELS
-    nodes, weights = _rule(CHAIN_ORDER)
-    offsets = 0.5 * h * (nodes + 1.0)  # node positions within a panel
-    forcing = _edge_forcing(H, (xs[:-1, None] + offsets).ravel())
-    # every panel has the same width, so E(x_(i+1) - t) at the q-th node is
-    # one matrix per q, shared by all panels
-    kernel = (0.5 * h) * weights[:, None, None] * _propagator(N, h - offsets)
-    drive = np.einsum("qrc,iqc->ir", kernel, forcing.reshape(CHAIN_PANELS, CHAIN_ORDER, 2 * N))
-    step = _propagator(N, h)
-    out = np.empty((CHAIN_PANELS + 1, 2 * N))
-    out[0] = y
-    for i in range(CHAIN_PANELS):
-        y = step @ y + drive[i]
-        out[i + 1] = y
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"coefficient chain overflowed on [{rect.a:g}, {rect.b:g}]")
-    return xs, out[:, :N].T.copy(), out[:, N:].T.copy()
-
-
 class FueterPrimitive:
     """A computed primitive: correction coefficients plus on-demand integrals.
 
     eval(x0, r) returns (u, v) with u + iv holomorphic in x0 + i r, at one
-    point or at arrays of points.  The alpha_j, beta_j are stored at the
-    chain's panel edges; between edges they solve the chain exactly across
-    one partial panel, remembered for the last COEFF_CACHE distinct x0.
+    point or at arrays of points.  The alpha_j, beta_j at x0 solve the
+    chain exactly from init at x0 = a, as E(x0 - a) init plus one adaptive
+    forcing integral over [a, x0]; the last COEFF_CACHE distinct x0 are
+    remembered.  invert builds it and checks init.
     """
 
-    __slots__ = (
-        "field", "rect", "m", "k", "N", "K_N", "init", "quad",
-        "xs", "alphas", "betas", "_edges", "_coefficients", "_kn",
-    )
+    __slots__ = ("field", "rect", "m", "k", "N", "K_N", "init", "quad", "_coefficients", "_kn")
 
-    def __init__(
-        self,
-        field: AxialFunction,
-        init: np.ndarray,
-        quad: QuadratureConfig,
-        xs: np.ndarray,
-        alphas: np.ndarray,
-        betas: np.ndarray,
-    ):
+    def __init__(self, field: AxialFunction, init: np.ndarray, quad: QuadratureConfig):
         self.field = field
         self.rect = field.rect
         self.m = field.m
@@ -413,31 +383,23 @@ class FueterPrimitive:
         self.N = field.N
         self.K_N = FueterConfig(field.m, field.k).K_N
         self._kn = float(self.K_N)
-        if alphas.shape != (self.N, len(xs)) or betas.shape != alphas.shape:
-            raise ValueError(f"trajectories need shape (N, len(xs)) = {(self.N, len(xs))}")
         self.init = np.asarray(init, dtype=np.float64)
         self.quad = quad
-        self.xs = xs
-        self.alphas = alphas
-        self.betas = betas
-        self._edges = np.concatenate([alphas, betas]).T  # (len(xs), 2N)
         self._coefficients = lru_cache(maxsize=COEFF_CACHE)(self._solve_at)
 
     def _solve_at(self, x0: float) -> tuple[float, ...]:
         """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0, as Python floats."""
         self.rect.require(x0, self.rect.c)
-        i = int(np.clip(np.searchsorted(self.xs, x0, side="right") - 1, 0, len(self.xs) - 1))
-        lo = float(self.xs[i])
-        if x0 == lo:
-            return tuple(self._edges[i].tolist())
-        # one Gauss-Legendre panel on [lo, x0] for the forcing integral; E at
-        # x0 minus its nodes and, last, E(x0 - lo) in one propagator call
-        nodes, weights = _rule(CHAIN_ORDER)
-        half = 0.5 * (x0 - lo)
-        t = lo + half * np.append(nodes + 1.0, 0.0)
-        kernel = _propagator(self.N, x0 - t)
-        drive = half * np.einsum("q,qrc,qc->r", weights, kernel[:-1], _edge_forcing(self.field, t[:-1]))
-        return tuple((kernel[-1] @ self._edges[i] + drive).tolist())
+        a, N, H = self.rect.a, self.N, self.field
+
+        def drive(t):
+            # E(x0 - t) F(t), one row per coefficient
+            return np.einsum("qrc,qc->rq", _propagator(N, x0 - t), _edge_forcing(H, t))
+
+        y = _propagator(N, x0 - a) @ self.init + integrate(drive, a, x0, self.quad)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError(f"coefficient chain overflowed on [{a:g}, {x0:g}]")
+        return tuple(y.tolist())
 
     def _family(self, index: int, x0) -> float | np.ndarray:
         x = np.asarray(x0, dtype=np.float64)
@@ -455,21 +417,26 @@ class FueterPrimitive:
 
         x0 and r broadcast against each other; scalars give a pair of
         floats, arrays a pair of float64 arrays of the broadcast shape.
+        Every point's coefficients are solved before any radial integral
+        runs, so a non-finite trace on r = c is reported as such.
         """
         if not (isinstance(x0, float) and isinstance(r, float)):  # floats skip numpy
             x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
             if x0.ndim or r.ndim:
                 xx, rr = np.broadcast_arrays(x0, r)
-                uv = np.array([self._eval_at(float(x), float(t)) for x, t in zip(xx.flat, rr.flat)])
-                uv = uv.reshape(-1, 2)
+                points = list(zip(xx.ravel().tolist(), rr.ravel().tolist()))
+                for x, t in points:
+                    self.rect.require(x, t)
+                coeffs = [self._coefficients(x) for x, _ in points]
+                uv = np.array([self._eval_at(x, t, c) for (x, t), c in zip(points, coeffs)]).reshape(-1, 2)
                 return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
-        return self._eval_at(float(x0), float(r))
-
-    def _eval_at(self, x0: float, r: float) -> tuple[float, float]:
+        x0, r = float(x0), float(r)
         self.rect.require(x0, r)
+        return self._eval_at(x0, r, self._coefficients(x0))
+
+    def _eval_at(self, x0: float, r: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
         N, H = self.N, self.field
-        i1, i2 = _radial({1: H.A, 2: H.B}, x0, r, self.rect.c, N, self.quad, H.r_knots)
-        coeffs = self._coefficients(x0)
+        i1, i2 = _radial({1: H.A, 2: H.B}, x0, r, self.rect.c, N, self.quad)
         r2 = r * r
         u, v = coeffs[N - 1], coeffs[-1]
         for j in range(N - 2, -1, -1):  # the correction polynomials, Horner in r^2
@@ -490,9 +457,6 @@ class FueterPrimitive:
             "K_N": f"{self.K_N.numerator}/{self.K_N.denominator}",
             "rect": list(self.rect.as_tuple()),
             "init": self.init.tolist(),
-            "x0": self.xs.tolist(),
-            "alpha": self.alphas.tolist(),
-            "beta": self.betas.tolist(),
         }
 
     def __repr__(self) -> str:
@@ -507,7 +471,17 @@ def invert(
     init: Sequence[float] | None = None,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> FueterPrimitive:
-    """Construct a holomorphic primitive of the axial field H on its rectangle."""
-    xs, alphas, betas = solve_alpha_beta(H, init)
-    y0 = np.zeros(2 * H.N) if init is None else np.asarray(init, dtype=np.float64)
-    return FueterPrimitive(H, y0, quad, xs, alphas, betas)
+    """Construct a holomorphic primitive of the axial field H on its rectangle.
+
+    init lists the 2N values (alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at
+    x0 = a; default all zero (any choice differs by a kernel polynomial).
+    No field is called until a coefficient or value is asked for.
+    """
+    n2 = 2 * H.N
+    y = np.zeros(n2) if init is None else np.array(init, dtype=np.float64)
+    if y.shape != (n2,):
+        raise ValueError(f"init must have 2N = {n2} entries, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        i = int(np.argmin(np.isfinite(y)))
+        raise ValueError(f"init must be finite, but entry {i} is {y[i]}")
+    return FueterPrimitive(H, y, quad)

@@ -2,41 +2,37 @@
 
 Fixed-order panels, bisected until the two-half refinement agrees with the
 parent panel to the requested absolute tolerance (halved per split, so the
-leaf budgets sum to the original).  Known kinks of the integrand (say, an
-interpolant's grid lines) are passed as ``breaks``: the interval is split
-there first, each piece taking the tolerance share of its width (QUADPACK's
-QAGP); on a piece where the integrand is a polynomial of degree
-< 2 * panel_order, the first refinement agrees up to rounding.
+leaf budgets sum to the original).  The interval is one piece: the
+package's integrands are smooth on it (tabulated fields are interpolated
+smoothly), and where a subinterval disagrees, it alone refines.
 
 Integrands take a 1-d array of nodes and return values of shape (n,), or
-(p, n) for p integrals sharing the nodes; a piece is accepted when every
-component meets its tolerance, and each component refines exactly where
-it would alone.  The integrand is called once per level: the first call
-takes every piece's whole panel and both halves, and a piece that fails
-refines depth-first, each step evaluating the two halves of one
-subinterval in one call, so a non-converging integral fails after as few
-evaluations as a panel-at-a-time recursion.
+(p, n) for p integrals sharing the nodes; the interval is accepted when
+every component meets the tolerance, and each component refines exactly
+where it would alone.  The integrand is called once per level: the first
+call takes the whole panel and both halves, and a failing interval refines
+depth-first, each step evaluating the two halves of one subinterval in one
+call, so a non-converging integral fails after as few evaluations as a
+panel-at-a-time recursion.
 
-The first level's layout (pieces, tolerance shares, panel half-widths and
-nodes) depends only on the interval, the breaks inside it and the config,
-so it is cached for the last LAYOUT_CACHE intervals, and integrands receive
-read-only nodes.  One acceptance and refinement engine, ``quadrature``,
-takes a first-level table of panel sums, however it was computed: it
-accepts the table in Python floats, whose IEEE arithmetic gives numpy's
-bits, and only failing pieces refine in numpy.  ``integrate`` fills the
-table from one integrand call on the layout's nodes; the radial rule of
-``inverse`` fills it from field values times kernels it caches on the
-same nodes, with the same arithmetic, and hands the engine the
-kernel-times-field integrand to refine.
+The first level's nodes and panel half-widths depend only on the interval
+and PANEL_ORDER, so they are cached for the last LAYOUT_CACHE intervals,
+and integrands receive read-only nodes.  One acceptance and refinement
+engine, ``quadrature``, takes a first-level table of panel sums, however
+it was computed: it accepts the table in Python floats, whose IEEE
+arithmetic gives numpy's bits, and only a failing interval refines in
+numpy.  ``integrate`` fills the table from one integrand call on the
+cached nodes; the radial rule of ``inverse`` fills it from field values
+times kernels it caches on the same nodes, with the same arithmetic, and
+hands the engine the kernel-times-field integrand to refine.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,19 +42,17 @@ from .errors import QuadratureError
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-11
-    max_depth: int = 40
-    panel_order: int = 16
 
     def __post_init__(self):
         if not self.abs_tol > 0:  # NaN fails this too; inf is a valid tolerance
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be nonnegative, got {self.max_depth}")
-        if self.panel_order < 2:
-            raise ValueError(f"panel_order must be at least 2, got {self.panel_order}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+# Bisection depth at which a subinterval that still disagrees raises.
+MAX_DEPTH = 40
+# Gauss-Legendre nodes per panel.
+PANEL_ORDER = 16
 # Intervals whose first-level layout integrate remembers.
 LAYOUT_CACHE = 64
 
@@ -101,32 +95,18 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarr
     return _sums(f, *_nodes(lo, hi, order), order)
 
 
-def _interval(a: float, b: float, breaks: Sequence[float]) -> tuple[tuple[float, ...], float]:
-    """(edges, sign): the ends of [a, b] in increasing order with the breaks strictly inside
-    between them, and -1.0 when b < a (the integral changes sign), else 1.0."""
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    return ((a, *sorted({float(t) for t in breaks if a < t < b}), b) if len(breaks) else (a, b)), sign
-
-
 @lru_cache(maxsize=LAYOUT_CACHE)
-def _layout(edges: tuple[float, ...], abs_tol: float, order: int) -> tuple:
-    """The first level on the pieces between edges: (tols, half, x).
+def _layout(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first level on [a, b], a < b: (half, x), read-only, for the whole panel, then its left and right halves.
 
-    Each piece takes the tolerance share of its width; half and x, read-only,
-    hold every piece's whole panel, then every left half, then every right
-    half.  No value depends on the sign of a zero edge, so edges that hash
-    alike (0.0 and -0.0) may share a layout.
+    No value depends on the sign of a zero end, so ends that hash alike
+    (0.0 and -0.0) may share a layout.
     """
-    a, b = edges[0], edges[-1]
-    lo, hi = edges[:-1], edges[1:]
-    mid = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
-    tols = tuple(abs_tol * ((h - l) / (b - a)) for l, h in zip(lo, hi))
-    half, x = _nodes(np.array(lo + lo + mid), np.array(hi + mid + hi), order)
+    mid = 0.5 * (a + b)
+    half, x = _nodes(np.array([a, a, mid]), np.array([b, mid, b]), order)
     half.flags.writeable = False
-    x.flags.writeable = False  # every call on these edges shares them
-    return tols, half, x
+    x.flags.writeable = False  # every call on this interval shares them
+    return half, x
 
 
 def integrate(
@@ -134,65 +114,45 @@ def integrate(
     a: float,
     b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    breaks: Sequence[float] = (),
 ) -> float | np.ndarray:
-    """Integrate f over [a, b], split at the breaks inside it, to abs tolerance cfg.abs_tol.
+    """Integrate f over [a, b] to abs tolerance cfg.abs_tol.
 
     Returns a float for an integrand of shape (n,) and an array of shape
     (p,) for one of shape (p, n); an empty interval returns 0.0 without
-    calling f.  The first level's nodes are cached per interval, breaks
-    and cfg and handed to f read-only, so f must not write into its
-    argument.  Raises QuadratureError on a non-finite panel sum or when a
-    subinterval still disagrees at depth cfg.max_depth.
+    calling f.  The first level's nodes are cached per interval and handed
+    to f read-only, so f must not write into its argument.  Raises
+    QuadratureError on a non-finite panel sum or when a subinterval still
+    disagrees at depth MAX_DEPTH.
     """
     a, b = float(a), float(b)
     if a == b:
         return 0.0
-    edges, sign = _interval(a, b, breaks)
-    tols, half, x = _layout(edges, cfg.abs_tol, cfg.panel_order)
-    first = _sums(f, half, x, cfg.panel_order)
-    totals = quadrature(f, first.reshape(-1, 3, len(edges) - 1), edges, tols, cfg, sign)
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    half, x = _layout(a, b, PANEL_ORDER)
+    first = _sums(f, half, x, PANEL_ORDER)
+    totals = quadrature(f, first.reshape(-1, 3), a, b, cfg.abs_tol, sign)
     return totals[0] if first.ndim == 1 else np.array(totals)
 
 
-def quadrature(
-    f: Callable, table: np.ndarray, edges: tuple, tols: tuple, cfg: QuadratureConfig, sign: float
-) -> list[float]:
-    """The integrals over [edges[0], edges[-1]], times sign, from a first-level table of panel sums.
+def quadrature(f: Callable, table: np.ndarray, a: float, b: float, tol: float, sign: float) -> list[float]:
+    """The integrals over [a, b], a < b, times sign, from a first-level table of panel sums.
 
-    table[row, 0 / 1 / 2, i] holds the whole-panel, left-half and right-half
-    sums of component row on the piece [edges[i], edges[i + 1]], whose
-    tolerance share is tols[i].  A piece is accepted in Python floats when
-    every component's halves are finite and agree with its whole; failing
-    pieces refine depth-first, in order, through f (a non-finite piece
-    raises first).  Returns one total per row, summed piece by piece in
-    order, as one scalar integral per row would be.
+    table[row] holds the whole-panel, left-half and right-half sums of
+    component row.  The interval is accepted in Python floats when every
+    component's halves are finite and agree with its whole to tol; else it
+    refines depth-first through f, where a non-finite value raises first.
+    Returns one value per row.
     """
-    pieces, failing = [], []
-    for whole, left, right in table.tolist():  # IEEE doubles: numpy's bits
-        row = list(map(operator.add, left, right))
-        pieces.append(row)
-        for i, s in enumerate(row):
-            if not (abs(s - whole[i]) <= tols[i] and math.isfinite(s)):
-                failing.append(i)
-    if failing:
-        lo, hi = edges[:-1], edges[1:]
-        failing = sorted(set(failing))
-        nonfinite = [i for i in failing if not all(math.isfinite(row[i]) for row in pieces)]
-        for i in nonfinite or failing:  # in order, depth-first; a non-finite piece raises first
-            refined = _refine(f, lo[i], hi[i], *table[:, :, i].T, tols[i], 0, cfg)
-            for row, value in zip(pieces, refined.tolist()):
-                row[i] = value
-    totals = []
-    for row in pieces:
-        total = 0.0
-        for value in row:
-            total += value
-        totals.append(sign * total)
-    return totals
+    rows = table.tolist()  # IEEE doubles: numpy's bits
+    values = [left + right for _, left, right in rows]
+    if not all(abs(s - row[0]) <= tol and math.isfinite(s) for s, row in zip(values, rows)):
+        values = _refine(f, a, b, *table.T, tol, 0).tolist()
+    return [sign * s for s in values]
 
 
-def _refine(f, lo, hi, whole, left, right, tol, depth, cfg, active=True):
+def _refine(f, lo, hi, whole, left, right, tol, depth, active=True):
     """left + right, refined below [lo, hi] in the active components that disagree with whole.
 
     A component that agrees keeps its value here, as a scalar integral
@@ -204,19 +164,19 @@ def _refine(f, lo, hi, whole, left, right, tol, depth, cfg, active=True):
     pending = active & ~(np.abs(halves - whole) <= tol)
     if not np.any(pending):
         return halves
-    if depth >= cfg.max_depth:
+    if depth >= MAX_DEPTH:
         raise QuadratureError(
             f"no convergence on [{lo:g}, {hi:g}] at depth {depth} (tol {tol:g})"
         )
     mid = 0.5 * (lo + hi)
-    refined = _split(f, lo, mid, left, tol / 2, depth + 1, cfg, pending) + _split(
-        f, mid, hi, right, tol / 2, depth + 1, cfg, pending
+    refined = _split(f, lo, mid, left, tol / 2, depth + 1, pending) + _split(
+        f, mid, hi, right, tol / 2, depth + 1, pending
     )
     return np.where(pending, refined, halves)
 
 
-def _split(f, lo, hi, whole, tol, depth, cfg, active):
+def _split(f, lo, hi, whole, tol, depth, active):
     """Refine [lo, hi], whose panel sum is whole, after evaluating its halves in one call."""
     mid = 0.5 * (lo + hi)
-    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), cfg.panel_order)
-    return _refine(f, lo, hi, whole, halves[..., 0], halves[..., 1], tol, depth, cfg, active)
+    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), PANEL_ORDER)
+    return _refine(f, lo, hi, whole, halves[..., 0], halves[..., 1], tol, depth, active)

@@ -273,6 +273,25 @@ class TestPipeline:
             got = complex(*pt["value"])
             assert got == pytest.approx(z**3 + 0.25 * z, abs=1e-7)
 
+    def test_readme_pipeline_recovers_arctan(self, capsys, tmp_path):
+        # 40 x 40 profiles of Ft[arctan]; the interpolated field's primitive
+        # is arctan up to a real linear gauge, within the interpolation error
+        from fueter.verify import polynomial_fit_residual
+
+        field_file = tmp_path / "profiles.json"
+        code, _ = run(
+            capsys, "forward", "--h", "arctan", "--m", "3", "--profiles",
+            "--rect", "0.2,1.0,0.5,1.5", "--grid", "40,40", "--out", str(field_file),
+        )
+        assert code == 0
+        code, out = run(capsys, "invert", "--field-json", str(field_file), "--grid", "6,6")
+        assert code == 0
+        samples = []
+        for pt in json.loads(out)["points"]:
+            z = complex(pt["x0"], pt["r"])
+            samples.append((z, complex(*pt["value"]) - complex(np.arctan(z))))
+        assert polynomial_fit_residual(samples, 1) <= 1e-8
+
 
 class TestRoundtrip:
     def test_cubic_reports_small_residuals(self, capsys):

@@ -1,6 +1,7 @@
 """Integral inversion: primitives of axial fields on a rectangle."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,20 +11,19 @@ import numpy as np
 import pytest
 
 import fueter
-from fueter import jets
+from fueter import jets, quadrature
 from fueter.errors import NumericalError, QuadratureError
 from fueter.forward import FueterConfig, fueter_fields
 from fueter.inverse import (
     AxialFunction,
-    FueterPrimitive,
     Rectangle,
+    _fh_weights,
     _radial_rule,
     integral_I,
     invert,
-    solve_alpha_beta,
 )
 from fueter.oracles import axial_field, example1_oracle
-from fueter.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from fueter.quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, integrate
 from fueter.verify import GridSpec, polynomial_fit_residual, vekua_residual
 
 RECT = Rectangle(0.0, 1.0, 0.5, 1.5)
@@ -149,13 +149,6 @@ class TestCubicRoundTrip:
         v = kn * integral_I(2, H.B, x0, r, H.rect, 1) + prim.beta(0, x0) * r
         assert prim.eval(x0, r) == pytest.approx((u, v), abs=1e-15)
 
-    def test_mismatched_field_rejected(self):
-        # trajectories of a field with another (m, k) do not fit this field
-        H = axial_field("cubic")
-        xs, alphas, betas = solve_alpha_beta(axial_field("example1"))
-        with pytest.raises(ValueError, match="shape"):
-            FueterPrimitive(H, np.zeros(2), DEFAULT_QUADRATURE, xs, alphas, betas)
-
 
 class TestGaugeFreedom:
     def test_inits_differ_by_kernel_polynomial(self):
@@ -173,19 +166,24 @@ class TestGaugeFreedom:
     def test_init_length_checked(self):
         H = axial_field("cubic")
         with pytest.raises(ValueError, match="2N"):
-            solve_alpha_beta(H, init=[1.0, 2.0, 3.0])
+            invert(H, init=[1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_init_rejected(self, bad):
         with pytest.raises(ValueError, match=r"init must be finite, but entry 1 is"):
-            solve_alpha_beta(axial_field("cubic"), [0.0, bad])
+            invert(axial_field("cubic"), [0.0, bad])
 
-    def test_ode_trajectories_shape(self):
+    def test_coefficient_trajectories_shape(self):
+        # alpha_j and beta_j along [a, b]: one finite value per x0, from init at a
         H = axial_field("example1")
-        xs, alphas, betas = solve_alpha_beta(H)
-        assert xs.ndim == 1 and xs[0] == H.rect.a and xs[-1] == H.rect.b
-        assert alphas.shape == (H.N, len(xs))
-        assert betas.shape == (H.N, len(xs))
+        init = [0.1, -0.2, 0.3, -0.4]
+        prim = invert(H, init=init)
+        xs = np.linspace(H.rect.a, H.rect.b, 17)
+        alphas = np.array([prim.alpha(j, xs) for j in range(H.N)])
+        betas = np.array([prim.beta(j, xs) for j in range(H.N)])
+        assert alphas.shape == betas.shape == (H.N, len(xs))
+        assert np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))
+        assert [*alphas[:, 0], *betas[:, 0]] == init
 
 
 class TestForwardConsistency:
@@ -216,8 +214,8 @@ class TestTabulatedFields:
             "points": points,
         }
 
-    def test_bilinear_ingestion_exact_for_linear_fields(self):
-        H = axial_field("cubic")  # A, B linear in (x0, r): bilinear is exact
+    def test_ingestion_exact_for_linear_fields(self):
+        H = axial_field("cubic")  # A, B linear in (x0, r): the interpolant is exact
         G = AxialFunction.from_grid(self.grid_json(H))
         assert G.m == H.m and G.k == H.k
         for x0, r in ((0.05, 0.62), (0.77, 1.38)):
@@ -233,7 +231,7 @@ class TestTabulatedFields:
 
     def test_eval_at_tabulated_grid_edges(self):
         # Rectangle.require lets x0 up to 1e-12 past an edge; the grid must
-        # take the same points, and the chain's partial panels then reach
+        # take the same points, and the chain's forcing integral then reaches
         # nodes just past a.  x0 span 0.5 snapped only 5e-13 before.
         # Zero init at a != 0 shifts the result by a real linear gauge.
         a, b = 0.2, 0.7
@@ -287,7 +285,7 @@ class TestTabulatedFields:
         with pytest.raises(ValueError, match="non-finite"):
             AxialFunction.from_grid(json.dumps(data))
 
-    def test_bilinear_interpolant_exact_up_to_the_edges(self):
+    def test_interpolant_exact_up_to_the_edges(self):
         a, b, c, d = 0.2, 0.7, 0.5, 1.5
         H = AxialFunction(
             lambda x0, r: x0 * r + x0 - 2 * r, lambda x0, r: 3 * x0 - r * x0, 3, 0,
@@ -305,17 +303,90 @@ class TestTabulatedFields:
             with pytest.raises(ValueError, match="outside"):
                 G.A(x0 + 1e-9 * dx, r + 1e-9 * dr)
 
-    def test_split_at_knots_matches_adaptive_integral(self):
-        # between the grid's r lines each radial integrand is a polynomial;
-        # splitting there agrees with the adaptive rule that chases the kinks
+    def test_radial_integrals_match_the_sampled_field(self):
+        # the smooth interpolant needs no split at the grid's r lines: each
+        # radial integral is accepted at the first level and lands within
+        # the interpolation error of the sampled field's own integral
         rect = Rectangle(0.3, 1.3, 0.45, 1.45)
         A, B = fueter_fields(jets.arctan(), FueterConfig(3, 0))
-        G = AxialFunction.from_grid(self.grid_json(AxialFunction(A, B, 3, 0, rect), 40, 40))
-        assert G.r_knots == tuple(np.linspace(rect.c, rect.d, 40)[1:-1])
-        for variant, f in ((1, G.A), (2, G.B)):
-            split = integral_I(variant, f, 0.77, 1.234, rect, G.N, breaks=G.r_knots)
-            plain = integral_I(variant, f, 0.77, 1.234, rect, G.N)
-            assert split == pytest.approx(plain, abs=1e-10, rel=0)
+        G, calls = _counting(AxialFunction.from_grid(self.grid_json(AxialFunction(A, B, 3, 0, rect), 40, 40)))
+        for variant, f, exact in ((1, G.A, A), (2, G.B, B)):
+            got = integral_I(variant, f, 0.77, 1.234, rect, G.N)
+            assert got == pytest.approx(integral_I(variant, exact, 0.77, 1.234, rect, G.N), abs=1e-9, rel=0)
+        assert calls == {"A": [48], "B": [48]}
+
+    def test_polynomials_of_the_blending_degree_are_reproduced(self):
+        # degree 6 in x0 and in r, on a non-uniform grid of 11 x 9 nodes
+        rect = Rectangle(0.2, 1.1, 0.4, 1.3)
+        H = AxialFunction(
+            lambda x0, r: (x0 - 0.5) ** 6 * r**3 - 2.0 * x0**2 * (r - 0.9) ** 6 + 1.0,
+            lambda x0, r: x0**5 * r**6 - 3.0 * x0 * r + (x0 - 0.3) ** 4,
+            3, 0, rect,
+        )
+        rng = np.random.default_rng(3)
+        xs = np.sort(np.r_[rect.a, rect.b, rng.uniform(rect.a, rect.b, 9)])
+        rs = np.sort(np.r_[rect.c, rect.d, rng.uniform(rect.c, rect.d, 7)])
+        points = [{"x0": float(x), "r": float(r), "value": [float(H.A(x, r)), float(H.B(x, r))]}
+                  for x in xs for r in rs]
+        meta = {"m": 3, "k": 0, "rect": list(rect.as_tuple()), "nx0": xs.size, "nr": rs.size}
+        G = AxialFunction.from_grid({"meta": meta, "points": points})
+        x0, r = rng.uniform(rect.a, rect.b, 200), rng.uniform(rect.c, rect.d, 200)
+        for got, want in ((G.A, H.A), (G.B, H.B)):
+            exact = want(x0, r)
+            assert np.max(np.abs(got(x0, r) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_grid_lines_return_the_tabulated_values(self):
+        # on an x0 line or on r = c, grid nodes read back their samples
+        # bit for bit, from scalars and from arrays
+        H = axial_field("example1")
+        data = self.grid_json(H, nx0=12, nr=10)
+        G = AxialFunction.from_grid(data)
+        table = {(p["x0"], p["r"]): p["value"] for p in data["points"]}
+        xs = sorted({x for x, _ in table})
+        rs = sorted({r for _, r in table})
+        lines = [(np.full(len(rs), xs[5]), np.array(rs)), (np.array(xs), np.full(len(xs), H.rect.c))]
+        for x0, r in lines:
+            want = np.array([table[x, t] for x, t in zip(x0.tolist(), r.tolist())])
+            assert G.A(x0, r).tolist() == want[:, 0].tolist()
+            assert G.B(x0, r).tolist() == want[:, 1].tolist()
+            assert [G.A(float(x), float(t)) for x, t in zip(x0, r)] == want[:, 0].tolist()
+        assert G.A(xs[5], np.array(rs)).tolist() == [table[xs[5], t][0] for t in rs]
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_weights_match_the_equispaced_closed_form(self, d):
+        # on equispaced nodes the general weights are, up to one factor,
+        # (-1)^(k-d) sum_{i in J_k} C(d, k - i) (Floater and Hormann, 2007)
+        n = 39
+        got = _fh_weights(np.linspace(0.3, 1.7, n + 1), d)
+        want = np.array([
+            (-1.0) ** (k - d) * sum(math.comb(d, k - i) for i in range(max(0, k - d), min(k, n - d) + 1))
+            for k in range(n + 1)
+        ])
+        assert got / got[0] == pytest.approx(want / want[0], rel=1e-12, abs=0)
+
+    def test_points_next_to_a_node_stay_finite(self):
+        # a subnormal distance from the interior node x0 = 0 overflows
+        # w_k / (t - x_k) unless the terms are scaled; the value there is the node's
+        H = axial_field("example1", Rectangle(-0.5, 0.5, 0.5, 1.5))
+        data = self.grid_json(H, nx0=41, nr=9)
+        assert 0.0 in {p["x0"] for p in data["points"]}
+        G = AxialFunction.from_grid(data)
+        for x0 in (1e-310, 5e-324, 1e-300, -1e-300):
+            got = G.A(np.array([x0, 0.5]), np.array([0.5, 1.0]))
+            assert got[0] == pytest.approx(H.A(0.0, 0.5), abs=1e-15)
+            assert np.isfinite(got).all()
+
+    def test_two_by_two_grid_inverts(self):
+        # the blending degree clips to the grid: 2 x 2 nodes interpolate
+        # bilinearly, which is exact for the cubic's linear profiles
+        H = axial_field("cubic")
+        G = AxialFunction.from_grid(self.grid_json(H, nx0=2, nr=2))
+        for x0, r in ((0.05, 0.62), (0.77, 1.38)):
+            assert G.A(x0, r) == pytest.approx(H.A(x0, r), abs=1e-14)
+            assert G.B(x0, r) == pytest.approx(H.B(x0, r), abs=1e-14)
+        prim = invert(G)
+        z = complex(0.5, 1.0)
+        assert abs(prim(z) - (z**3 + H.rect.c**2 * z)) <= 1e-10
 
 
 def test_import_pulls_in_no_scipy():
@@ -330,14 +401,11 @@ def test_import_pulls_in_no_scipy():
 
 class TestPrimitiveObject:
     def test_serialization_fields(self):
+        # the record holds what the primitive is determined by, no tables
         H = axial_field("cubic")
-        prim = invert(H)
+        prim = invert(H, init=[0.25, -1.5])
         blob = json.loads(json.dumps(prim.to_json()))
-        assert blob["N"] == 1
-        assert blob["K_N"] == "1/2"
-        assert blob["x0"] == prim.xs.tolist()
-        for family in ("alpha", "beta"):
-            assert len(blob[family]) == 1 and len(blob[family][0]) == len(blob["x0"])
+        assert blob == {"m": 3, "k": 0, "N": 1, "K_N": "1/2", "rect": [0.0, 1.0, 0.5, 1.5], "init": [0.25, -1.5]}
 
     def test_eval_outside_rectangle_rejected(self):
         H = axial_field("cubic")
@@ -353,20 +421,20 @@ class TestPrimitiveObject:
         bad = AxialFunction(lambda x0, r: x0 * 0 + 1.0, lambda x0, r: r * 0 + 1.0, 3, 0, RECT)
         assert vekua_residual(bad.A, bad.B, bad.k, bad.m, GridSpec(RECT, 5, 5)).max > 1e-8
 
-    def test_quadrature_config_threads_through(self):
+    def test_quadrature_config_threads_through(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
         H = axial_field("example1")
-        strict = QuadratureConfig(abs_tol=1e-300, max_depth=2)
-        prim = invert(H, quad=strict)
-        from fueter.errors import QuadratureError
-
-        with pytest.raises(QuadratureError):
+        prim = invert(H, quad=QuadratureConfig(abs_tol=1e-300))
+        with pytest.raises(QuadratureError, match="at depth 2"):
             prim.eval(0.5, 1.4)
+        with pytest.raises(QuadratureError, match="at depth 2"):
+            integral_I(1, H.A, 0.5, 1.4, H.rect, H.N, prim.quad)
 
 
 class TestExactChain:
     def test_coefficients_match_example1_closed_forms(self):
         # with the oracle's values at a as init, the chain solution is the
-        # oracle's alpha_j, beta_j; off-edge x0 go through a partial panel
+        # oracle's alpha_j, beta_j at every x0
         rect = Rectangle(0.2, 1.0, 0.5, 1.5)
         H = axial_field("example1", rect)
         c = rect.c
@@ -385,26 +453,36 @@ class TestExactChain:
         assert got[1, 1] == prim.beta(1, 0.77)
 
     def test_chain_calls_the_field_once_per_component(self):
-        H = axial_field("example1")
-        calls = []
-
-        def counted(fn):
-            return lambda x0, r: calls.append(np.size(r)) or fn(x0, r)
-
-        prim = invert(AxialFunction(counted(H.A), counted(H.B), H.m, H.k, H.rect))
-        assert len(calls) == 2
-        calls.clear()
+        # invert calls no field; a new x0 takes one A and one B call on the
+        # forcing integral's first level, and the same x0 is remembered
+        G, calls = _counting(axial_field("example1"))
+        prim = invert(G)
+        assert calls == {"A": [], "B": []}
         prim.alpha(0, 0.3)
-        prim.beta(1, 0.3)  # the second lookup at the same x0 is remembered
-        assert len(calls) == 2
+        prim.beta(1, 0.3)
+        assert calls == {"A": [48], "B": [48]}
+
+    def test_coefficients_at_a_are_init_without_field_calls(self):
+        G, calls = _counting(axial_field("example1"))
+        init = [0.1, -2.5, 1e-300, -0.0]
+        prim = invert(G, init=init)
+        a = G.rect.a
+        assert [prim.alpha(0, a), prim.alpha(1, a), prim.beta(0, a), prim.beta(1, a)] == init
+        assert calls == {"A": [], "B": []}
 
     def test_non_finite_edge_trace_raises(self):
         def a_field(x0, r):
             return np.where(np.asarray(x0) > 0.6, np.nan, 1.0) * np.ones_like(r)
 
         H = AxialFunction(a_field, lambda x0, r: np.zeros_like(r), 3, 0, RECT)
-        with pytest.raises(NumericalError, match=r"x0=0\.6"):
-            invert(H)
+        prim = invert(H)  # lazy: nothing is evaluated yet
+        with pytest.raises(NumericalError, match=r"non-finite edge trace at x0=0\.6"):
+            prim.alpha(0, 0.9)
+        # eval solves the coefficients before its radial integrals, which
+        # would otherwise meet the NaN first
+        with pytest.raises(NumericalError, match=r"non-finite edge trace at x0=0\.6"):
+            prim.eval(0.9, 1.2)
+        assert np.isfinite(prim.eval(0.5, 1.2)).all()  # below x0 = 0.6 the field is finite
 
 
 def _counting(H, scale=1.0):
@@ -414,7 +492,7 @@ def _counting(H, scale=1.0):
     def counted(fn, key):
         return lambda x0, r: calls[key].append(np.size(r)) or scale * fn(x0, r)
 
-    G = AxialFunction(counted(H.A, "A"), counted(H.B, "B"), H.m, H.k, H.rect, r_knots=H.r_knots)
+    G = AxialFunction(counted(H.A, "A"), counted(H.B, "B"), H.m, H.k, H.rect)
     return G, calls
 
 
@@ -425,7 +503,7 @@ class TestFusedEval:
         prim = invert(G)
         a, b, c, d = G.rect.as_tuple()
         x0, r = a + 0.37 * (b - a), c + 0.71 * (d - c)
-        prim.alpha(0, x0)  # the coefficient chain's own two calls
+        prim.alpha(0, x0)  # the coefficient chain's own calls
         calls["A"].clear()
         calls["B"].clear()
         prim.eval(x0, r)
@@ -442,13 +520,12 @@ class TestFusedEval:
         calls["A"].clear()
         calls["B"].clear()
         u, v = prim.eval(x0, r)
-        # every cell from c to r in one call per field: whole panel and halves
-        cells = 1 + sum(rect.c < t < r for t in G.r_knots)
-        assert calls == {"A": [48 * cells], "B": [48 * cells]}
-        # the split integrals of integral_I agree bit for bit
+        # one call per field: the whole panel and its halves, accepted
+        assert calls == {"A": [48], "B": [48]}
+        # the integrals of integral_I agree bit for bit
         kn = float(prim.K_N)
-        i1 = integral_I(1, G.A, x0, r, rect, G.N, breaks=G.r_knots)
-        i2 = integral_I(2, G.B, x0, r, rect, G.N, breaks=G.r_knots)
+        i1 = integral_I(1, G.A, x0, r, rect, G.N)
+        i2 = integral_I(2, G.B, x0, r, rect, G.N)
         coeffs = [prim.alpha(0, x0), prim.beta(0, x0)]
         assert (u, v) == (kn * i1 + coeffs[0], kn * i2 + r * coeffs[1])
 
@@ -500,7 +577,7 @@ def _explicit_integrals(H, x0, r, quad=DEFAULT_QUADRATURE):
         k = (r * r - t * t) ** (N - 1)
         return np.array([t * k * H.A(x0, t), k * H.B(x0, t)])
 
-    return integrate(integrands, H.rect.c, r, quad, H.r_knots)
+    return integrate(integrands, H.rect.c, r, quad)
 
 
 def _seeded_points(rect, n, seed):
@@ -546,8 +623,8 @@ class TestRadialRule:
         # so the two agree bit for bit, well inside 1e-14 * max(1, |I|)
         for x0, r in _seeded_points(H.rect, 64, 29):
             i1, i2 = _explicit_integrals(H, x0, r).tolist()
-            got1 = integral_I(1, H.A, x0, r, H.rect, H.N, breaks=H.r_knots)
-            got2 = integral_I(2, H.B, x0, r, H.rect, H.N, breaks=H.r_knots)
+            got1 = integral_I(1, H.A, x0, r, H.rect, H.N)
+            got2 = integral_I(2, H.B, x0, r, H.rect, H.N)
             assert (got1, got2) == (i1, r * i2), (x0, r)
 
     def test_failure_matches_integrate_message_and_calls(self):
@@ -579,14 +656,13 @@ class TestRadialRule:
         H = _tabulated_40()
         prim = invert(H)
         prim.eval(0.77, 1.234)
-        edges = (H.rect.c, *[t for t in H.r_knots if t < 1.234], 1.234)
-        tols, x, blocks = _radial_rule(edges, 1.0, H.N, prim.quad.abs_tol, prim.quad.panel_order)
+        x, blocks = _radial_rule(H.rect.c, 1.234, 1.0, H.N, PANEL_ORDER)
         assert _radial_rule.cache_info().hits >= 1
-        assert len(tols) == len(edges) - 1 and x.size == 48 * len(tols)
+        assert x.size == 3 * PANEL_ORDER
         assert {v: (k.shape, h.shape) for v, (k, h) in blocks.items()} == {
-            (1,): ((1, x.size), (1, 3 * len(tols))),
-            (2,): ((1, x.size), (1, 3 * len(tols))),
-            (1, 2): ((2, x.size), (2, 3 * len(tols))),
+            (1,): ((1, x.size), (1, 3)),
+            (2,): ((1, x.size), (1, 3)),
+            (1, 2): ((2, x.size), (2, 3)),
         }
         for arr in (x, *[a for block in blocks.values() for a in block]):
             assert not arr.flags.writeable

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
+from fueter import quadrature
 from fueter.errors import QuadratureError
 from fueter.inverse import Rectangle, integral_I
 from fueter.quadrature import QuadratureConfig
@@ -201,8 +202,9 @@ class TestAntiderivative:
         with pytest.raises(ValueError, match="variant"):
             nested_antiderivative_oracle(np.cos, 0.0, 0.5, 1, 3)
 
-    def test_quadrature_failure_surfaces(self):
+    def test_quadrature_failure_surfaces(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
         rect = Rectangle(0.0, 1.0, 0.001, 1.0)
-        strict = QuadratureConfig(abs_tol=1e-300, max_depth=3)
-        with pytest.raises(QuadratureError):
+        strict = QuadratureConfig(abs_tol=1e-300)
+        with pytest.raises(QuadratureError, match="at depth 3"):
             integral_I(1, lambda x0, t: np.sin(200.0 / (t + 0.01)), 0.0, 1.0, rect, 1, quad=strict)
