@@ -5,9 +5,9 @@ Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
 configuration, 3 numerical failure.  forward evaluates its whole grid's
 profiles in one array call, invert its primitive in one eval call and
-roundtrip in one per grid or stencil offset (its FD field residual and kernel
-run point by point).  JSON output is json.dumps(payload, indent=2): 2-space
-indent, Python float repr, NaN/Infinity if non-finite, stable byte for byte.
+roundtrip in one per grid, set of circles (its Cauchy-integral field residual)
+or stencil offset; kernel runs point by point.  JSON output is json.dumps(payload,
+indent=2): 2-space indent, Python float repr, NaN/Infinity if non-finite, stable byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
 from .quadrature import QuadratureConfig
-from .radial import radial_op
 from .verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual, vekua_residual
 
 DEFAULT_RECT = (0.0, 1.0, 0.5, 1.5)
@@ -274,24 +273,6 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _fd_forward_profiles(prim, gamma: float, N: int, x0: float, r: float, step: float):
-    """(A, B) of the primitive's forward image via local polynomial FD in r."""
-    offsets = np.arange(-N, N + 1)
-    rs = r + offsets * step
-    uv = [prim.eval(x0, float(t)) for t in rs]
-    us = np.array([p[0] for p in uv])
-    vs = np.array([p[1] for p in uv])
-    # fit in the scaled variable (r - r0)/step to keep the Vandermonde tame
-    s = offsets.astype(np.float64)
-    cu = np.polyfit(s, us, 2 * N)
-    cv = np.polyfit(s, vs, 2 * N)
-    du = np.array([math.factorial(j) * cu[2 * N - j] / step**j for j in range(N + 1)])
-    dv = np.array([math.factorial(j) * cv[2 * N - j] / step**j for j in range(N + 1)])
-    a = gamma * radial_op(du, r, N, "minus")
-    b = gamma * radial_op(dv, r, N, "plus")
-    return a, b
-
-
 def _cmd_roundtrip(args) -> int:
     opts = _Options(args)
     m, k = opts.mk()
@@ -311,15 +292,12 @@ def _cmd_roundtrip(args) -> int:
     w = np.array([complex(u, v) for u, v in zip(*prim.eval(np.array(xs), np.array(rs)))]) - h(np.array(z))
     fit = polynomial_fit_residual(list(zip(z, w.tolist())), cfg.kernel_degree)
 
-    # field-space residual: forward the computed primitive (FD in r) and
-    # compare with the field that was inverted
-    N = cfg.N
-    step = min(1e-3, (rect.d - rect.c) / (8 * N))
-    margin = 1.01 * N * step
-    xs, rs = _full_grid(Rectangle(rect.a, rect.b, rect.c + margin, rect.d - margin), 4, 4)
-    fd = np.array([_fd_forward_profiles(prim, cfg.leading_constant, N, x0, r, step) for x0, r in zip(xs, rs)])
+    # field residual: the primitive's image through Cauchy-integral jets on circles inside rect
+    margin = min(rect.b - rect.a, rect.d - rect.c) / 4
+    xs, rs = _full_grid(Rectangle(rect.a + margin, rect.b - margin, rect.c + margin, rect.d - margin), 4, 4)
     xv, rv = np.array(xs), np.array(rs)
-    worst = float(np.max(np.abs(fd - np.stack([A(xv, rv), B(xv, rv)], axis=1))))
+    image = fueter_profile(jets.HolomorphicFn.from_callable(prim, 0.9 * margin), cfg, xv, rv)
+    worst = float(np.max(np.abs(np.stack(image) - np.stack([A(xv, rv), B(xv, rv)]))))
 
     grid = GridSpec(rect, min(nx0, 8), min(nr, 8))
     cr = cr_residual(prim.eval, grid)

@@ -146,8 +146,8 @@ def laplacian_oracle(
     if cfg.N > 2:
         raise ValueError(f"oracle restricted to N <= 2, got N={cfg.N}")
     fd_step = float(fd_step)
-    if fd_step <= 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
+    if not 0 < fd_step < np.inf:
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
     if p.r <= 2 * cfg.N * fd_step:
         raise ValueError("stencil would cross the real axis; shrink fd_step")
 

@@ -444,10 +444,10 @@ class FueterPrimitive:
             v = v * r2 + coeffs[N + j]
         return self._kn * i1 + u, self._kn * (r * i2) + r * v
 
-    def __call__(self, z: complex) -> complex:
-        """u + iv at z = x0 + i r."""
+    def __call__(self, z):
+        """u + iv at z = x0 + i r: a complex for a scalar z, a complex128 array otherwise."""
         u, v = self.eval(z.real, z.imag)
-        return complex(u, v)
+        return complex(u, v) if np.ndim(u) == 0 else u + 1j * v
 
     def to_json(self) -> dict:
         return {

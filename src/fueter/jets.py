@@ -4,7 +4,9 @@ A jet at z stores (h(z), h'(z), ..., h^(d)(z)) exactly, so the radial
 operators downstream never see finite-difference noise.  Jets combine by
 the Leibniz rule; elementary functions get closed-form derivative chains
 (arctan through the jet of 1/(1+z^2), so every consumer shares one branch
-convention).
+convention).  HolomorphicFn.from_callable takes the jets of any
+holomorphic callable, such as a computed primitive, from the FFT of its
+samples on circles around the base points (Cauchy's integral formula).
 
 One jet covers an array of base points z, with coefficients of shape
 (d+1, *z.shape) in np.clongdouble: on x86-64 that carries 11 more bits than
@@ -28,6 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 CUT_TOL = 1e-12
+# Samples per circle of HolomorphicFn.from_callable: order n aliases with order
+# n + CIRCLE_POINTS, and carries rounding of about eps max|h| n! / radius^n.
+CIRCLE_POINTS = 32
 
 
 def _violation(ok, z) -> complex | None:
@@ -273,6 +278,30 @@ class HolomorphicFn:
         """h(z): a complex for a scalar z, a complex128 array otherwise."""
         value = self.jet(z, 0).value
         return complex(value) if np.ndim(value) == 0 else value.astype(np.complex128)
+
+    @classmethod
+    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], radius: float) -> "HolomorphicFn":
+        """Jets of the callable f from its samples on a circle of the given radius around each point z.
+
+        f maps a complex128 array to h there, is called once per jet for all circles, and must be
+        holomorphic on each closed disc.  h^(n)(z) = n! c_n / radius^n, with c the FFT of the
+        CIRCLE_POINTS samples over CIRCLE_POINTS: the trapezoidal rule for Cauchy's integral
+        (Lyness and Moler, 1967).
+        """
+        radius = float(radius)
+        if not 0 < radius < math.inf:
+            raise ValueError(f"circle radius must be finite and positive, got {radius}")
+        circle = radius * np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
+        scale = np.array([math.factorial(n) / radius**n for n in range(CIRCLE_POINTS)])
+
+        def jet_fn(z: np.ndarray, d: int) -> Jet:
+            if d >= CIRCLE_POINTS:
+                raise ValueError(f"a jet from {CIRCLE_POINTS} circle points has order < {CIRCLE_POINTS}, got {d}")
+            samples = np.asarray(f(z.reshape(-1, 1).astype(np.complex128) + circle), dtype=np.complex128)
+            taylor = np.fft.fft(samples, axis=1)[:, : d + 1] / CIRCLE_POINTS
+            return _jet(z, (taylor * scale[: d + 1]).T.astype(np.clongdouble))
+
+        return cls(getattr(f, "__name__", type(f).__name__), jet_fn)
 
     # algebraic combinators keep the tighter of the two domains
     def __add__(self, other: "HolomorphicFn") -> "HolomorphicFn":

@@ -118,6 +118,25 @@ def _log_ratio(x0: float, r: float):
     return np.log((x0 * x0 + (r + 1) ** 2) / (x0 * x0 + (r - 1) ** 2))
 
 
+def _nplus_a(x0, r):
+    return (1 / math.pi) * 2 * x0 / _denom(x0, r)
+
+
+def _nplus_b(x0, r):
+    return (1 / (2 * math.pi * r)) * (2 * (1 + x0 * x0 - r * r) / _denom(x0, r) - _log_ratio(x0, r) / (2 * r))
+
+
+def _nminus_a(x0, r):
+    return (1 / (2 * math.pi)) * (-_log_ratio(x0, r) / (2 * r) + 2 * (x0 * x0 + r * r - 1) / _denom(x0, r))
+
+
+def _nminus_b(x0, r):
+    return (x0 / (2 * math.pi * r)) * (-_log_ratio(x0, r) / (2 * r) + 2 * (1 + x0 * x0 + r * r) / _denom(x0, r))
+
+
+_EXAMPLE2 = {"Nplus_A": _nplus_a, "Nplus_B": _nplus_b, "Nminus_A": _nminus_a, "Nminus_B": _nminus_b}
+
+
 def example2_oracle(field: str, x0: float, r: float):
     """Closed forms for the spherical-mean fields and their primitives.
 
@@ -134,21 +153,9 @@ def example2_oracle(field: str, x0: float, r: float):
         raise ValueError(f"field {field!r} needs r > 0, got r={r}")
     if x0 * x0 + (r - 1) ** 2 < 1e-24:
         raise ValueError("singular at the sphere's trace (x0, r) = (0, 1)")
-    if field == "Nplus_A":
-        return (1 / math.pi) * 2 * x0 / _denom(x0, r)
-    if field == "Nplus_B":
-        return (1 / (2 * math.pi * r)) * (
-            2 * (1 + x0 * x0 - r * r) / _denom(x0, r) - _log_ratio(x0, r) / (2 * r)
-        )
-    if field == "Nminus_A":
-        return (1 / (2 * math.pi)) * (
-            -_log_ratio(x0, r) / (2 * r) + 2 * (x0 * x0 + r * r - 1) / _denom(x0, r)
-        )
-    if field == "Nminus_B":
-        return (x0 / (2 * math.pi * r)) * (
-            -_log_ratio(x0, r) / (2 * r) + 2 * (1 + x0 * x0 + r * r) / _denom(x0, r)
-        )
-    raise ValueError(f"unknown example2 field {field!r}")
+    if field not in _EXAMPLE2:
+        raise ValueError(f"unknown example2 field {field!r}")
+    return _EXAMPLE2[field](x0, r)
 
 
 # -- spherical-mean quadrature -------------------------------------------------
@@ -224,23 +231,9 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
             lambda x0, r: -r / (x0 * x0 + r * r) ** 3,
             m=5, k=0, rect=rect, name="example1",
         )
-    if name == "example2-nplus":
-        rect = rect or Rectangle(0.3, 1.2, 0.3, 0.8)
-        return AxialFunction(
-            lambda x0, r: (1 / math.pi) * 2 * x0 / _denom(x0, r),
-            lambda x0, r: (1 / (2 * math.pi * r))
-            * (2 * (1 + x0 * x0 - r * r) / _denom(x0, r) - _log_ratio(x0, r) / (2 * r)),
-            m=3, k=0, rect=rect, name="example2-nplus",
-        )
-    if name == "example2-nminus":
-        rect = rect or Rectangle(0.3, 1.2, 0.3, 0.8)
-        return AxialFunction(
-            lambda x0, r: (1 / (2 * math.pi))
-            * (-_log_ratio(x0, r) / (2 * r) + 2 * (x0 * x0 + r * r - 1) / _denom(x0, r)),
-            lambda x0, r: (x0 / (2 * math.pi * r))
-            * (-_log_ratio(x0, r) / (2 * r) + 2 * (1 + x0 * x0 + r * r) / _denom(x0, r)),
-            m=3, k=0, rect=rect, name="example2-nminus",
-        )
+    if name in ("example2-nplus", "example2-nminus"):
+        A, B = (_nplus_a, _nplus_b) if name == "example2-nplus" else (_nminus_a, _nminus_b)
+        return AxialFunction(A, B, m=3, k=0, rect=rect or Rectangle(0.3, 1.2, 0.3, 0.8), name=name)
     if name == "cubic":
         rect = rect or Rectangle(0.0, 1.0, 0.5, 1.5)
         return AxialFunction(

@@ -39,12 +39,12 @@ class GridSpec:
     def __post_init__(self):
         if self.nx0 < 1 or self.nr < 1:
             raise ValueError(f"grid needs at least 1x1 points, got {self.nx0}x{self.nr}")
+        if self.fd_step is not None and not 0 < self.fd_step < np.inf:
+            raise ValueError(f"fd_step must be finite and positive, got {self.fd_step}")
 
     @property
     def step(self) -> float:
         if self.fd_step is not None:
-            if self.fd_step <= 0:
-                raise ValueError(f"fd_step must be positive, got {self.fd_step}")
             return float(self.fd_step)
         r = self.rect
         return DEFAULT_REL_STEP * max(r.b - r.a, r.d - r.c)

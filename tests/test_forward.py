@@ -152,6 +152,11 @@ class TestLaplacianOracle:
         with pytest.raises(ValueError, match="N <= 2"):
             laplacian_oracle(jets.recip(), builtin_pk(7, 0), c, Paravector(1.0, np.ones(7)))
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_non_finite_or_nonpositive_step_refused(self, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            laplacian_oracle(jets.recip(), builtin_pk(3, 0), cfg3(), Paravector(1.0, E1), fd_step=step)
+
     def test_axis_crossing_refused(self):
         with pytest.raises(ValueError, match="stencil"):
             laplacian_oracle(jets.recip(), builtin_pk(3, 0), cfg3(), Paravector(1.0, 1e-4 * E1))

@@ -182,6 +182,37 @@ class TestHolomorphicFn:
         assert np.allclose(values, np.arctan(z), rtol=1e-15, atol=0)
 
 
+class TestFromCallable:
+    # each at least 2.5 radii from the singularities 0 and +-i, so the aliased
+    # Taylor terms CIRCLE_POINTS orders up weigh at most 0.4^32 ~ 2e-13
+    POINTS = np.array([0.5 + 0.5j, 1.0 + 0.3j, 0.4 + 1.3j])
+
+    @pytest.mark.parametrize("name", ["recip", "arctan", "log", "z*arctan"])
+    def test_matches_exact_jets(self, name):
+        h = jets.by_name(name)
+        got = jets.HolomorphicFn.from_callable(h, 0.2).jet(self.POINTS, 6).coeffs
+        want = h.jet(self.POINTS, 6).coeffs
+        for n in range(7):
+            assert np.max(np.abs(got[n] - want[n])) <= 1e-10 * np.max(np.abs(want[n])), n
+
+    def test_one_call_per_jet(self):
+        shapes = []
+        f = jets.HolomorphicFn.from_callable(lambda w: shapes.append(w.shape) or w * w, 0.1)
+        assert f.jet(self.POINTS.reshape(3, 1), 2).coeffs.shape == (3, 3, 1)
+        assert shapes == [(3, jets.CIRCLE_POINTS)]
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            jets.HolomorphicFn.from_callable(np.exp, radius)
+
+    def test_order_below_circle_points(self):
+        f = jets.HolomorphicFn.from_callable(np.exp, 0.5)
+        assert f.jet(0.0, jets.CIRCLE_POINTS - 1).order == jets.CIRCLE_POINTS - 1
+        with pytest.raises(ValueError, match="order"):
+            f.jet(0.0, jets.CIRCLE_POINTS)
+
+
 class TestByName:
     @pytest.mark.parametrize(
         "name,val_at,expect",

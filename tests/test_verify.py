@@ -37,6 +37,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="too large"):
             GridSpec(RECT, 4, 4, fd_step=1.0).axes()
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_non_finite_or_nonpositive_step_rejected_at_construction(self, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec(RECT, 4, 4, fd_step=step)
+
     def test_point_counts(self):
         grid = GridSpec(RECT, 3, 4)
         assert len(list(grid.points())) == 12
