@@ -16,7 +16,7 @@ from .inverse import (
     integral_I,
     invert,
 )
-from .jets import HolomorphicFn, Jet, radial_derivatives
+from .jets import HolomorphicFn, radial_derivatives
 from .oracles import (
     SphereQuadrature,
     axial_field,
@@ -50,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Multivector", "Paravector",
     "MonogenicPolynomial", "builtin_pk",
-    "Jet", "HolomorphicFn", "radial_derivatives",
+    "HolomorphicFn", "radial_derivatives",
     "QuadratureConfig", "integrate",
     "coeff_a", "coeff_row", "double_factorial",
     "radial_op", "nested_antiderivative_oracle",

@@ -1,19 +1,19 @@
 """Holomorphic functions carried as truncated derivative jets.
 
-A jet at z stores (h(z), h'(z), ..., h^(d)(z)) exactly, so the radial
-operators downstream never see finite-difference noise.  Jets combine by
-the Leibniz rule; elementary functions get closed-form derivative chains
-(arctan through the jet of 1/(1+z^2), so every consumer shares one branch
-convention).  HolomorphicFn.from_callable takes the jets of any
-holomorphic callable, such as a computed primitive, from the FFT of its
-samples on circles around the base points (Cauchy's integral formula).
+The jet of h to order d at points z is a plain np.clongdouble array of
+shape (d+1, *z.shape) whose row j holds h^(j), so the radial operators
+downstream never see finite-difference noise.  Jets of sums add, jets of
+products follow the Leibniz rule; powers, polynomials and 1/z share one
+table of falling factorials, log goes through 1/z, and arctan through the
+exact three-term recurrence of its derivative 1/(1+z^2).
+HolomorphicFn.from_callable takes the jets of any holomorphic callable,
+such as a computed primitive, from the FFT of its samples on circles around
+the base points (Cauchy's integral formula).
 
-One jet covers an array of base points z, with coefficients of shape
-(d+1, *z.shape) in np.clongdouble: on x86-64 that carries 11 more bits than
-complex128 for the radial expansion downstream, which cancels about
-(2N-1) log10(1/r) digits near the axis.  Every operation is elementwise or
-a matrix product summed in a fixed order, so a point's bits do not depend
-on the batch it is evaluated in.
+On x86-64, np.clongdouble carries 11 more bits than complex128 for the
+radial expansion downstream, which cancels about (2N-1) log10(1/r) digits
+near the axis.  Every operation is elementwise or a matrix product summed in
+a fixed order, so a point's bits do not depend on the batch.
 
 The upper half plane Im z = r > 0 is the working domain.  arctan keeps its
 standard cuts {iy : |y| >= 1} on the imaginary axis and log the cut
@@ -49,98 +49,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class Jet:
-    """Derivatives (h(z), h'(z), ..., h^(d)(z)) of a holomorphic h at the points z.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The jet of the product of the functions with jets a and b, of one shape (d+1, *points).
 
-    z is a clongdouble array of any shape (0-d for one point); coeffs[j]
-    holds h^(j) at every point, so coeffs has shape (d+1, *z.shape).
+    (ab)^(n) = sum_i C(n, i) a^(i) b^(n-i), summed over ascending i by one
+    matrix product per point, so the bits do not depend on the batch.
     """
-
-    __slots__ = ("_z", "_coeffs")
-
-    def __init__(self, z, coeffs):
-        z = np.asarray(z, dtype=np.clongdouble)
-        c = np.asarray(coeffs, dtype=np.clongdouble)
-        if c.ndim == 0 or len(c) == 0 or c.shape[1:] != z.shape:
-            raise ValueError(f"a jet needs coefficients of shape (d+1, *{z.shape}), got {c.shape}")
-        self._z, self._coeffs = z, c
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._coeffs
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def value(self):
-        return self._coeffs[0]
-
-    def _rows(self) -> np.ndarray:
-        """The coefficients as (d+1, points): at least 1-d, so kernels never hit numpy's scalar code."""
-        return self._coeffs.reshape(len(self._coeffs), -1)
-
-    def _match(self, other: "Jet") -> int:
-        if other._z is not self._z and not np.array_equal(other._z, self._z):
-            raise ValueError(f"jets based at different points: {self._z} vs {other._z}")
-        if other.order != self.order:
-            raise ValueError(f"jet order mismatch: {self.order} vs {other.order}")
-        return self.order
-
-    def __add__(self, other: "Jet") -> "Jet":
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._match(other)
-        return _jet(self._z, self._coeffs + other._coeffs)
-
-    def scale(self, c: float) -> "Jet":
-        """Multiply by a real constant (the transform is R-linear)."""
-        return _jet(self._z, float(c) * self._coeffs)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        if not isinstance(other, Jet):
-            return NotImplemented
-        d = self._match(other)
-        # (ab)^(n) = sum_i C(n, i) a^(i) b^(n-i), summed over ascending i
-        prod = np.matmul(_leibniz(other._rows(), d), self._rows().T[:, :, None])
-        return _jet(self._z, prod[:, :, 0].T)
-
-    def __truediv__(self, other: "Jet") -> "Jet":
-        if not isinstance(other, Jet):
-            return NotImplemented
-        d = self._match(other)
-        a, b = self._rows(), other._rows()
-        if np.count_nonzero(b[0]) < b.shape[1]:
-            raise ZeroDivisionError("jet division by a function vanishing at a base point")
-        # forward substitution in the Leibniz rule a^(n) = sum_i C(n, i) q^(i) b^(n-i)
-        lower = _leibniz(b, d)
-        q = np.zeros((a.shape[1], d + 1, 1), dtype=np.clongdouble)
-        for n in range(d + 1):
-            known = np.matmul(lower[:, n : n + 1, :n], q[:, :n])
-            q[:, n, 0] = (a[n] - known[:, 0, 0]) / b[0]
-        return _jet(self._z, q[:, :, 0].T)
-
-    def truncate(self, order: int) -> "Jet":
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
-        return _jet(self._z, self._coeffs[: order + 1])
-
-    def __repr__(self) -> str:
-        return f"Jet(z={self._z}, coeffs={self._coeffs})"
-
-
-def _jet(z: np.ndarray, rows: np.ndarray) -> Jet:
-    """The jet at the clongdouble points z with coefficient rows (d+1, points); no checks."""
-    jet = object.__new__(Jet)
-    jet._z, jet._coeffs = z, rows.reshape(rows.shape[:1] + z.shape)
-    return jet
-
-
-def _leibniz(b: np.ndarray, d: int) -> np.ndarray:
-    """Per point, the lower-triangular matrix L[n, i] = C(n, i) b^(n-i): (points, d+1, d+1)."""
+    d = len(a) - 1
     shift, binom = _leibniz_table(d)
-    return b.T[:, shift] * binom
+    lower = b.reshape(d + 1, -1).T[:, shift] * binom  # L[n, i] = C(n, i) b^(n-i), per point
+    prod = np.matmul(lower, a.reshape(d + 1, -1).T[:, :, None])
+    return prod[:, :, 0].T.reshape(a.shape)
 
 
 @lru_cache(maxsize=None)
@@ -152,13 +71,6 @@ def _leibniz_table(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- elementary jets ---------------------------------------------------------
-
-
-def _check_order(d: int) -> int:
-    d = int(d)
-    if d < 0:
-        raise ValueError(f"jet order must be nonnegative, got {d}")
-    return d
 
 
 @lru_cache(maxsize=256)
@@ -179,31 +91,10 @@ def _laurent_table(lo: int, coeffs: tuple, d: int) -> tuple[np.ndarray, np.ndarr
     return _frozen(mat), _frozen(exps)
 
 
-def _laurent(z, lo: int, coeffs: Sequence[complex], d: int) -> Jet:
-    """The jet of sum_i coeffs[i] z^(lo+i) at the points z."""
-    z = np.asarray(z, dtype=np.clongdouble)
-    mat, exps = _laurent_table(int(lo), tuple(coeffs), _check_order(d))
-    return _jet(z, mat @ np.power(z.reshape(-1), exps))
-
-
-def jet_const(value: complex, z, d: int) -> Jet:
-    return _laurent(z, 0, (complex(value),), d)
-
-
-def jet_identity(z, d: int) -> Jet:
-    return _laurent(z, 0, (0.0, 1.0), d)
-
-
-def jet_power(n: int, z, d: int) -> Jet:
-    """z^n for integer n >= 0, with exact falling-factorial derivatives."""
-    if int(n) < 0:
-        raise ValueError(f"power must be nonnegative (use recip for 1/z), got {n}")
-    return _laurent(z, n, (1.0,), d)
-
-
-def jet_polynomial(real_coeffs: Sequence[float], z, d: int) -> Jet:
-    """sum_n c_n z^n with real coefficients c, ascending order."""
-    return _laurent(z, 0, tuple(float(c) for c in real_coeffs), d)
+def _laurent(z: np.ndarray, lo: int, coeffs: tuple, d: int) -> np.ndarray:
+    """The jet of sum_i coeffs[i] z^(lo+i) at the clongdouble points z."""
+    mat, exps = _laurent_table(lo, coeffs, d)
+    return (mat @ np.power(z.reshape(-1), exps)).reshape((d + 1,) + z.shape)
 
 
 def _off_arctan_cut(z: np.ndarray) -> np.ndarray:
@@ -214,28 +105,35 @@ def _off_log_cut(z: np.ndarray) -> np.ndarray:
     return (np.abs(z.imag) > CUT_TOL) | (z.real > CUT_TOL)
 
 
-def _arctan(z: np.ndarray, d: int) -> Jet:
+def _arctan(z: np.ndarray, d: int) -> np.ndarray:
     """Principal arctan at clongdouble points off its cuts {iy : |y| >= 1}.
 
-    The derivative chain is the jet of 1/(1 + z^2), so higher derivatives
-    are exact rational expressions in z.
+    arctan' = q = 1/b with b = 1 + z^2.  The Leibniz rule for b q = 1, with
+    b''' = 0, gives b q^(n) = -(n b' q^(n-1) + C(n, 2) b'' q^(n-2)) for n >= 1:
+    one step per order, every derivative exact rational arithmetic in z.
     """
     zf = z.reshape(-1)
     rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
     rows[0] = np.arctan(zf)
     if d > 0:
-        rows[1:] = (jet_const(1.0, zf, d - 1) / jet_polynomial((1.0, 0.0, 1.0), zf, d - 1)).coeffs
-    return _jet(z, rows)
+        b = _laurent(zf, 0, (1.0, 0.0, 1.0), 2)
+        rows[1] = np.clongdouble(1) / b[0]
+        for n in range(1, d):
+            known = b[1] * np.clongdouble(n) * rows[n]
+            if n > 1:
+                known = b[2] * np.clongdouble(math.comb(n, 2)) * rows[n - 1] + known
+            rows[n + 1] = (0 - known) / b[0]
+    return rows.reshape((d + 1,) + z.shape)
 
 
-def _log(z: np.ndarray, d: int) -> Jet:
+def _log(z: np.ndarray, d: int) -> np.ndarray:
     """Principal log at clongdouble points off its cut (-inf, 0]."""
     zf = z.reshape(-1)
     rows = np.empty((d + 1, zf.size), dtype=np.clongdouble)
     rows[0] = np.log(zf)
     if d > 0:
-        rows[1:] = _laurent(zf, -1, (1.0,), d - 1).coeffs
-    return _jet(z, rows)
+        rows[1:] = _laurent(zf, -1, (1.0,), d - 1)
+    return rows.reshape((d + 1,) + z.shape)
 
 
 # -- named holomorphic functions ---------------------------------------------
@@ -244,10 +142,11 @@ def _log(z: np.ndarray, d: int) -> Jet:
 class HolomorphicFn:
     """A holomorphic function presented through its jets.
 
-    Wraps a jet builder (z, order) -> Jet and a domain predicate z -> bool
-    array, both called with a clongdouble array of points; evaluation
-    outside the domain raises instead of returning garbage on a branch cut.
-    jet tests the predicate once, so the builder need not test it again.
+    Wraps a jet builder (z, order) -> clongdouble array (order+1, *z.shape)
+    and a domain predicate z -> bool array, both called with a clongdouble
+    array of points; evaluation outside the domain raises instead of
+    returning garbage on a branch cut.  jet tests the predicate once, so the
+    builder need not test it again.
     """
 
     __slots__ = ("name", "_jet_fn", "_domain")
@@ -255,28 +154,31 @@ class HolomorphicFn:
     def __init__(
         self,
         name: str,
-        jet_fn: Callable[[np.ndarray, int], Jet],
+        jet_fn: Callable[[np.ndarray, int], np.ndarray],
         domain: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.name = str(name)
         self._jet_fn = jet_fn
         self._domain = domain
 
-    def jet(self, z, order: int) -> Jet:
-        """The jet of h to the given order at every point of z."""
+    def jet(self, z, order: int) -> np.ndarray:
+        """(h, h', ..., h^(order)) at every point of z: a clongdouble array (order+1, *z.shape)."""
         z = np.asarray(z, dtype=np.clongdouble)
+        order = int(order)
+        if order < 0:
+            raise ValueError(f"jet order must be nonnegative, got {order}")
         if self._domain is not None:
             bad = _violation(self._domain(z), z)
             if bad is not None:
                 raise ValueError(f"{self.name} is not defined at z={bad} (domain violation)")
-        j = self._jet_fn(z, _check_order(order))
-        if j.order != order:
-            raise RuntimeError(f"jet builder for {self.name} returned wrong order")
+        j = self._jet_fn(z, order)
+        if j.shape != (order + 1,) + z.shape:
+            raise RuntimeError(f"jet builder for {self.name} returned shape {j.shape}")
         return j
 
     def __call__(self, z):
         """h(z): a complex for a scalar z, a complex128 array otherwise."""
-        value = self.jet(z, 0).value
+        value = self.jet(z, 0)[0]
         return complex(value) if np.ndim(value) == 0 else value.astype(np.complex128)
 
     @classmethod
@@ -294,12 +196,12 @@ class HolomorphicFn:
         circle = radius * np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
         scale = np.array([math.factorial(n) / radius**n for n in range(CIRCLE_POINTS)])
 
-        def jet_fn(z: np.ndarray, d: int) -> Jet:
+        def jet_fn(z: np.ndarray, d: int) -> np.ndarray:
             if d >= CIRCLE_POINTS:
                 raise ValueError(f"a jet from {CIRCLE_POINTS} circle points has order < {CIRCLE_POINTS}, got {d}")
             samples = np.asarray(f(z.reshape(-1, 1).astype(np.complex128) + circle), dtype=np.complex128)
             taylor = np.fft.fft(samples, axis=1)[:, : d + 1] / CIRCLE_POINTS
-            return _jet(z, (taylor * scale[: d + 1]).T.astype(np.clongdouble))
+            return (taylor * scale[: d + 1]).T.astype(np.clongdouble).reshape((d + 1,) + z.shape)
 
         return cls(getattr(f, "__name__", type(f).__name__), jet_fn)
 
@@ -317,14 +219,14 @@ class HolomorphicFn:
         if isinstance(other, HolomorphicFn):
             return HolomorphicFn(
                 f"({self.name} * {other.name})",
-                lambda z, d: self._jet_fn(z, d) * other._jet_fn(z, d),
+                lambda z, d: _product(self._jet_fn(z, d), other._jet_fn(z, d)),
                 _both(self._domain, other._domain),
             )
         if isinstance(other, (int, float, np.floating, np.integer)):
             c = float(other)
             return HolomorphicFn(
                 f"({c:g} * {self.name})",
-                lambda z, d: self._jet_fn(z, d).scale(c),
+                lambda z, d: c * self._jet_fn(z, d),
                 self._domain,
             )
         return NotImplemented
@@ -343,14 +245,17 @@ def _both(f: Callable | None, g: Callable | None) -> Callable | None:
 
 
 def constant(value: float) -> HolomorphicFn:
-    return HolomorphicFn(f"const:{value:g}", lambda z, d: jet_const(value, z, d))
+    return HolomorphicFn(f"const:{value:g}", lambda z, d: _laurent(z, 0, (complex(value),), d))
 
 def identity() -> HolomorphicFn:
-    return HolomorphicFn("z", jet_identity)
+    return HolomorphicFn("z", lambda z, d: _laurent(z, 0, (0.0, 1.0), d))
 
 def power(n: int) -> HolomorphicFn:
+    """z^n for integer n >= 0, with exact falling-factorial derivatives."""
     n = int(n)
-    return HolomorphicFn(f"z^{n}", lambda z, d: jet_power(n, z, d))
+    if n < 0:
+        raise ValueError(f"power must be nonnegative (use recip for 1/z), got {n}")
+    return HolomorphicFn(f"z^{n}", lambda z, d: _laurent(z, n, (1.0,), d))
 
 def recip() -> HolomorphicFn:
     return HolomorphicFn("recip", lambda z, d: _laurent(z, -1, (1.0,), d), lambda z: z != 0)
@@ -370,7 +275,7 @@ def polynomial(real_coeffs: Sequence[float], name: str | None = None) -> Holomor
     coeffs = tuple(float(c) for c in real_coeffs)
     if name is None:
         name = "poly:" + ",".join(f"{c:g}" for c in coeffs)
-    return HolomorphicFn(name, lambda z, d: jet_polynomial(coeffs, z, d))
+    return HolomorphicFn(name, lambda z, d: _laurent(z, 0, coeffs, d))
 
 
 def by_name(name: str) -> HolomorphicFn:
@@ -393,8 +298,6 @@ def by_name(name: str) -> HolomorphicFn:
             n = int(name[2:])
         except ValueError:
             raise ValueError(f"bad power in function name {name!r}") from None
-        if n < 0:
-            raise ValueError(f"negative power {n}; use recip for 1/z")
         return power(n)
     if name.startswith("const:"):
         return constant(float(name[6:]))
@@ -421,5 +324,5 @@ def radial_derivatives(h: HolomorphicFn, x0, r, d: int) -> tuple[np.ndarray, np.
     z = np.empty(r.shape, dtype=np.clongdouble)
     z.real, z.imag = x0, r
     rotation = np.power(np.clongdouble(1j), np.arange(d + 1)).reshape((d + 1,) + (1,) * r.ndim)
-    rotated = h.jet(z, d).coeffs * rotation
+    rotated = h.jet(z, d) * rotation
     return rotated.real, rotated.imag

@@ -58,6 +58,14 @@ def cauchy_kernel(m: int, p: Paravector) -> Multivector:
 # -- example 1: m = 5, k = 0 --------------------------------------------------
 
 
+def _example1_a(x0, r):
+    return x0 / (x0 * x0 + r * r) ** 3
+
+
+def _example1_b(x0, r):
+    return -r / (x0 * x0 + r * r) ** 3
+
+
 def example1_oracle(
     field: str,
     x0: Optional[float] = None,
@@ -76,10 +84,10 @@ def example1_oracle(
 
     if field == "A":
         need(x0=x0, r=r)
-        return x0 / (x0 * x0 + r * r) ** 3
+        return _example1_a(x0, r)
     if field == "B":
         need(x0=x0, r=r)
-        return -r / (x0 * x0 + r * r) ** 3
+        return _example1_b(x0, r)
     if field == "I1":
         need(x0=x0, r=r, c=c)
         return (r * r - c * c) ** 2 * x0 / (4 * (x0 * x0 + r * r) * (x0 * x0 + c * c) ** 2)
@@ -225,12 +233,7 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
     """
     name = name.strip()
     if name == "example1":
-        rect = rect or Rectangle(0.0, 1.0, 0.5, 1.5)
-        return AxialFunction(
-            lambda x0, r: x0 / (x0 * x0 + r * r) ** 3,
-            lambda x0, r: -r / (x0 * x0 + r * r) ** 3,
-            m=5, k=0, rect=rect, name="example1",
-        )
+        return AxialFunction(_example1_a, _example1_b, m=5, k=0, rect=rect or Rectangle(0.0, 1.0, 0.5, 1.5), name=name)
     if name in ("example2-nplus", "example2-nminus"):
         A, B = (_nplus_a, _nplus_b) if name == "example2-nplus" else (_nminus_a, _nminus_b)
         return AxialFunction(A, B, m=3, k=0, rect=rect or Rectangle(0.3, 1.2, 0.3, 0.8), name=name)

@@ -4,42 +4,58 @@ import cmath
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fueter import jets
-from fueter.jets import CUT_TOL, Jet, jet_power, radial_derivatives
+from fueter.jets import CUT_TOL, radial_derivatives
 
 TOL = 1e-12
 
 
-def jets_close(a: Jet, b: Jet, tol=TOL) -> bool:
-    if a.order != b.order:
+def jets_close(a: np.ndarray, b: np.ndarray, tol=TOL) -> bool:
+    if a.shape != b.shape:
         return False
-    scale = max(max(abs(c) for c in a.coeffs), 1.0)
-    return all(abs(x - y) <= tol * scale for x, y in zip(a.coeffs, b.coeffs))
+    scale = max(np.max(np.abs(a)), 1.0)
+    return bool(np.all(np.abs(a - b) <= tol * scale))
 
 
 class TestElementaryJets:
     def test_recip_at_one(self):
         j = jets.recip().jet(1.0, 3)
-        assert np.array_equal(j.coeffs, (1.0, -1.0, 2.0, -6.0))
+        assert np.array_equal(j, (1.0, -1.0, 2.0, -6.0))
 
     def test_arctan_at_zero(self):
         j = jets.arctan().jet(0.0, 3)
-        assert np.allclose(j.coeffs, (0.0, 1.0, 0.0, -2.0))
+        assert np.allclose(j, (0.0, 1.0, 0.0, -2.0))
 
     def test_z_arctan_at_zero(self):
         j = jets.z_arctan().jet(0.0, 3)
-        assert np.allclose(j.coeffs, (0.0, 0.0, 2.0, 0.0))
+        assert np.allclose(j, (0.0, 0.0, 2.0, 0.0))
 
     def test_log_at_one(self):
         j = jets.log().jet(1.0, 4)
-        assert np.allclose(j.coeffs, (0.0, 1.0, -1.0, 2.0, -6.0))
+        assert np.allclose(j, (0.0, 1.0, -1.0, 2.0, -6.0))
 
     def test_power_jet(self):
-        j = jet_power(3, 2.0, 4)
-        assert np.array_equal(j.coeffs, (8.0, 12.0, 12.0, 6.0, 0.0))
+        j = jets.power(3).jet(2.0, 4)
+        assert np.array_equal(j, (8.0, 12.0, 12.0, 6.0, 0.0))
+
+    def test_arctan_matches_sympy(self):
+        # sympy's exact derivatives of atan at the exact binary values of the points,
+        # among them one within 0.01 of the branch point i and one at |z| = 1e3
+        order = 20
+        x = sympy.Symbol("x")
+        derivatives = [sympy.atan(x)]
+        for _ in range(order):
+            derivatives.append(sympy.diff(derivatives[-1], x))
+        for z in (0.7 + 0.01j, 0.005 + 0.995j, 600 + 800j, 0.3 + 0.4j, -1.5 + 2.0j):
+            got = jets.arctan().jet(z, order).astype(np.complex128)
+            exact_z = sympy.Rational(z.real) + sympy.I * sympy.Rational(z.imag)
+            for n, derivative in enumerate(derivatives):
+                exact = complex(sympy.N(derivative.subs(x, exact_z), 30))
+                assert abs(got[n] - exact) <= 1e-14 * abs(exact), (z, n)
 
     def test_recip_rejects_origin(self):
         with pytest.raises(ValueError, match=r"recip is not defined at z=0j"):
@@ -55,7 +71,7 @@ class TestBranchCuts:
 
     def test_arctan_off_cut_accepted(self):
         j = jets.arctan().jet(complex(0.1, 1.5), 2)
-        assert cmath.isclose(j.value, cmath.atan(complex(0.1, 1.5)))
+        assert cmath.isclose(j[0], cmath.atan(complex(0.1, 1.5)))
 
     def test_log_cut_rejected(self):
         with pytest.raises(ValueError, match=r"log is not defined at z=\(-1\+0j\)"):
@@ -90,38 +106,19 @@ class TestBranchCuts:
         j = h.jet(z, 3)
         assert calls == [(2,)]
         if ref is not None:
-            assert np.array_equal(j.coeffs, ref.coeffs)
+            assert np.array_equal(j, ref)
 
     def test_log_off_axis_accepted(self):
         j = jets.log().jet(complex(-2.0, 0.1), 1)
-        assert cmath.isclose(j.coeffs[1], 1.0 / complex(-2.0, 0.1))
+        assert cmath.isclose(j[1], 1.0 / complex(-2.0, 0.1))
 
 
 class TestJetAlgebra:
     def test_product_rule(self):
         # (z^2 * z^3) jet must equal the z^5 jet
         z = 1.3
-        prod = jet_power(2, z, 4) * jet_power(3, z, 4)
-        assert jets_close(prod, jet_power(5, z, 4))
-
-    def test_division_inverts_product(self):
-        z = complex(0.7, 0.2)
-        a = jet_power(4, z, 5)
-        b = jet_power(1, z, 5)
-        assert jets_close(a / b, jet_power(3, z, 5), tol=1e-10)
-
-    def test_reciprocal_via_division(self):
-        z = 2.0
-        one = jets.jet_const(1.0, z, 4)
-        assert jets_close(one / jets.jet_identity(z, 4), jets.recip().jet(z, 4))
-
-    def test_truncate_is_prefix(self):
-        j = jets.arctan().jet(0.3, 6)
-        assert np.array_equal(j.truncate(2).coeffs, j.coeffs[:3])
-
-    def test_mismatched_points_rejected(self):
-        with pytest.raises(ValueError):
-            jet_power(1, 0.0, 2) * jet_power(1, 1.0, 2)
+        prod = (jets.power(2) * jets.power(3)).jet(z, 4)
+        assert jets_close(prod, jets.power(5).jet(z, 4))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -131,20 +128,30 @@ class TestJetAlgebra:
     )
     def test_polynomial_product_matches_convolution(self, p, q, x):
         d = 6
-        lhs = jets.jet_polynomial(p, x, d) * jets.jet_polynomial(q, x, d)
+        lhs = (jets.polynomial(p) * jets.polynomial(q)).jet(x, d)
         conv = [0.0] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
             for j, b in enumerate(q):
                 conv[i + j] += a * b
-        rhs = jets.jet_polynomial(conv, x, d)
+        rhs = jets.polynomial(conv).jet(x, d)
         assert jets_close(lhs, rhs, tol=1e-9)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(min_value=0.2, max_value=3.0), st.integers(min_value=0, max_value=6))
-    def test_division_round_trip(self, x, d):
-        num = jets.arctan().jet(x, d)
-        den = jets.recip().jet(x, d)
-        assert jets_close((num / den) * den, num, tol=1e-9)
+    @given(
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_arctan_derivative_times_one_plus_z_squared(self, x, r, d):
+        # (1 + z^2) arctan'(z) = 1: every order of the product but the zeroth vanishes
+        b = jets.polynomial([1.0, 0.0, 1.0]).jet(complex(x, r), d)
+        q = jets.arctan().jet(complex(x, r), d + 1)[1:]
+        got = jets._product(b, q)
+        # bound each order by the rounding of its Leibniz terms sum_i C(n, i) |b^(n-i)| |q^(i)|
+        size = np.abs(jets._product(np.abs(b), np.abs(q)))
+        want = np.zeros(d + 1)
+        want[0] = 1.0
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(np.longdouble).eps * size)
 
 
 class TestHolomorphicFn:
@@ -158,7 +165,7 @@ class TestHolomorphicFn:
         z = complex(0.4, 0.7)
         assert cmath.isclose(f(z), z * z + 1.0)
         j = f.jet(z, 3)
-        assert jets_close(j, jets.jet_polynomial([1.0, 0.0, 1.0], z, 3))
+        assert jets_close(j, jets.polynomial([1.0, 0.0, 1.0]).jet(z, 3))
 
     def test_domain_propagates_through_combinators(self):
         f = jets.recip() * jets.arctan()
@@ -166,17 +173,17 @@ class TestHolomorphicFn:
             f.jet(0.0, 1)
         with pytest.raises(ValueError, match=r"not defined at z=1\.5j"):
             f.jet(1.5j, 1)
-        assert f.jet(1.0, 1).order == 1
+        assert f.jet(1.0, 1).shape == (2,)
         with pytest.raises(ValueError, match=r"not defined at z=1\.5j"):
             f.jet(np.array([1.0, 1.5j, 0.0]), 1)
-        assert jets.power(2).jet(np.zeros((2, 3)), 1).coeffs.shape == (2, 2, 3)
+        assert jets.power(2).jet(np.zeros((2, 3)), 1).shape == (2, 2, 3)
 
     def test_array_points(self):
         z = np.array([[0.5 + 0.5j, 1.0 + 0.2j, 2.0 + 1.0j]])
         j = jets.z_arctan().jet(z, 3)
-        assert j.coeffs.shape == (4, 1, 3) and j.coeffs.dtype == np.clongdouble
+        assert j.shape == (4, 1, 3) and j.dtype == np.clongdouble
         for i, zi in enumerate(z[0]):
-            assert np.array_equal(j.coeffs[:, 0, i], jets.z_arctan().jet(zi, 3).coeffs)
+            assert np.array_equal(j[:, 0, i], jets.z_arctan().jet(zi, 3))
         values = jets.arctan()(z)
         assert values.dtype == np.complex128
         assert np.allclose(values, np.arctan(z), rtol=1e-15, atol=0)
@@ -190,15 +197,15 @@ class TestFromCallable:
     @pytest.mark.parametrize("name", ["recip", "arctan", "log", "z*arctan"])
     def test_matches_exact_jets(self, name):
         h = jets.by_name(name)
-        got = jets.HolomorphicFn.from_callable(h, 0.2).jet(self.POINTS, 6).coeffs
-        want = h.jet(self.POINTS, 6).coeffs
+        got = jets.HolomorphicFn.from_callable(h, 0.2).jet(self.POINTS, 6)
+        want = h.jet(self.POINTS, 6)
         for n in range(7):
             assert np.max(np.abs(got[n] - want[n])) <= 1e-10 * np.max(np.abs(want[n])), n
 
     def test_one_call_per_jet(self):
         shapes = []
         f = jets.HolomorphicFn.from_callable(lambda w: shapes.append(w.shape) or w * w, 0.1)
-        assert f.jet(self.POINTS.reshape(3, 1), 2).coeffs.shape == (3, 3, 1)
+        assert f.jet(self.POINTS.reshape(3, 1), 2).shape == (3, 3, 1)
         assert shapes == [(3, jets.CIRCLE_POINTS)]
 
     @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
@@ -208,7 +215,7 @@ class TestFromCallable:
 
     def test_order_below_circle_points(self):
         f = jets.HolomorphicFn.from_callable(np.exp, 0.5)
-        assert f.jet(0.0, jets.CIRCLE_POINTS - 1).order == jets.CIRCLE_POINTS - 1
+        assert f.jet(0.0, jets.CIRCLE_POINTS - 1).shape == (jets.CIRCLE_POINTS,)
         with pytest.raises(ValueError, match="order"):
             f.jet(0.0, jets.CIRCLE_POINTS)
 
