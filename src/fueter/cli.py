@@ -184,10 +184,10 @@ def _cmd_forward(args) -> int:
         raise ValueError("forward needs --h <function name>")
     h = jets.by_name(str(h_name))
     cfg = FueterConfig(m, k)
-    P = opts.pk(m, k)
+    profiles = bool(opts.get("profiles", False))
+    P = None if profiles else opts.pk(m, k)  # the scalar profiles never use P_k
     rect = opts.rect()
     nx0, nr = opts.grid()
-    profiles = bool(opts.get("profiles", False))
     direction = np.zeros(m)
     direction[0] = 1.0
 

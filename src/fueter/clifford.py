@@ -21,7 +21,6 @@ the blade labels single-digit and therefore unambiguous as strings).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -76,10 +75,6 @@ class Multivector:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int) -> "Multivector":
-        return cls(m, np.zeros(1 << _check_m(m)))
-
-    @classmethod
     def scalar(cls, m: int, value: float) -> "Multivector":
         c = np.zeros(1 << _check_m(m))
         c[0] = value
@@ -93,21 +88,6 @@ class Multivector:
             raise ValueError(f"generator index must be in 1..{m}, got {j}")
         c = np.zeros(1 << m)
         c[1 << (j - 1)] = 1.0
-        return cls(m, c)
-
-    @classmethod
-    def blade(cls, m: int, indices: Iterable[int], value: float = 1.0) -> "Multivector":
-        """value * e_A for the ascending index set A (e.g. (1, 3) -> e_1 e_3)."""
-        m = _check_m(m)
-        bits = 0
-        for j in indices:
-            if not 1 <= j <= m:
-                raise ValueError(f"blade index must be in 1..{m}, got {j}")
-            if bits & (1 << (j - 1)):
-                raise ValueError(f"repeated blade index {j}")
-            bits |= 1 << (j - 1)
-        c = np.zeros(1 << m)
-        c[bits] = value
         return cls(m, c)
 
     @classmethod
@@ -132,21 +112,12 @@ class Multivector:
         """Read-only coefficient array, blade-indexed."""
         return self._c
 
-    @property
-    def scalar_part(self) -> float:
-        return float(self._c[0])
-
-    def grade_part(self, g: int) -> "Multivector":
-        _, _, _, grades = _tables(self._m)
-        out = np.where(grades == g, self._c, 0.0)
-        return Multivector(self._m, out)
-
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
         return float(np.sqrt(np.dot(self._c, self._c)))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self._c), initial=0.0) <= tol)
+    def is_zero(self) -> bool:
+        return not np.any(self._c)
 
     # -- algebra -----------------------------------------------------------
 
@@ -204,9 +175,6 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         return self._m == other._m and bool(np.array_equal(self._c, other._c))
-
-    def __hash__(self) -> int:
-        return hash((self._m, self._c.tobytes()))
 
     # -- rendering ---------------------------------------------------------
 
@@ -295,9 +263,6 @@ class Paravector:
         if r == 0.0:
             raise ValueError("omega is undefined at r = 0 (point on the real axis)")
         return self._vec / r
-
-    def norm(self) -> float:
-        return float(math.hypot(self._x0, self.r))
 
     def embed(self) -> Multivector:
         """x0 + x_ as a multivector (grade 0 plus grade 1)."""

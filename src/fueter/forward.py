@@ -116,18 +116,6 @@ def fueter_map(
     return axial_image(P, p, a, b)
 
 
-def as_field(
-    h: HolomorphicFn, P: MonogenicPolynomial, cfg: FueterConfig
-) -> Callable[[np.ndarray], Multivector]:
-    """The image as a map y in R^(m+1) -> Multivector, for residual checks."""
-
-    def field(y: np.ndarray) -> Multivector:
-        y = np.asarray(y, dtype=np.float64)
-        return fueter_map(h, P, cfg, Paravector(y[0], y[1:]))
-
-    return field
-
-
 def laplacian_oracle(
     h: HolomorphicFn,
     P: MonogenicPolynomial,

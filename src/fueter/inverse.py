@@ -84,9 +84,9 @@ class Rectangle:
         if not 0 < self.c < self.d:
             raise ValueError(f"need 0 < c < d, got c={self.c}, d={self.d}")
 
-    def contains(self, x0: float, r: float, tol: float = EDGE_TOL) -> bool:
+    def contains(self, x0: float, r: float) -> bool:
         return (
-            self.a - tol <= x0 <= self.b + tol and self.c - tol <= r <= self.d + tol
+            self.a - EDGE_TOL <= x0 <= self.b + EDGE_TOL and self.c - EDGE_TOL <= r <= self.d + EDGE_TOL
         )
 
     def require(self, x0: float, r: float) -> None:
@@ -178,11 +178,12 @@ class AxialFunction:
 
         Expects the grid schema {"meta": {m, k, rect, nx0, nr},
         "points": [{x0, r, value: [A, B]}, ...]} of finite values on a full
-        grid, at least 2 x 2, of any spacing.  A and B are tensor products
-        of Floater-Hormann barycentric rational interpolants of blending
-        degree BLEND_DEGREE (clipped to the grid size) in x0 and in r: smooth,
-        free of real poles, exact for polynomials of that degree in each
-        variable, and equal to the tabulated values at the grid's nodes.
+        grid, at least 2 x 2, of any spacing, whose points span rect.  A and
+        B are tensor products of Floater-Hormann barycentric rational
+        interpolants of blending degree BLEND_DEGREE (clipped to the grid
+        size) in x0 and in r: smooth, free of real poles, exact for
+        polynomials of that degree in each variable, and equal to the
+        tabulated values at the grid's nodes.
         """
         if isinstance(data, str):
             data = json.loads(data)
@@ -207,6 +208,12 @@ class AxialFunction:
         vals[:, np.searchsorted(xs, table[:, 0]), np.searchsorted(rs, table[:, 1])] = table[:, 2:].T
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid has missing or non-finite points")
+        if not (xs[0] - EDGE_TOL <= rect.a and rect.b <= xs[-1] + EDGE_TOL
+                and rs[0] - EDGE_TOL <= rect.c and rect.d <= rs[-1] + EDGE_TOL):
+            raise ValueError(
+                f"meta.rect [{rect.a:g}, {rect.b:g}] x [{rect.c:g}, {rect.d:g}] reaches past the tabulated "
+                f"[{xs[0]:g}, {xs[-1]:g}] x [{rs[0]:g}, {rs[-1]:g}]"
+            )
         wx, wr = _fh_weights(xs, BLEND_DEGREE), _fh_weights(rs, BLEND_DEGREE)
 
         def component(v: np.ndarray):

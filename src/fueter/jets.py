@@ -2,10 +2,10 @@
 
 The jet of h to order d at points z is a plain np.clongdouble array of
 shape (d+1, *z.shape) whose row j holds h^(j), so the radial operators
-downstream never see finite-difference noise.  Jets of sums add, jets of
-products follow the Leibniz rule; powers, polynomials and 1/z share one
-table of falling factorials, log goes through 1/z, and arctan through the
-exact three-term recurrence of its derivative 1/(1+z^2).
+downstream never see finite-difference noise.  Jets of products follow
+the Leibniz rule; powers, polynomials and 1/z share one table of falling
+factorials, log goes through 1/z, and arctan through the exact three-term
+recurrence of its derivative 1/(1+z^2).
 HolomorphicFn.from_callable takes the jets of any holomorphic callable,
 such as a computed primitive, from the FFT of its samples on circles around
 the base points (Cauchy's integral formula).
@@ -205,16 +205,7 @@ class HolomorphicFn:
 
         return cls(getattr(f, "__name__", type(f).__name__), jet_fn)
 
-    # algebraic combinators keep the tighter of the two domains
-    def __add__(self, other: "HolomorphicFn") -> "HolomorphicFn":
-        if not isinstance(other, HolomorphicFn):
-            return NotImplemented
-        return HolomorphicFn(
-            f"({self.name} + {other.name})",
-            lambda z, d: self._jet_fn(z, d) + other._jet_fn(z, d),
-            _both(self._domain, other._domain),
-        )
-
+    # a product keeps the tighter of the two domains
     def __mul__(self, other):
         if isinstance(other, HolomorphicFn):
             return HolomorphicFn(
@@ -271,10 +262,9 @@ def z_arctan() -> HolomorphicFn:
     f.name = "z*arctan"
     return f
 
-def polynomial(real_coeffs: Sequence[float], name: str | None = None) -> HolomorphicFn:
+def polynomial(real_coeffs: Sequence[float]) -> HolomorphicFn:
     coeffs = tuple(float(c) for c in real_coeffs)
-    if name is None:
-        name = "poly:" + ",".join(f"{c:g}" for c in coeffs)
+    name = "poly:" + ",".join(f"{c:g}" for c in coeffs)
     return HolomorphicFn(name, lambda z, d: _laurent(z, 0, coeffs, d))
 
 

@@ -9,7 +9,6 @@ when there is one.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -58,13 +57,6 @@ class MonogenicPolynomial:
     def k(self) -> int:
         return self._k
 
-    @property
-    def terms(self) -> dict[tuple[int, ...], Multivector]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __call__(self, x: Sequence[float] | np.ndarray) -> Multivector:
         """Evaluate at a point of R^m."""
         v = np.asarray(x, dtype=np.float64)
@@ -100,55 +92,13 @@ class MonogenicPolynomial:
                 acc[key] = acc[key] + contrib if key in acc else contrib
         return MonogenicPolynomial(self._m, out_deg, acc)
 
-    def validate(self, tol: float = 0.0) -> "MonogenicPolynomial":
+    def validate(self) -> "MonogenicPolynomial":
         """Return self, or raise if the Dirac image is not zero."""
         image = self.dirac()
         worst = max((c.norm() for c in image._terms.values()), default=0.0)
-        if worst > tol:
+        if worst > 0.0:
             raise ValueError(f"polynomial is not monogenic: Dirac image has norm {worst:g}")
         return self
-
-    # linear structure, used by the transform's linearity checks
-    def __add__(self, other: "MonogenicPolynomial") -> "MonogenicPolynomial":
-        if not isinstance(other, MonogenicPolynomial):
-            return NotImplemented
-        if other._m != self._m or other._k != self._k:
-            raise ValueError("can only add polynomials of the same m and degree")
-        acc = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            acc[exp] = acc[exp] + coeff if exp in acc else coeff
-        return MonogenicPolynomial(self._m, self._k, acc)
-
-    def __mul__(self, scale) -> "MonogenicPolynomial":
-        if not isinstance(scale, (int, float, np.floating, np.integer)):
-            return NotImplemented
-        acc = {exp: coeff * float(scale) for exp, coeff in self._terms.items()}
-        return MonogenicPolynomial(self._m, self._k, acc)
-
-    __rmul__ = __mul__
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "m": self._m,
-            "k": self._k,
-            "terms": [
-                {"exponents": list(exp), "coeff": coeff.to_pairs()}
-                for exp, coeff in sorted(self._terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict | str) -> "MonogenicPolynomial":
-        if isinstance(data, str):
-            data = json.loads(data)
-        m = data["m"]
-        terms = {
-            tuple(t["exponents"]): Multivector.from_pairs(m, t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(m, data["k"], terms)
 
     def __repr__(self) -> str:
         return f"MonogenicPolynomial(m={self._m}, k={self._k}, {len(self._terms)} terms)"

@@ -70,16 +70,11 @@ def coeff_row(n: int) -> tuple[int, ...]:
     return tuple(coeff_a(j, n) for j in range(1, int(n) + 1))
 
 
-def bessel_row(n: int) -> tuple[int, ...]:
-    """(a_{j+1,n+1})_{j=0..n}: the coefficients (2n-j)!/(2^(n-j)(n-j)!j!)."""
-    return tuple(coeff_a(j + 1, int(n) + 1) for j in range(int(n) + 1))
-
-
 @lru_cache(maxsize=None)
 def _op_terms(n: int, variant: str) -> tuple[int, np.ndarray, np.ndarray]:
     """The expansion's lowest derivative order, and as read-only columns the
     signed coefficients (-1)^(n+j) a and the powers j - 2n of x of its terms."""
-    first, row = (1, coeff_row(n)) if variant == "minus" else (0, bessel_row(n))
+    first, row = (1, coeff_row(n)) if variant == "minus" else (0, coeff_row(n + 1))
     coeffs = np.array([(-1) ** (n + j) * a for j, a in enumerate(row, first)], dtype=np.longdouble)
     coeffs, powers = coeffs.reshape(-1, 1), np.arange(first - 2 * n, 1 - n).reshape(-1, 1)
     coeffs.setflags(write=False)

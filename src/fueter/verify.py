@@ -130,33 +130,17 @@ def _gradients(fg: Callable, grid: GridSpec):
     return x0, r, diff(fe, fw), diff(fn, fs), diff(ge, gw), diff(gn, gs)
 
 
-def _default_direction(m: int) -> np.ndarray:
-    # oblique on purpose: axis-aligned directions would zero out some stencil terms
-    d = np.ones(m) / np.sqrt(m)
-    return d
-
-
 def monogenicity_residual(
-    F: Callable[[np.ndarray], Multivector],
-    m: int,
-    grid: GridSpec,
-    direction: Sequence[float] | None = None,
+    F: Callable[[np.ndarray], Multivector], m: int, grid: GridSpec
 ) -> ResidualReport:
     """FD residual of the generalized Cauchy-Riemann operator d/dx0 + sum_j e_j d/dx_j.
 
     F maps a point of R^(m+1) to a Multivector; grid points (x0, r) embed
-    as x0 + r * direction (unit vector, default oblique).
+    as x0 + r * (1, ..., 1)/sqrt(m), oblique on purpose: an axis-aligned
+    direction would zero out some stencil terms.
     """
     h = grid.step
-    if direction is None:
-        direction = _default_direction(m)
-    dirv = np.asarray(direction, dtype=np.float64)
-    if dirv.shape != (m,):
-        raise ValueError(f"direction must have {m} entries")
-    nrm = np.linalg.norm(dirv)
-    if nrm == 0:
-        raise ValueError("direction must be nonzero")
-    dirv = dirv / nrm
+    dirv = np.ones(m) / np.sqrt(m)
     basis = [Multivector.basis_vector(m, j + 1) for j in range(m)]
     vals = []
     for x0, r in grid.points():
@@ -173,14 +157,10 @@ def monogenicity_residual(
 
 
 def kernel_check(
-    n: int,
-    k: int,
-    m: int,
-    grid: GridSpec,
-    P: MonogenicPolynomial | None = None,
-    direction: Sequence[float] | None = None,
+    n: int, k: int, m: int, grid: GridSpec, P: MonogenicPolynomial | None = None
 ) -> tuple[float, bool]:
-    """Largest |Ft[z^n, P_k]| over the grid, and whether zero is expected.
+    """Largest |Ft[z^n, P_k]| over the grid points (x0, r), placed at x0 + r e_1,
+    and whether zero is expected.
 
     z^n is annihilated exactly when n <= 2k + m - 2.
     """
@@ -189,11 +169,8 @@ def kernel_check(
     cfg = FueterConfig(m, k)
     if P is None:
         P = builtin_pk(m, k)
-    if direction is None:
-        direction = np.zeros(m)
-        direction[0] = 1.0
-    dirv = np.asarray(direction, dtype=np.float64)
-    dirv = dirv / np.linalg.norm(dirv)
+    dirv = np.zeros(m)
+    dirv[0] = 1.0
     h = power(n)
     worst = 0.0
     for x0, r in grid.points():

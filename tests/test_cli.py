@@ -12,9 +12,10 @@ from fueter import cli, jets
 from fueter.cli import main
 from fueter.clifford import Multivector, Paravector
 from fueter.forward import FueterConfig, fueter_fields, fueter_map, fueter_profile
-from fueter.inverse import invert
+from fueter.inverse import Rectangle, invert
 from fueter.oracles import axial_field
 from fueter.polynomials import builtin_pk
+from fueter.verify import GridSpec, kernel_check
 
 
 def run(capsys, *argv):
@@ -111,6 +112,34 @@ class TestForward:
         code = main(["forward", "--h", "recip", "--rect", "0,1,0.5,inf", "--grid", "2,2"])
         assert code == 2
         assert "rectangle edge d must be finite, got inf" in capsys.readouterr().err
+
+    def test_profiles_need_no_inner_monogenic(self, capsys):
+        # the built-in P_k stop at k = 1, but --profiles never evaluates P_k
+        code, out = run(capsys, "forward", "--h", "log", "--m", "5", "--k", "2", "--profiles", "--grid", "3,3")
+        assert code == 0
+        points = json.loads(out)["points"]
+        x0, r = (np.array([pt[key] for pt in points]) for key in ("x0", "r"))
+        A, B = fueter_profile(jets.log(), FueterConfig(5, 2), x0, r)
+        assert [pt["value"] for pt in points] == np.stack([A, B], axis=1).tolist()
+        code, _ = run(capsys, "forward", "--h", "log", "--m", "5", "--k", "2", "--grid", "3,3")
+        assert code == 2
+
+    def test_pk_selects_the_inner_monogenic(self, capsys):
+        code, out = run(capsys, "forward", "--h", "arctan", "--m", "5", "--k", "1", "--pk", "1,3,-",
+                        "--rect", "0.3,1.0,0.4,1.2", "--grid", "2,3")
+        assert code == 0
+        P, cfg, e1 = builtin_pk(5, 1, 1, 3, -1), FueterConfig(5, 1), np.eye(5)[0]
+        points = json.loads(out)["points"]
+        assert len(points) == 6
+        for pt in points:
+            want = fueter_map(jets.arctan(), P, cfg, Paravector(pt["x0"], pt["r"] * e1))
+            assert Multivector.from_pairs(5, pt["value"]) == want
+
+    @pytest.mark.parametrize("argv", [["forward", "--h", "arctan"], ["kernel"]])
+    def test_malformed_pk_is_config_error(self, capsys, argv):
+        code = main(argv + ["--m", "5", "--k", "1", "--pk", "1,3"])
+        assert code == 2
+        assert "--pk needs i,j,+ or i,j,-, got '1,3'" in capsys.readouterr().err
 
     def test_kernel_member_gives_zero_grid(self, capsys):
         code, out = run(capsys, "forward", "--h", "z^1", "--m", "3", "--k", "0", "--grid", "3,3")
@@ -273,6 +302,18 @@ class TestPipeline:
             got = complex(*pt["value"])
             assert got == pytest.approx(z**3 + 0.25 * z, abs=1e-7)
 
+    def test_rect_past_the_tabulated_points_is_config_error(self, capsys, tmp_path):
+        field_file = tmp_path / "field.json"
+        code, _ = run(capsys, "forward", "--h", "z^3", "--m", "3", "--profiles",
+                      "--rect", "0.2,1.0,0.5,1.5", "--grid", "6,6", "--out", str(field_file))
+        assert code == 0
+        blob = json.loads(field_file.read_text())
+        blob["meta"]["rect"] = [0.0, 1.0, 0.5, 1.5]
+        field_file.write_text(json.dumps(blob))
+        code = main(["invert", "--field-json", str(field_file), "--grid", "2,2"])
+        assert code == 2
+        assert "reaches past the tabulated [0.2, 1] x [0.5, 1.5]" in capsys.readouterr().err
+
     def test_readme_pipeline_recovers_arctan(self, capsys, tmp_path):
         # 40 x 40 profiles of Ft[arctan]; the interpolated field's primitive
         # is arctan up to a real linear gauge, within the interpolation error
@@ -385,6 +426,19 @@ class TestKernel:
         # first survivor at the reference point (1, e1) is the scalar -4
         ref = dict(data["results"][2]["value_at_ref"])
         assert ref[""] == pytest.approx(-4.0, abs=1e-12)
+
+
+    def test_pk_selects_the_inner_monogenic(self, capsys):
+        code, out = run(capsys, "kernel", "--m", "5", "--k", "1", "--pk", "1,3,-", "--grid", "2,2")
+        assert code == 0
+        P, cfg = builtin_pk(5, 1, 1, 3, -1), FueterConfig(5, 1)
+        grid = GridSpec(Rectangle(0.3, 1.3, 0.4, 1.4), 2, 2)
+        results = json.loads(out)["results"]
+        assert [row["n"] for row in results] == list(range(cfg.kernel_degree + 2))
+        for row in results:
+            ref = fueter_map(jets.power(row["n"]), P, cfg, Paravector(1.0, np.eye(5)[0]))
+            assert Multivector.from_pairs(5, row["value_at_ref"]) == ref
+            assert (row["max_norm"], row["expected_zero"]) == kernel_check(row["n"], 1, 5, grid, P=P)
 
 
 class TestSuites:

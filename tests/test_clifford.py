@@ -43,7 +43,7 @@ class TestProducts:
         e1 = Multivector.basis_vector(3, 1)
         e2 = Multivector.basis_vector(3, 2)
         assert e1 * e2 == -(e2 * e1)
-        assert e1 * e2 == Multivector.blade(3, (1, 2))
+        assert e1 * e2 == Multivector.from_pairs(3, [("12", 1.0)])
 
     def test_difference_of_squares(self):
         one = Multivector.scalar(2, 1.0)
@@ -53,7 +53,7 @@ class TestProducts:
     def test_triple_blade_reordering(self):
         # e2 e1 e3 = -e1 e2 e3
         e1, e2, e3 = (Multivector.basis_vector(3, j) for j in (1, 2, 3))
-        assert e2 * e1 * e3 == -Multivector.blade(3, (1, 2, 3))
+        assert e2 * e1 * e3 == -Multivector.from_pairs(3, [("123", 1.0)])
 
     def test_scalar_multiplication(self):
         a = mv(2, s=1.0, e1=-2.0, e12=0.5)
@@ -117,11 +117,11 @@ class TestProductTables:
                 got = (Multivector(m, x) * Multivector(m, y)).coeffs
                 assert got.tobytes() == bincount_product(x, y, m).tobytes(), (m, density)
         y = rng.standard_normal(dim)
-        got = (Multivector.zero(m) * Multivector(m, y)).coeffs
+        got = (Multivector.scalar(m, 0.0) * Multivector(m, y)).coeffs
         assert got.tobytes() == bincount_product(np.zeros(dim), y, m).tobytes()
         assert got.tobytes() == np.zeros(dim).tobytes()
         # every term -0.0: the sum is +0.0, as bincount's is
-        got = (Multivector.scalar(m, -1.0) * Multivector.zero(m)).coeffs
+        got = (Multivector.scalar(m, -1.0) * Multivector.scalar(m, 0.0)).coeffs
         assert got.tobytes() == bincount_product(-np.eye(dim)[0], np.zeros(dim), m).tobytes()
 
     @pytest.mark.parametrize("m", (1, 4, MAX_DIM))
@@ -139,14 +139,14 @@ class TestConjugation:
         assert e1.conjugate() == -e1
 
     def test_bivector_negated(self):
-        b = Multivector.blade(3, (1, 2))
+        b = Multivector.from_pairs(3, [("12", 1.0)])
         assert b.conjugate() == -b
 
     def test_grade_signs(self):
         # grade g picks up (-1)^(g(g+1)/2): +, -, -, +, +, ...
         signs = [1, -1, -1, 1, 1]
         for g, sign in enumerate(signs):
-            blade = Multivector.blade(5, range(1, g + 1))
+            blade = Multivector.from_pairs(5, [("12345"[:g], 1.0)])
             assert blade.conjugate() == float(sign) * blade
 
 
@@ -156,7 +156,6 @@ class TestParavector:
         x = p.embed()
         prod = x * x.conjugate()
         assert prod == Multivector.scalar(3, 9.0)
-        assert p.norm() == pytest.approx(3.0)
 
     def test_omega_is_unit(self):
         p = Paravector(0.5, [3.0, 4.0])
@@ -183,7 +182,7 @@ class TestSerialization:
 
     def test_max_dim_enforced(self):
         with pytest.raises(ValueError):
-            Multivector.zero(MAX_DIM + 1)
+            Multivector.scalar(MAX_DIM + 1, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,15 +211,6 @@ def test_conjugation_antiautomorphism(a, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(multivectors())
-def test_grade_parts_partition(a):
-    total = Multivector.zero(a.m)
-    for g in range(a.m + 1):
-        total = total + a.grade_part(g)
-    assert close(total, a)
-
-
-@settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=-5, max_value=5),
     st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=5).filter(
@@ -231,5 +221,5 @@ def test_embed_conjugate_norm(x0, vec):
     p = Paravector(x0, vec)
     x = p.embed()
     prod = x * x.conjugate()
-    assert prod.grade_part(0) == prod or (prod - prod.grade_part(0)).norm() <= 1e-12 * max(1.0, prod.norm())
-    assert prod.scalar_part == pytest.approx(p.norm() ** 2, rel=1e-12, abs=1e-12)
+    assert np.all(np.abs(prod.coeffs[1:]) <= 1e-12 * max(1.0, prod.norm()))
+    assert prod.coeffs[0] == pytest.approx(x0**2 + np.dot(vec, vec), rel=1e-12, abs=1e-12)

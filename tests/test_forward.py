@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fueter import jets
 from fueter.clifford import Multivector, Paravector
-from fueter.forward import FueterConfig, as_field, fueter_fields, fueter_map, fueter_profile, laplacian_oracle
+from fueter.forward import FueterConfig, fueter_fields, fueter_map, fueter_profile, laplacian_oracle
 from fueter.polynomials import builtin_pk
 from fueter.radial import coeff_row
 
@@ -95,14 +95,6 @@ class TestLinearity:
 
 
 class TestFieldViews:
-    def test_as_field_matches_map(self):
-        c = FueterConfig(3, 1)
-        P = builtin_pk(3, 1)
-        F = as_field(jets.power(4), P, c)
-        y = np.array([0.5, 0.3, -0.2, 0.9])
-        direct = fueter_map(jets.power(4), P, c, Paravector(y[0], y[1:]))
-        assert (F(y) - direct).norm() == 0.0
-
     def test_fields_vectorize(self):
         A, B = fueter_fields(jets.recip(), cfg3())
         rs = np.array([0.5, 1.0, 1.5])

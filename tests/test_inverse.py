@@ -303,6 +303,26 @@ class TestTabulatedFields:
             with pytest.raises(ValueError, match="outside"):
                 G.A(x0 + 1e-9 * dx, r + 1e-9 * dr)
 
+    @pytest.mark.parametrize("edge", range(4))
+    def test_rect_past_the_tabulated_points_rejected(self, edge):
+        # a 6 x 6 grid on [0.2, 1] x [0.5, 1.5]; its meta.rect reaches 0.2 past one side
+        data = self.grid_json(axial_field("cubic", Rectangle(0.2, 1.0, 0.5, 1.5)), 6, 6)
+        data["meta"]["rect"][edge] += 0.2 if edge % 2 else -0.2
+        with pytest.raises(ValueError, match=r"meta\.rect .* reaches past the tabulated \[0\.2, 1\] x \[0\.5, 1\.5\]"):
+            AxialFunction.from_grid(data)
+
+    def test_rect_inside_the_tabulated_points_accepted(self):
+        H = axial_field("cubic", Rectangle(0.2, 1.0, 0.5, 1.5))
+        data = self.grid_json(H, 6, 6)
+        data["meta"]["rect"] = [0.3, 0.9, 0.6, 1.4]
+        G = AxialFunction.from_grid(data)
+        assert G.rect == Rectangle(0.3, 0.9, 0.6, 1.4)
+        # the primitive is z^3 + 0.25 z up to a real linear gauge
+        prim = invert(G)
+        samples = [(complex(x, r), prim(complex(x, r)) - (x + 1j * r) ** 3 - 0.25 * (x + 1j * r))
+                   for x in (0.3, 0.6, 0.9) for r in (0.6, 1.0, 1.4)]
+        assert polynomial_fit_residual(samples, 1) <= 1e-8
+
     def test_radial_integrals_match_the_sampled_field(self):
         # the smooth interpolant needs no split at the grid's r lines: each
         # radial integral is accepted at the first level and lands within

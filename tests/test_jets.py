@@ -161,11 +161,11 @@ class TestHolomorphicFn:
         assert jets.z_arctan()(0.0) == 0.0
 
     def test_combinators(self):
-        f = jets.identity() * jets.identity() + jets.constant(1.0)
+        f = jets.identity() * jets.identity()
         z = complex(0.4, 0.7)
-        assert cmath.isclose(f(z), z * z + 1.0)
+        assert cmath.isclose(f(z), z * z)
         j = f.jet(z, 3)
-        assert jets_close(j, jets.polynomial([1.0, 0.0, 1.0]).jet(z, 3))
+        assert jets_close(j, jets.polynomial([0.0, 0.0, 1.0]).jet(z, 3))
 
     def test_domain_propagates_through_combinators(self):
         f = jets.recip() * jets.arctan()

@@ -17,7 +17,6 @@ from fueter.errors import QuadratureError
 from fueter.inverse import Rectangle, integral_I
 from fueter.quadrature import QuadratureConfig
 from fueter.radial import (
-    bessel_row,
     coeff_a,
     coeff_row,
     double_factorial,
@@ -57,9 +56,9 @@ class TestCoefficients:
                 assert coeff_a(j, n) == expect
 
     def test_bessel_row_shifts(self):
-        assert bessel_row(0) == (1,)
-        assert bessel_row(1) == (1, 1)
-        assert bessel_row(2) == (3, 3, 1)
+        assert coeff_row(1) == (1,)
+        assert coeff_row(2) == (1, 1)
+        assert coeff_row(3) == (3, 3, 1)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fueter import jets
-from fueter.forward import FueterConfig, as_field, fueter_fields
+from fueter.clifford import Paravector
+from fueter.forward import FueterConfig, fueter_fields, fueter_map
 from fueter.inverse import Rectangle
 from fueter.polynomials import builtin_pk
 from fueter.verify import (
@@ -146,7 +147,11 @@ class TestMonogenicity:
     @pytest.mark.parametrize("m,k", [(3, 0), (3, 1), (5, 0)])
     @pytest.mark.parametrize("name", ["z^2", "recip", "arctan"])
     def test_forward_images_are_monogenic(self, m, k, name):
-        F = as_field(jets.by_name(name), builtin_pk(m, k), FueterConfig(m, k))
+        h, P, cfg = jets.by_name(name), builtin_pk(m, k), FueterConfig(m, k)
+
+        def F(y):
+            return fueter_map(h, P, cfg, Paravector(y[0], y[1:]))
+
         grid = GridSpec(RECT, 4, 4, fd_step=1e-5)
         report = monogenicity_residual(F, m, grid)
         assert report.max <= 1e-4, (m, k, name)
@@ -160,18 +165,6 @@ class TestMonogenicity:
         grid = GridSpec(RECT, 4, 4)
         report = monogenicity_residual(F, 3, grid)
         assert report.max > 0.5
-
-    def test_direction_validation(self):
-        def F(y):
-            from fueter.clifford import Multivector
-
-            return Multivector.zero(3)
-
-        grid = GridSpec(RECT, 2, 2)
-        with pytest.raises(ValueError):
-            monogenicity_residual(F, 3, grid, direction=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            monogenicity_residual(F, 3, grid, direction=[0.0, 0.0, 0.0])
 
 
 class TestKernelCheck:
