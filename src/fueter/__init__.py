@@ -13,8 +13,8 @@ from .inverse import (
     AxialFunction,
     FueterPrimitive,
     Rectangle,
-    integral_I,
     invert,
+    radial_integrals,
 )
 from .jets import HolomorphicFn, radial_derivatives
 from .oracles import (
@@ -56,7 +56,7 @@ __all__ = [
     "radial_op", "nested_antiderivative_oracle",
     "FueterConfig", "fueter_map", "fueter_profile", "fueter_fields", "laplacian_oracle",
     "Rectangle", "AxialFunction", "FueterPrimitive",
-    "integral_I", "invert",
+    "radial_integrals", "invert",
     "unit_sphere_area", "cauchy_kernel", "example1_oracle", "example2_oracle",
     "SphereQuadrature", "sphere_cauchy_integral", "axial_field",
     "GridSpec", "ResidualReport", "vekua_residual", "cr_residual",

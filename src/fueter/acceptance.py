@@ -16,7 +16,7 @@ import numpy as np
 
 from .clifford import Multivector, Paravector
 from .forward import FueterConfig, fueter_map, fueter_profile, laplacian_oracle
-from .inverse import Rectangle, integral_I, invert
+from .inverse import AxialFunction, Rectangle, invert, radial_integrals
 from .jets import polynomial, power, recip
 from .oracles import SphereQuadrature, axial_field, example1_oracle, example2_oracle, sphere_cauchy_integral
 from .polynomials import builtin_pk
@@ -80,7 +80,7 @@ EX1_TOL_UV = 1e-6
 
 
 def criterion_2() -> CriterionResult:
-    """integral_I and FueterPrimitive.eval against the m=5 closed forms."""
+    """radial_integrals and FueterPrimitive.eval against the m=5 closed forms."""
     t0 = time.perf_counter()
     rect = Rectangle(0.2, 1.0, 0.5, 1.5)
     H = axial_field("example1", rect)
@@ -91,8 +91,7 @@ def criterion_2() -> CriterionResult:
     for x0 in xs:
         for r in rs:
             x0f, rf = float(x0), float(r)
-            i1 = integral_I(1, H.A, x0f, rf, rect, 2)
-            i2 = integral_I(2, H.B, x0f, rf, rect, 2)
+            i1, i2 = radial_integrals(H, x0f, rf)
             i_err = max(
                 i_err,
                 abs(i1 - example1_oracle("I1", x0=x0f, r=rf, c=c)),
@@ -198,7 +197,7 @@ ANTI_ORACLE_ORDER = 8  # 16-node levels, exact for these degrees
 
 
 def criterion_5() -> CriterionResult:
-    """integral_I / (2n-2)!! == nested_antiderivative_oracle on random polynomial fields."""
+    """radial_integrals / (2n-2)!! == nested_antiderivative_oracle on random polynomial fields."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(505)
     worst = 0.0
@@ -207,19 +206,19 @@ def criterion_5() -> CriterionResult:
         coeffs = rng.uniform(-2.0, 2.0, deg + 1)
         a = float(rng.uniform(0.1, 1.5))
         x = float(rng.uniform(a + 0.2, 3.0))
-        p = lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c)
+        p = lambda x0, t, c=coeffs: np.polynomial.polynomial.polyval(t, c)
         rect = Rectangle(0.0, 1.0, a, 3.0)
         for n in range(1, 5):
-            for variant in (1, 2):
-                direct = integral_I(variant, lambda x0, t: p(t), 0.0, x, rect, n) / double_factorial(2 * n - 2)
-                nested = nested_antiderivative_oracle(p, a, x, n, variant, ANTI_ORACLE_ORDER)
-                worst = max(worst, abs(direct - nested))
+            scale = double_factorial(2 * n - 2)
+            i1, i2 = radial_integrals(AxialFunction(p, p, 3, n - 1, rect), 0.0, x)  # m = 3, k = n - 1: N = n
+            phi, psi = nested_antiderivative_oracle(lambda t: p(0.0, t), a, x, n, ANTI_ORACLE_ORDER)
+            worst = max(worst, abs(i1 / scale - phi), abs(i2 / scale - psi))
     ok = worst <= ANTI_TOL
     detail = (
         f"max |single-integral - nested| = {worst:.2e} (tol {ANTI_TOL:g}; "
         f"{ANTI_FIELDS} fields, n<=4, both variants)"
     )
-    return _result(5, "integral_I vs nested recursion oracle", t0, ok, detail)
+    return _result(5, "radial integrals vs nested recursion oracle", t0, ok, detail)
 
 
 # -- 6: operator expansion identities, exact rational --------------------------

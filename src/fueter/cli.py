@@ -62,6 +62,16 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _number(value, kind: type, what: str):
+    """value, a string or a JSON number (an integer when kind is int), as kind; else ValueError."""
+    try:
+        if type(value) in ((str, int) if kind is int else (str, int, float)):  # a bool is no number here
+            return kind(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
 class _Options:
     """Merged view of CLI flags, config file and defaults."""
 
@@ -77,28 +87,35 @@ class _Options:
             return self._file[key]
         return default
 
+    def integer(self, key: str, default=None) -> int | None:
+        raw = self.get(key, default)
+        return None if raw is None else _number(raw, int, f"--{key}")
+
+    def numbers(self, key: str, count: int, kind: type = float, default=None) -> list | None:
+        """Option key as count numbers of kind: a comma string or a JSON list; None when unset."""
+        raw = self.get(key, default)
+        if raw is None:
+            return None
+        items = raw.split(",") if isinstance(raw, str) else raw
+        if not isinstance(items, (list, tuple)) or len(items) != count:
+            raise ValueError(f"--{key} needs {count} comma-separated numbers, got {raw!r}")
+        return [_number(t, kind, f"--{key}") for t in items]
+
     def rect(self, default=DEFAULT_RECT) -> Rectangle:
-        raw = self.get("rect", default)
-        if isinstance(raw, str):
-            raw = [float(t) for t in raw.split(",")]
-        if len(raw) != 4:
-            raise ValueError(f"--rect needs 4 numbers a,b,c,d, got {raw}")
-        return Rectangle(*[float(t) for t in raw])
+        return Rectangle(*self.numbers("rect", 4, default=default))
 
     def grid(self, default=DEFAULT_GRID) -> tuple[int, int]:
-        raw = self.get("grid", default)
-        if isinstance(raw, str):
-            raw = [int(t) for t in raw.split(",")]
-        if len(raw) != 2 or int(raw[0]) < 1 or int(raw[1]) < 1:
-            raise ValueError(f"--grid needs two positive ints nx0,nr, got {raw}")
-        return int(raw[0]), int(raw[1])
+        nx0, nr = self.numbers("grid", 2, int, default)
+        if nx0 < 1 or nr < 1:
+            raise ValueError(f"--grid needs two positive ints nx0,nr, got {nx0},{nr}")
+        return nx0, nr
 
     def quad(self) -> QuadratureConfig:
         tol = self.get("quad_tol")
-        return QuadratureConfig(abs_tol=float(tol)) if tol is not None else QuadratureConfig()
+        return QuadratureConfig() if tol is None else QuadratureConfig(_number(tol, float, "--quad-tol"))
 
     def mk(self, default_m=3, default_k=0) -> tuple[int, int]:
-        return int(self.get("m", default_m)), int(self.get("k", default_k))
+        return self.integer("m", default_m), self.integer("k", default_k)
 
     def pk(self, m: int, k: int):
         raw = self.get("pk")
@@ -109,16 +126,6 @@ class _Options:
             raise ValueError(f"--pk needs i,j,+ or i,j,-, got {raw!r}")
         return builtin_pk(m, k, int(parts[0]), int(parts[1]), 1 if parts[2] == "+" else -1)
 
-    def init(self, n2: int) -> list[float] | None:
-        raw = self.get("init")
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            raw = [float(t) for t in raw.split(",")]
-        vals = [float(t) for t in raw]
-        if len(vals) != n2:
-            raise ValueError(f"--init needs {n2} values, got {len(vals)}")
-        return vals
 
 
 def _full_grid(rect: Rectangle, nx0: int, nr: int) -> tuple[list[float], list[float]]:
@@ -184,7 +191,9 @@ def _cmd_forward(args) -> int:
         raise ValueError("forward needs --h <function name>")
     h = jets.by_name(str(h_name))
     cfg = FueterConfig(m, k)
-    profiles = bool(opts.get("profiles", False))
+    profiles = opts.get("profiles", False)
+    if not isinstance(profiles, bool):
+        raise ValueError(f"profiles must be true or false, got {profiles!r}")
     P = None if profiles else opts.pk(m, k)  # the scalar profiles never use P_k
     rect = opts.rect()
     nx0, nr = opts.grid()
@@ -236,20 +245,19 @@ def _resolve_field(opts: _Options, rect: Rectangle | None) -> AxialFunction:
     name = opts.get("field")
     if not name:
         raise ValueError("need --field <name> or --field-json <path>")
-    m = opts.get("m")
-    return axial_field(str(name), rect, m=int(m) if m is not None else None)
+    return axial_field(str(name), rect, m=opts.integer("m"))
 
 
 def _cmd_invert(args) -> int:
     opts = _Options(args)
     rect = opts.rect(default=None) if opts.get("rect") is not None else None
     H = _resolve_field(opts, rect)
-    m_flag, k_flag = opts.get("m"), opts.get("k")
-    if m_flag is not None and int(m_flag) != H.m:
+    m_flag, k_flag = opts.integer("m"), opts.integer("k")
+    if m_flag is not None and m_flag != H.m:
         raise ValueError(f"--m {m_flag} conflicts with field {H.name!r} (m={H.m})")
-    if k_flag is not None and int(k_flag) != H.k:
+    if k_flag is not None and k_flag != H.k:
         raise ValueError(f"--k {k_flag} conflicts with field {H.name!r} (k={H.k})")
-    init = opts.init(2 * H.N)
+    init = opts.numbers("init", 2 * H.N)
     prim = invert(H, init=init, quad=opts.quad())
     nx0, nr = opts.grid()
 
@@ -318,8 +326,7 @@ def _cmd_kernel(args) -> int:
     opts = _Options(args)
     m, k = opts.mk()
     cfg = FueterConfig(m, k)
-    nmax = opts.get("nmax")
-    nmax = int(nmax) if nmax is not None else cfg.kernel_degree + 1
+    nmax = opts.integer("nmax", cfg.kernel_degree + 1)
     rect = opts.rect(default=(0.3, 1.3, 0.4, 1.4))
     nx0, nr = opts.grid(default=(5, 5))
     grid = GridSpec(rect, nx0, nr)

@@ -22,11 +22,11 @@ chain in x0 forced by the field's trace on the r = c edge:
 
 for j = 0..N-1, reading alpha_N = 0 in the last line.
 
-The radial integrals are adaptive Gauss-Legendre with a kernel-weighted
-first level: for a fixed r the kernel (r^2 - t^2)^(N-1), the nodes and the
-panel half-widths are constants, so a cached rule holds them, and a
-point's first level is one A and one B call, one product with the kernels
-and one batched Gauss product, with integrate's arithmetic and bits.
+The pair (I1, I2) of radial_integrals and eval is adaptive Gauss-Legendre
+with a kernel-weighted first level: for a fixed r the kernel (r^2 - t^2)^(N-1),
+the nodes and the panel half-widths are constants, so a cached rule holds
+them, and a point's first level is one A and one B call, one product with
+the kernels and one batched Gauss product, in integrate's arithmetic and bits.
 An interval that fails the acceptance refines on the kernel-times-field
 integrands through quadrature's shared engine.
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -141,6 +142,15 @@ def _snap(t: np.ndarray, grid: np.ndarray, axis: str) -> np.ndarray:
     return t
 
 
+def _grid_row(p) -> tuple[float, float, float, float]:
+    """(x0, r, A, B) of one grid point {x0, r, value: [A, B]}; a malformed point raises ValueError."""
+    try:
+        x0, r, (a, b) = p["x0"], p["r"], p["value"]
+        return float(x0), float(r), float(a), float(b)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"grid point {p!r} is not {{x0, r, value: [A, B]}} of numbers") from None
+
+
 class AxialFunction:
     """An axial field on a rectangle: scalar profiles (A, B) plus (m, k).
 
@@ -187,20 +197,24 @@ class AxialFunction:
         """
         if isinstance(data, str):
             data = json.loads(data)
-        meta = data["meta"]
-        rect = Rectangle(*[float(t) for t in meta["rect"]])
+        meta = data.get("meta") if isinstance(data, dict) else None
+        if not isinstance(meta, dict) or not isinstance(data.get("points"), list):
+            raise ValueError('grid JSON must be an object with a "meta" object and a "points" list')
+        if not all(isinstance(meta.get(key), numbers.Integral) for key in ("m", "k", "nx0", "nr")):
+            raise ValueError(f"grid meta needs integers m, k, nx0 and nr, got {meta!r}")
+        try:
+            rect = Rectangle(*map(float, meta.get("rect")))
+        except TypeError:  # not four numbers
+            raise ValueError(f"grid meta.rect must be four numbers a, b, c, d, got {meta.get('rect')!r}") from None
         nx0, nr = int(meta["nx0"]), int(meta["nr"])
         if nx0 < 2 or nr < 2:
             raise ValueError(f"need at least a 2 x 2 grid, got {nx0} x {nr}")
         pts = data["points"]
         if len(pts) != nx0 * nr:
             raise ValueError(f"expected {nx0 * nr} grid points, got {len(pts)}")
-        table = np.fromiter(
-            (v for p in pts for v in (p["x0"], p["r"], p["value"][0], p["value"][1])),
-            np.float64, count=4 * len(pts),
-        ).reshape(-1, 4)
-        xs = np.array(sorted({float(p["x0"]) for p in pts}))
-        rs = np.array(sorted({float(p["r"]) for p in pts}))
+        table = np.fromiter((v for p in pts for v in _grid_row(p)), np.float64, count=4 * len(pts)).reshape(-1, 4)
+        # a set, not np.unique, whose first call adds about 1 MB of resident memory
+        xs, rs = (np.array(sorted(set(table[:, i].tolist()))) for i in (0, 1))
         if xs.size != nx0 or rs.size != nr or not np.all(np.isfinite(table[:, :2])):
             raise ValueError("points do not form a full nx0 x nr grid")
         vals = np.full((2, nx0, nr), np.nan)
@@ -235,83 +249,53 @@ class AxialFunction:
 
 
 @lru_cache(maxsize=LAYOUT_CACHE)
-def _radial_rule(lo: float, hi: float, sign: float, N: int, order: int) -> tuple:
-    """The first level of the weighted radial integrals on [lo, hi]: (x, blocks).
+def _radial_rule(lo: float, hi: float, sign: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first level of the weighted radial integrals on [lo, hi]: (x, kernels, halves), all read-only.
 
-    x holds integrate's cached, read-only nodes; r is the integral's upper
-    end, lo when sign is -1.0.  blocks[variants] holds, for the integrals
-    named by variants ((1,), (2,) or (1, 2)), one row per integral of the
-    kernel at x, t (r^2 - t^2)^(N-1) for I1 and (r^2 - t^2)^(N-1) for
-    I2 / r, and one row per integral of the panel half-widths; all are
-    read-only.  Field values times the kernel rows are the integrand values
-    integrate would see, bit for bit.
+    x holds integrate's cached nodes; r is the integrals' upper end, lo
+    when sign is -1.0.  kernels holds the kernel at x, t (r^2 - t^2)^(N-1)
+    for I1 and (r^2 - t^2)^(N-1) for I2 / r, and halves the panel
+    half-widths once per row.  A times the first row and B times the second
+    are the integrand values integrate would see, bit for bit.
     """
-    half, x = _layout(lo, hi, order)
+    half, x = _layout(lo, hi, PANEL_ORDER)
     r = hi if sign > 0 else lo
     kernel = (r * r - x * x) ** (N - 1)
     kernels, halves = np.stack([x * kernel, kernel]), np.stack([half, half])
     kernels.flags.writeable = halves.flags.writeable = False  # every point on this interval shares them
-    return x, {
-        (1,): (kernels[:1], halves[:1]),
-        (2,): (kernels[1:], halves[1:]),
-        (1, 2): (kernels, halves),
-    }
+    return x, kernels, halves
 
 
-def _radial(fields: dict, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> list[float]:
-    """The weighted radial integrals from c to r at x0, one per {variant: field} entry of fields, in order.
+def _radial(A, B, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> tuple[float, float]:
+    """(I1, I2) from c to r at x0.
 
-    Variant 1 gives I1 and variant 2 gives I2 / r.  The first level takes
-    one call per field at the rule's nodes, one product with the cached
-    kernels and one batched Gauss product; quadrature accepts it or
-    refines on the kernel-times-field integrands.
+    The first level takes one A and one B call at the rule's nodes, one
+    product with the cached kernels and one batched Gauss product;
+    quadrature accepts it or refines on the kernel-times-field integrands.
     """
-    variants = tuple(fields)
     if r == c:
-        return [0.0] * len(variants)
+        return 0.0, 0.0
     lo, hi, sign = (c, r, 1.0) if c < r else (r, c, -1.0)
-    x, blocks = _radial_rule(lo, hi, sign, N, PANEL_ORDER)
-    kernels, halves = blocks[variants]
-    values = np.empty((len(variants), x.size))
-    for row, f in enumerate(fields.values()):
-        values[row] = f(x0, x)
+    x, kernels, halves = _radial_rule(lo, hi, sign, N)
+    values = np.empty((2, x.size))
+    values[0] = A(x0, x)
+    values[1] = B(x0, x)
     values *= kernels
     table = _weigh(values, halves, PANEL_ORDER)
 
     def integrands(t):
-        # the integrals share their nodes and kernel: one call per field
+        # the integrals share their nodes and kernel: one A and one B call
         k = (r * r - t * t) ** (N - 1)
-        return np.array([(t * k if v == 1 else k) * f(x0, t) for v, f in fields.items()])
+        return np.array([(t * k) * A(x0, t), k * B(x0, t)])
 
-    return quadrature(integrands, table, lo, hi, quad.abs_tol, sign)
+    i1, i2 = quadrature(integrands, table, lo, hi, quad.abs_tol, sign)
+    return i1, r * i2
 
 
-def integral_I(
-    variant: int,
-    f: Callable,
-    x0: float,
-    r: float,
-    rect: Rectangle,
-    N: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """The weighted radial integral from the rectangle's lower edge.
-
-    variant 1: integral_c^r t (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with A)
-    variant 2: r integral_c^r (r^2-t^2)^(N-1) f(x0, t) dt   (pairs with B)
-
-    FueterPrimitive.eval uses the same radial rule, so the two agree bit
-    for bit.
-    """
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    rect.require(x0, r)
-    x0, r = float(x0), float(r)
-    value = _radial({variant: f}, x0, r, rect.c, N, quad)[0]
-    return value if variant == 1 else r * value
+def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
+    """The weighted radial integrals (I1, I2) at a point of H's rectangle: eval's pair, bit for bit."""
+    H.rect.require(x0, r)
+    return _radial(H.A, H.B, float(x0), float(r), H.rect.c, H.N, quad)
 
 
 @lru_cache(maxsize=None)
@@ -443,13 +427,13 @@ class FueterPrimitive:
 
     def _eval_at(self, x0: float, r: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
         N, H = self.N, self.field
-        i1, i2 = _radial({1: H.A, 2: H.B}, x0, r, self.rect.c, N, self.quad)
+        i1, i2 = _radial(H.A, H.B, x0, r, self.rect.c, N, self.quad)
         r2 = r * r
         u, v = coeffs[N - 1], coeffs[-1]
         for j in range(N - 2, -1, -1):  # the correction polynomials, Horner in r^2
             u = u * r2 + coeffs[j]
             v = v * r2 + coeffs[N + j]
-        return self._kn * i1 + u, self._kn * (r * i2) + r * v
+        return self._kn * i1 + u, self._kn * i2 + r * v
 
     def __call__(self, z):
         """u + iv at z = x0 + i r: a complex for a scalar z, a complex128 array otherwise."""

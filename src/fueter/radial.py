@@ -18,10 +18,10 @@ nested n-fold integral to a single one):
 
 and (x^-1 d/dx)^n phi_n = f, (d/dx x^-1)^n psi_n = f, with phi_n, psi_n the
 particular solutions vanishing (to order n) at x = a.  These are the
-weighted integrals of inverse.integral_I divided by (2n-2)!!: variant 1
-gives phi_n and variant 2 gives psi_n, with the rectangle's c as a.  The
-recursion phi_n = integral_a^x t phi_(n-1) dt, psi_n = x integral_a^x
-psi_(n-1) dt is kept here as an independent brute-force oracle for tests.
+pair (I1, I2) of inverse.radial_integrals divided by (2n-2)!!, with
+A = B = f, N = n and the rectangle's c as a.  The recursion
+phi_n = integral_a^x t phi_(n-1) dt, psi_n = x integral_a^x psi_(n-1) dt
+is kept here as an independent brute-force oracle for tests.
 """
 
 from __future__ import annotations
@@ -123,34 +123,30 @@ def nested_antiderivative_oracle(
     a: float,
     x: float,
     n: int,
-    variant: int = 1,
     order: int = 16,
-) -> float:
-    """Brute-force n-fold nesting of the defining recursion (test oracle).
+) -> tuple[float, float]:
+    """Brute-force n-fold nesting of the defining recursion (test oracle): (phi_n, psi_n).
 
-    phi_n = integral_a^x t phi_(n-1)(t) dt (variant 1) and psi_n = x
-    integral_a^x psi_(n-1)(t) dt (variant 2), with phi_0 = psi_0 = f, are
-    evaluated literally, one fixed Gauss-Legendre rule of 2 * order nodes
-    per nesting level, vectorized over the level's node tensor.
-    Independent of the single-integral formula: integral_I / (2n-2)!!
-    with c = a should agree.
+    phi_n = integral_a^x t phi_(n-1)(t) dt and psi_n = x integral_a^x
+    psi_(n-1)(t) dt, with phi_0 = psi_0 = f, are evaluated literally, one
+    fixed Gauss-Legendre rule of 2 * order nodes per nesting level,
+    vectorized over the level's node tensor.  radial_integrals / (2n-2)!!
+    with c = a, the independent single-integral formula, should agree.
     """
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
     n = int(n)
     if n < 1:
         raise ValueError(f"antiderivative order must be >= 1, got {n}")
     a = float(a)
     nodes, weights = np.polynomial.legendre.leggauss(2 * int(order))
 
-    def level(upper: np.ndarray, depth: int) -> np.ndarray:
+    def level(upper: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
         if depth == 0:
-            return np.asarray(f(upper), dtype=np.float64)
+            values = np.asarray(f(upper), dtype=np.float64)
+            return values, values
         half = 0.5 * (upper - a)
         t = (a + half)[..., None] + half[..., None] * nodes
-        inner = level(t, depth - 1)
-        if variant == 1:
-            return half * np.sum(weights * t * inner, axis=-1)
-        return upper * half * np.sum(weights * inner, axis=-1)
+        phi, psi = level(t, depth - 1)
+        return half * np.sum(weights * t * phi, axis=-1), upper * half * np.sum(weights * psi, axis=-1)
 
-    return float(level(np.asarray(x, dtype=np.float64), n))
+    phi, psi = level(np.asarray(x, dtype=np.float64), n)
+    return float(phi), float(psi)

@@ -280,6 +280,11 @@ class TestInvert:
         assert polynomial_fit_residual(samples, 3) <= 1e-6
 
 
+def _second_point(grid, point):
+    """grid with its second point replaced."""
+    return {**grid, "points": [grid["points"][0], point, *grid["points"][2:]]}
+
+
 class TestPipeline:
     def test_profiles_feed_inversion(self, capsys, tmp_path):
         field_file = tmp_path / "field.json"
@@ -313,6 +318,29 @@ class TestPipeline:
         code = main(["invert", "--field-json", str(field_file), "--grid", "2,2"])
         assert code == 2
         assert "reaches past the tabulated [0.2, 1] x [0.5, 1.5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("malformed, message", [
+        (lambda g: {"points": []}, 'grid JSON must be an object with a "meta" object and a "points" list'),
+        (lambda g: [1, 2], 'grid JSON must be an object with a "meta" object and a "points" list'),
+        (lambda g: {**g, "meta": {k: v for k, v in g["meta"].items() if k != "m"}},
+         "grid meta needs integers m, k, nx0 and nr, got {'k': 0, "),
+        (lambda g: {**g, "meta": {**g["meta"], "rect": [0.0, 1.0, 0.5]}},
+         "grid meta.rect must be four numbers a, b, c, d, got [0.0, 1.0, 0.5]"),
+        (lambda g: {**g, "points": 5}, 'grid JSON must be an object with a "meta" object and a "points" list'),
+        (lambda g: _second_point(g, {"r": 1.5, "value": [1.0, 2.0]}), "grid point {'r': 1.5, 'value': [1.0, 2.0]}"),
+        (lambda g: _second_point(g, {"x0": None, "r": 1.5, "value": [1.0, 2.0]}), "grid point {'x0': None,"),
+        (lambda g: _second_point(g, {"x0": 0.0, "r": 1.5, "value": 3.0}), "'value': 3.0} is not {x0, r, value"),
+        (lambda g: _second_point(g, {"x0": 0.0, "r": 1.5, "value": [1]}), "'value': [1]} is not {x0, r, value"),
+    ], ids=["no-meta", "not-an-object", "meta-without-m", "three-number-rect", "points-not-a-list",
+            "point-without-x0", "null-x0", "scalar-value", "one-number-value"])
+    def test_malformed_grid_is_config_error(self, capsys, tmp_path, malformed, message):
+        grid = {"meta": {"m": 3, "k": 0, "rect": [0.0, 1.0, 0.5, 1.5], "nx0": 2, "nr": 2},
+                "points": [{"x0": x, "r": r, "value": [1.0, 2.0]} for x in (0.0, 1.0) for r in (0.5, 1.5)]}
+        field_file = tmp_path / "field.json"
+        field_file.write_text(json.dumps(malformed(grid)))
+        code = main(["invert", "--field-json", str(field_file), "--grid", "2,2"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_readme_pipeline_recovers_arctan(self, capsys, tmp_path):
         # 40 x 40 profiles of Ft[arctan]; the interpolated field's primitive
@@ -481,6 +509,36 @@ class TestConfigMerging:
     def test_missing_config_file(self, capsys):
         code, _ = run(capsys, "forward", "--config", "/nonexistent.json", "--h", "recip")
         assert code == 2
+
+    @pytest.mark.parametrize("command, config, message", [
+        (["forward", "--h", "recip"], {"m": [3]}, "--m must be an integer, got [3]"),
+        (["forward", "--h", "recip"], {"m": 3.5}, "--m must be an integer, got 3.5"),
+        (["forward", "--h", "recip"], {"rect": 5}, "--rect needs 4 comma-separated numbers, got 5"),
+        (["forward", "--h", "recip"], {"rect": [0, 1, "x", 1.5]}, "--rect must be a number, got 'x'"),
+        (["forward", "--h", "recip", "--grid", "2,2"], {"profiles": "no"}, "profiles must be true or false, got 'no'"),
+        (["forward", "--h", "recip"], {"grid": [2, None]}, "--grid must be an integer, got None"),
+        (["kernel", "--m", "3"], {"nmax": [2]}, "--nmax must be an integer, got [2]"),
+        (["invert", "--field", "cubic", "--grid", "2,2"], {"init": 5}, "--init needs 2 comma-separated numbers, got 5"),
+        (["invert", "--field", "cubic", "--grid", "2,2"], {"quad_tol": [1e-9]}, "--quad-tol must be a number"),
+    ], ids=["m-list", "m-fraction", "rect-number", "rect-string-entry", "profiles-string", "grid-null",
+            "nmax-list", "init-number", "quad-tol-list"])
+    def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([*command, "--config", str(cfg)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_number_lists_match_flags(self, capsys, tmp_path):
+        # a JSON list and a comma string are one parser: the same payload
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rect": [-0.5, 0.5, 0.5, 1.5], "grid": [2, 3], "init": [-1, 0.25], "profiles": False}))
+        code, from_file = run(capsys, "invert", "--field", "cubic", "--config", str(cfg))
+        assert code == 0
+        code, from_flags = run(capsys, "invert", "--field", "cubic", "--rect=-0.5,0.5,0.5,1.5", "--grid", "2,3",
+                               "--init=-1,0.25")
+        assert code == 0
+        assert from_file == from_flags
 
     def test_unknown_flag_raises_system_exit(self):
         with pytest.raises(SystemExit) as err:

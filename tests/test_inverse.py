@@ -19,8 +19,8 @@ from fueter.inverse import (
     Rectangle,
     _fh_weights,
     _radial_rule,
-    integral_I,
     invert,
+    radial_integrals,
 )
 from fueter.oracles import axial_field, example1_oracle
 from fueter.quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, integrate
@@ -79,37 +79,24 @@ class TestNormalization:
 
 
 class TestWeightedIntegrals:
-    def test_variant1_matches_closed_form(self):
+    def test_pair_matches_closed_form(self):
         H = axial_field("example1")
         for x0, r in ((0.1, 0.8), (0.5, 1.2), (0.9, 1.5)):
-            got = integral_I(1, H.A, x0, r, H.rect, H.N)
-            want = example1_oracle("I1", x0=x0, r=r, c=H.rect.c)
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_variant2_matches_closed_form(self):
-        H = axial_field("example1")
-        for x0, r in ((0.1, 0.8), (0.5, 1.2), (0.9, 1.5)):
-            got = integral_I(2, H.B, x0, r, H.rect, H.N)
-            want = example1_oracle("I2", x0=x0, r=r, c=H.rect.c)
-            assert got == pytest.approx(want, abs=1e-12)
+            want = [example1_oracle(name, x0=x0, r=r, c=H.rect.c) for name in ("I1", "I2")]
+            assert radial_integrals(H, x0, r) == pytest.approx(want, abs=1e-12)
 
     def test_fundamental_theorem(self):
-        # variant 1 with N = 1 is int_c^r t A dt, so d/dr = r A
+        # with N = 1, I1 is int_c^r t A dt, so d/dr = r A
         H = axial_field("cubic")
+        assert H.N == 1
         x0, r, eps = 0.4, 1.1, 1e-5
-        hi = integral_I(1, H.A, x0, r + eps, H.rect, 1)
-        lo = integral_I(1, H.A, x0, r - eps, H.rect, 1)
+        hi = radial_integrals(H, x0, r + eps)[0]
+        lo = radial_integrals(H, x0, r - eps)[0]
         assert (hi - lo) / (2 * eps) == pytest.approx(r * H.A(x0, r), rel=1e-8)
 
     def test_empty_interval_is_zero(self):
         H = axial_field("cubic")
-        assert integral_I(1, H.A, 0.2, H.rect.c, H.rect, 1) == 0.0
-        assert integral_I(2, H.B, 0.2, H.rect.c, H.rect, 1) == 0.0
-
-    def test_bad_variant(self):
-        H = axial_field("cubic")
-        with pytest.raises(ValueError):
-            integral_I(3, H.A, 0.2, 1.0, H.rect, 1)
+        assert radial_integrals(H, 0.2, H.rect.c) == (0.0, 0.0)
 
 
 class TestCubicRoundTrip:
@@ -145,8 +132,9 @@ class TestCubicRoundTrip:
         prim = invert(H)
         x0, r = 0.5, 1.2
         kn = float(prim.K_N)
-        u = kn * integral_I(1, H.A, x0, r, H.rect, 1) + prim.alpha(0, x0)
-        v = kn * integral_I(2, H.B, x0, r, H.rect, 1) + prim.beta(0, x0) * r
+        i1, i2 = radial_integrals(H, x0, r)
+        u = kn * i1 + prim.alpha(0, x0)
+        v = kn * i2 + prim.beta(0, x0) * r
         assert prim.eval(x0, r) == pytest.approx((u, v), abs=1e-15)
 
 
@@ -330,10 +318,10 @@ class TestTabulatedFields:
         rect = Rectangle(0.3, 1.3, 0.45, 1.45)
         A, B = fueter_fields(jets.arctan(), FueterConfig(3, 0))
         G, calls = _counting(AxialFunction.from_grid(self.grid_json(AxialFunction(A, B, 3, 0, rect), 40, 40)))
-        for variant, f, exact in ((1, G.A, A), (2, G.B, B)):
-            got = integral_I(variant, f, 0.77, 1.234, rect, G.N)
-            assert got == pytest.approx(integral_I(variant, exact, 0.77, 1.234, rect, G.N), abs=1e-9, rel=0)
+        got = radial_integrals(G, 0.77, 1.234)
         assert calls == {"A": [48], "B": [48]}
+        want = radial_integrals(AxialFunction(A, B, 3, 0, rect), 0.77, 1.234)
+        assert got == pytest.approx(want, abs=1e-9, rel=0)
 
     def test_polynomials_of_the_blending_degree_are_reproduced(self):
         # degree 6 in x0 and in r, on a non-uniform grid of 11 x 9 nodes
@@ -448,7 +436,7 @@ class TestPrimitiveObject:
         with pytest.raises(QuadratureError, match="at depth 2"):
             prim.eval(0.5, 1.4)
         with pytest.raises(QuadratureError, match="at depth 2"):
-            integral_I(1, H.A, 0.5, 1.4, H.rect, H.N, prim.quad)
+            radial_integrals(H, 0.5, 1.4, prim.quad)
 
 
 class TestExactChain:
@@ -542,10 +530,9 @@ class TestFusedEval:
         u, v = prim.eval(x0, r)
         # one call per field: the whole panel and its halves, accepted
         assert calls == {"A": [48], "B": [48]}
-        # the integrals of integral_I agree bit for bit
+        # the integrals of radial_integrals agree bit for bit
         kn = float(prim.K_N)
-        i1 = integral_I(1, G.A, x0, r, rect, G.N)
-        i2 = integral_I(2, G.B, x0, r, rect, G.N)
+        i1, i2 = radial_integrals(G, x0, r)
         coeffs = [prim.alpha(0, x0), prim.beta(0, x0)]
         assert (u, v) == (kn * i1 + coeffs[0], kn * i2 + r * coeffs[1])
 
@@ -606,10 +593,10 @@ def _seeded_points(rect, n, seed):
 
 
 class TestRadialRule:
-    """The kernel-weighted first level that eval and integral_I share."""
+    """The kernel-weighted first level that eval and radial_integrals share."""
 
     @pytest.mark.parametrize("name,m", CLOSED_FORM)
-    def test_eval_is_kn_integral_I_plus_corrections_bit_for_bit(self, name, m):
+    def test_eval_is_kn_radial_pair_plus_corrections_bit_for_bit(self, name, m):
         H = _closed_form(name, m)
         if name == "example1":  # scaled, two of these points refine and one fails
             A, B = H.A, H.B
@@ -630,8 +617,7 @@ class TestRadialRule:
             cu, cv, r2 = alphas[-1], betas[-1], r * r
             for j in range(N - 2, -1, -1):
                 cu, cv = cu * r2 + alphas[j], cv * r2 + betas[j]
-            i1 = integral_I(1, H.A, x0, r, H.rect, N)
-            i2 = integral_I(2, H.B, x0, r, H.rect, N)
+            i1, i2 = radial_integrals(H, x0, r)
             assert (u, v) == (kn * i1 + cu, kn * i2 + r * cv), (x0, r)
             checked += 1
         assert checked >= len(points) - 2
@@ -643,9 +629,7 @@ class TestRadialRule:
         # so the two agree bit for bit, well inside 1e-14 * max(1, |I|)
         for x0, r in _seeded_points(H.rect, 64, 29):
             i1, i2 = _explicit_integrals(H, x0, r).tolist()
-            got1 = integral_I(1, H.A, x0, r, H.rect, H.N)
-            got2 = integral_I(2, H.B, x0, r, H.rect, H.N)
-            assert (got1, got2) == (i1, r * i2), (x0, r)
+            assert radial_integrals(H, x0, r) == (i1, r * i2), (x0, r)
 
     def test_failure_matches_integrate_message_and_calls(self):
         # example1 x 1e6 cannot meet the absolute tolerance at (0.5, 1.4)
@@ -667,24 +651,19 @@ class TestRadialRule:
         # r up to EDGE_TOL below c integrates from c down to r
         H = axial_field("example1")
         r = H.rect.c - 5e-13
-        for variant, f in ((1, H.A), (2, H.B)):
-            got = integral_I(variant, f, 0.3, r, H.rect, H.N)
-            want = _explicit_integrals(H, 0.3, r)[variant - 1] * (r if variant == 2 else 1.0)
-            assert got == want and got != 0.0
+        i1, i2 = _explicit_integrals(H, 0.3, r).tolist()
+        got = radial_integrals(H, 0.3, r)
+        assert got == (i1, r * i2) and 0.0 not in got
 
     def test_rule_arrays_are_read_only(self):
         H = _tabulated_40()
         prim = invert(H)
         prim.eval(0.77, 1.234)
-        x, blocks = _radial_rule(H.rect.c, 1.234, 1.0, H.N, PANEL_ORDER)
+        x, kernels, halves = _radial_rule(H.rect.c, 1.234, 1.0, H.N)
         assert _radial_rule.cache_info().hits >= 1
         assert x.size == 3 * PANEL_ORDER
-        assert {v: (k.shape, h.shape) for v, (k, h) in blocks.items()} == {
-            (1,): ((1, x.size), (1, 3)),
-            (2,): ((1, x.size), (1, 3)),
-            (1, 2): ((2, x.size), (2, 3)),
-        }
-        for arr in (x, *[a for block in blocks.values() for a in block]):
+        assert (kernels.shape, halves.shape) == ((2, 48), (2, 3))
+        for arr in (x, kernels, halves):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0

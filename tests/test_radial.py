@@ -14,7 +14,7 @@ import sympy
 
 from fueter import quadrature
 from fueter.errors import QuadratureError
-from fueter.inverse import Rectangle, integral_I
+from fueter.inverse import AxialFunction, Rectangle, radial_integrals
 from fueter.quadrature import QuadratureConfig
 from fueter.radial import (
     coeff_a,
@@ -163,9 +163,12 @@ class TestAntiderivative:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("variant", [1, 2], ids=["phi", "psi"])
     def test_numeric_matches_symbolic(self, n, variant):
-        # integral_I / (2n-2)!! is phi_n (variant 1) or psi_n (variant 2) with a = c
+        # radial_integrals / (2n-2)!! is (phi_n, psi_n) with a = c; m = 3, k = n - 1 give N = n
+        def field(x0, t):
+            return t**2 + 1.0
+
         a = 0.5
-        rect = Rectangle(0.0, 1.0, a, 2.0)
+        H = AxialFunction(field, field, 3, n - 1, Rectangle(0.0, 1.0, a, 2.0))
         f = T**2 + 1
         if variant == 1:
             expr = sympy.integrate(T * (X**2 - T**2) ** (n - 1) * f, (T, a, X))
@@ -173,7 +176,7 @@ class TestAntiderivative:
             expr = X * sympy.integrate((X**2 - T**2) ** (n - 1) * f, (T, a, X))
         expr = expr / double_factorial(2 * n - 2)
         for x in (0.5, 0.9, 1.7, 2.0):
-            got = integral_I(variant, lambda x0, t: t**2 + 1.0, 0.0, x, rect, n) / double_factorial(2 * n - 2)
+            got = radial_integrals(H, 0.0, x)[variant - 1] / double_factorial(2 * n - 2)
             want = float(expr.subs(X, x))
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -183,27 +186,23 @@ class TestAntiderivative:
 
         rect = Rectangle(0.0, 1.0, 0.2, 1.4)
         for n in (1, 2, 3):
-            for variant in (1, 2):
-                single = integral_I(variant, lambda x0, t: f(t), 0.0, 1.3, rect, n) / double_factorial(2 * n - 2)
-                nested = nested_antiderivative_oracle(f, 0.2, 1.3, n, variant)
-                assert single == pytest.approx(nested, abs=1e-10)
+            H = AxialFunction(lambda x0, t: f(t), lambda x0, t: f(t), 3, n - 1, rect)  # N = n
+            single = [i / double_factorial(2 * n - 2) for i in radial_integrals(H, 0.0, 1.3)]
+            assert single == pytest.approx(nested_antiderivative_oracle(f, 0.2, 1.3, n), abs=1e-10)
 
     def test_argument_validation(self):
-        rect = Rectangle(0.0, 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError, match="N must be"):
-            integral_I(1, lambda x0, t: np.cos(t), 0.0, 0.7, rect, 0)
+        H = AxialFunction(lambda x0, t: np.cos(t), lambda x0, t: np.cos(t), 3, 0, Rectangle(0.0, 1.0, 0.5, 1.0))
         with pytest.raises(ValueError, match="outside"):
-            integral_I(1, lambda x0, t: np.cos(t), 0.0, 1.5, rect, 1)
-        with pytest.raises(ValueError, match="variant"):
-            integral_I(3, lambda x0, t: np.cos(t), 0.0, 0.7, rect, 1)
+            radial_integrals(H, 0.0, 1.5)
         with pytest.raises(ValueError, match="order"):
             nested_antiderivative_oracle(np.cos, 0.0, 0.5, 0)
-        with pytest.raises(ValueError, match="variant"):
-            nested_antiderivative_oracle(np.cos, 0.0, 0.5, 1, 3)
 
     def test_quadrature_failure_surfaces(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
-        rect = Rectangle(0.0, 1.0, 0.001, 1.0)
+        def f(x0, t):
+            return np.sin(200.0 / (t + 0.01))
+
+        H = AxialFunction(f, f, 3, 0, Rectangle(0.0, 1.0, 0.001, 1.0))
         strict = QuadratureConfig(abs_tol=1e-300)
         with pytest.raises(QuadratureError, match="at depth 3"):
-            integral_I(1, lambda x0, t: np.sin(200.0 / (t + 0.01)), 0.0, 1.0, rect, 1, quad=strict)
+            radial_integrals(H, 0.0, 1.0, quad=strict)
