@@ -2,8 +2,9 @@
 
 Clifford-algebra arithmetic, holomorphic jets, the forward transform from
 holomorphic functions to axial monogenic fields, and its integral
-inversion on rectangles, with closed-form reference fields and a
-finite-difference verification harness.
+inversion on rectangles, with closed-form reference fields and checks of
+computed results: a Cauchy-Riemann residual from circle samples, the kernel
+scan and polynomial gauge fitting.
 """
 
 from .clifford import Multivector, Paravector
@@ -35,15 +36,7 @@ from .radial import (
     nested_antiderivative_oracle,
     radial_op,
 )
-from .verify import (
-    GridSpec,
-    ResidualReport,
-    cr_residual,
-    kernel_check,
-    monogenicity_residual,
-    polynomial_fit_residual,
-    vekua_residual,
-)
+from .verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual
 
 __version__ = "0.1.0"
 
@@ -59,8 +52,7 @@ __all__ = [
     "radial_integrals", "invert",
     "unit_sphere_area", "cauchy_kernel", "example1_oracle", "example2_oracle",
     "SphereQuadrature", "sphere_cauchy_integral", "axial_field",
-    "GridSpec", "ResidualReport", "vekua_residual", "cr_residual",
-    "monogenicity_residual", "kernel_check", "polynomial_fit_residual",
+    "GridSpec", "cr_residual", "kernel_check", "polynomial_fit_residual",
     "NumericalError", "QuadratureError",
     "__version__",
 ]

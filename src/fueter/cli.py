@@ -5,9 +5,10 @@ Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
 configuration, 3 numerical failure.  forward evaluates its whole grid's
 profiles in one array call, invert its primitive in one eval call and
-roundtrip in one per grid, set of circles (its Cauchy-integral field residual)
-or stencil offset; kernel runs point by point.  JSON output is json.dumps(payload,
-indent=2): 2-space indent, Python float repr, NaN/Infinity if non-finite, stable byte for byte.
+roundtrip in one per grid or set of circles (its Cauchy-integral field
+residual and its Cauchy-Riemann residual); kernel runs point by point.
+JSON output is json.dumps(payload, indent=2): 2-space indent, Python float
+repr, NaN/Infinity if non-finite, stable byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
 from .quadrature import QuadratureConfig
-from .verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual, vekua_residual
+from .verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual
 
 DEFAULT_RECT = (0.0, 1.0, 0.5, 1.5)
 DEFAULT_GRID = (20, 20)
@@ -72,6 +73,13 @@ def _number(value, kind: type, what: str):
     raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
+def _string(value, what: str, choices: tuple[str, ...] | None = None) -> str:
+    """value, a string (one of choices when given); else ValueError."""
+    if type(value) is str and (choices is None or value in choices):
+        return value
+    raise ValueError(f"{what} must be {' or '.join(choices) if choices else 'a string'}, got {value!r}")
+
+
 class _Options:
     """Merged view of CLI flags, config file and defaults."""
 
@@ -86,6 +94,10 @@ class _Options:
         if key in self._file:
             return self._file[key]
         return default
+
+    def string(self, key: str, default=None, choices: tuple[str, ...] | None = None) -> str | None:
+        raw = self.get(key, default)
+        return None if raw is None else _string(raw, f"--{key.replace('_', '-')}", choices)
 
     def integer(self, key: str, default=None) -> int | None:
         raw = self.get(key, default)
@@ -160,7 +172,7 @@ def _dumps(payload: dict) -> str:
 
 def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list]]] | None) -> None:
     """Write payload as JSON, or as CSV from csv_rows(), built only when asked for."""
-    fmt = opts.get("format", "json")
+    fmt = opts.string("format", "json", ("json", "csv"))
     if fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output is not available for this subcommand")
@@ -172,7 +184,7 @@ def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str],
         text = buf.getvalue()
     else:
         text = _dumps(payload) + "\n"
-    out = opts.get("out")
+    out = opts.string("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -186,10 +198,10 @@ def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str],
 def _cmd_forward(args) -> int:
     opts = _Options(args)
     m, k = opts.mk()
-    h_name = opts.get("h")
+    h_name = opts.string("h")
     if not h_name:
         raise ValueError("forward needs --h <function name>")
-    h = jets.by_name(str(h_name))
+    h = jets.by_name(h_name)
     cfg = FueterConfig(m, k)
     profiles = opts.get("profiles", False)
     if not isinstance(profiles, bool):
@@ -238,14 +250,14 @@ def _cmd_forward(args) -> int:
 
 
 def _resolve_field(opts: _Options, rect: Rectangle | None) -> AxialFunction:
-    grid_path = opts.get("field_json")
+    grid_path = opts.string("field_json")
     if grid_path:
         with open(grid_path, "r", encoding="utf-8") as fh:
             return AxialFunction.from_grid(json.load(fh))
-    name = opts.get("field")
+    name = opts.string("field")
     if not name:
         raise ValueError("need --field <name> or --field-json <path>")
-    return axial_field(str(name), rect, m=opts.integer("m"))
+    return axial_field(name, rect, m=opts.integer("m"))
 
 
 def _cmd_invert(args) -> int:
@@ -284,10 +296,10 @@ def _cmd_invert(args) -> int:
 def _cmd_roundtrip(args) -> int:
     opts = _Options(args)
     m, k = opts.mk()
-    h_name = opts.get("h")
+    h_name = opts.string("h")
     if not h_name:
         raise ValueError("roundtrip needs --h <function name>")
-    h = jets.by_name(str(h_name))
+    h = jets.by_name(h_name)
     cfg = FueterConfig(m, k)
     rect = opts.rect(default=(0.2, 1.0, 0.5, 1.5))
     nx0, nr = opts.grid(default=(8, 8))
@@ -300,23 +312,21 @@ def _cmd_roundtrip(args) -> int:
     w = np.array([complex(u, v) for u, v in zip(*prim.eval(np.array(xs), np.array(rs)))]) - h(np.array(z))
     fit = polynomial_fit_residual(list(zip(z, w.tolist())), cfg.kernel_degree)
 
-    # field residual: the primitive's image through Cauchy-integral jets on circles inside rect
+    # field and Cauchy-Riemann residuals from the primitive's samples on circles inside rect:
+    # its image through Cauchy-integral jets, and its departure from holomorphic
     margin = min(rect.b - rect.a, rect.d - rect.c) / 4
+    radius = 0.9 * margin
     xs, rs = _full_grid(Rectangle(rect.a + margin, rect.b - margin, rect.c + margin, rect.d - margin), 4, 4)
     xv, rv = np.array(xs), np.array(rs)
-    image = fueter_profile(jets.HolomorphicFn.from_callable(prim, 0.9 * margin), cfg, xv, rv)
+    image = fueter_profile(jets.HolomorphicFn.from_callable(prim, radius), cfg, xv, rv)
     worst = float(np.max(np.abs(np.stack(image) - np.stack([A(xv, rv), B(xv, rv)]))))
-
-    grid = GridSpec(rect, min(nx0, 8), min(nr, 8))
-    cr = cr_residual(prim.eval, grid)
-    vk = vekua_residual(A, B, k, m, grid)
+    cr = cr_residual(prim, xv + 1j * rv, radius)
     payload = {
         "meta": {"command": "roundtrip", "m": m, "k": k, "h": h.name,
                  "rect": list(rect.as_tuple()), "kernel_degree": cfg.kernel_degree},
         "gauge_fit_residual": fit,
         "field_residual": worst,
-        "cr_residual": cr.to_json(),
-        "vekua_residual": vk.to_json(),
+        "cr_residual": cr,
     }
     _emit(opts, payload, None)
     return 0

@@ -159,7 +159,8 @@ class AxialFunction:
     ndarrays of equal shape (the coefficient chain feeds x0 nodes along
     r = c), and return float values of r's shape.  The integrals assume A
     and B smooth on the rectangle.  Nothing here checks that (A, B) solves
-    the Vekua system; verify.vekua_residual measures that on a sample grid.
+    the Vekua system; verify.cr_residual measures how far a computed
+    primitive is from holomorphic.
     """
 
     __slots__ = ("A", "B", "m", "k", "N", "rect", "name")

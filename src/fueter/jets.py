@@ -6,9 +6,9 @@ downstream never see finite-difference noise.  Jets of products follow
 the Leibniz rule; powers, polynomials and 1/z share one table of falling
 factorials, log goes through 1/z, and arctan through the exact three-term
 recurrence of its derivative 1/(1+z^2).
-HolomorphicFn.from_callable takes the jets of any holomorphic callable,
-such as a computed primitive, from the FFT of its samples on circles around
-the base points (Cauchy's integral formula).
+circle_coefficients takes the FFT of a callable's samples on circles around
+base points; HolomorphicFn.from_callable reads the jets of any holomorphic
+callable, such as a computed primitive, from it (Cauchy's integral formula).
 
 On x86-64, np.clongdouble carries 11 more bits than complex128 for the
 radial expansion downstream, which cancels about (2N-1) log10(1/r) digits
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 CUT_TOL = 1e-12
-# Samples per circle of HolomorphicFn.from_callable: order n aliases with order
+# Samples per circle of circle_coefficients: order n aliases with order
 # n + CIRCLE_POINTS, and carries rounding of about eps max|h| n! / radius^n.
 CIRCLE_POINTS = 32
 
@@ -185,22 +185,17 @@ class HolomorphicFn:
     def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], radius: float) -> "HolomorphicFn":
         """Jets of the callable f from its samples on a circle of the given radius around each point z.
 
-        f maps a complex128 array to h there, is called once per jet for all circles, and must be
-        holomorphic on each closed disc.  h^(n)(z) = n! c_n / radius^n, with c the FFT of the
-        CIRCLE_POINTS samples over CIRCLE_POINTS: the trapezoidal rule for Cauchy's integral
-        (Lyness and Moler, 1967).
+        f maps a complex128 array to h there, is called once per jet for all circles (through
+        circle_coefficients), and must be holomorphic on each closed disc.  h^(n)(z) =
+        n! c_n / radius^n: the trapezoidal rule for Cauchy's integral (Lyness and Moler, 1967).
         """
-        radius = float(radius)
-        if not 0 < radius < math.inf:
-            raise ValueError(f"circle radius must be finite and positive, got {radius}")
-        circle = radius * np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
+        radius = _checked_radius(radius)
         scale = np.array([math.factorial(n) / radius**n for n in range(CIRCLE_POINTS)])
 
         def jet_fn(z: np.ndarray, d: int) -> np.ndarray:
             if d >= CIRCLE_POINTS:
                 raise ValueError(f"a jet from {CIRCLE_POINTS} circle points has order < {CIRCLE_POINTS}, got {d}")
-            samples = np.asarray(f(z.reshape(-1, 1).astype(np.complex128) + circle), dtype=np.complex128)
-            taylor = np.fft.fft(samples, axis=1)[:, : d + 1] / CIRCLE_POINTS
+            taylor = circle_coefficients(f, z, radius)[:, : d + 1]
             return (taylor * scale[: d + 1]).T.astype(np.clongdouble).reshape((d + 1,) + z.shape)
 
         return cls(getattr(f, "__name__", type(f).__name__), jet_fn)
@@ -226,6 +221,27 @@ class HolomorphicFn:
 
     def __repr__(self) -> str:
         return f"HolomorphicFn({self.name})"
+
+
+def _checked_radius(radius: float) -> float:
+    radius = float(radius)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"circle radius must be finite and positive, got {radius}")
+    return radius
+
+
+def circle_coefficients(f: Callable[[np.ndarray], np.ndarray], z, radius: float) -> np.ndarray:
+    """The Fourier coefficients of f on a circle of the given radius around each point of z.
+
+    Row p holds the FFT of the CIRCLE_POINTS samples f(z_p + radius e^(2 pi i j / CIRCLE_POINTS))
+    over CIRCLE_POINTS: slot n estimates c_n of f(z_p + radius e^(it)) = sum_n c_n e^(int) for
+    0 <= n < CIRCLE_POINTS / 2 and c_(n - CIRCLE_POINTS) above, each plus the coefficients
+    CIRCLE_POINTS orders away.  f maps a complex128 array to its values there and is called
+    once for all circles.
+    """
+    circle = _checked_radius(radius) * np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
+    samples = np.asarray(f(np.reshape(z, (-1, 1)).astype(np.complex128) + circle), dtype=np.complex128)
+    return np.fft.fft(samples, axis=1) / CIRCLE_POINTS
 
 
 def _both(f: Callable | None, g: Callable | None) -> Callable | None:

@@ -405,19 +405,42 @@ class TestRoundtrip:
         data = json.loads(out)
         assert data["gauge_fit_residual"] <= 1e-8
         assert relative_field_residual(data, "z^3") <= 1e-10
-        assert data["cr_residual"]["max"] <= 1e-6
-        assert data["vekua_residual"]["max"] <= 1e-6
+        assert type(data["cr_residual"]) is float and data["cr_residual"] <= 1e-13
+        assert sorted(data) == ["cr_residual", "field_residual", "gauge_fit_residual", "meta"]
 
     def test_primitive_evaluated_once_per_grid(self, capsys, monkeypatch):
-        # one call for the gauge samples, one for the 32-point circles around
-        # the 4 x 4 residual grid, one per CR stencil offset; none point by point
+        # one call for the gauge samples, then one each for the jets and the
+        # Cauchy-Riemann residual on the 32-point circles around the 4 x 4
+        # residual grid; none point by point
         from fueter.inverse import FueterPrimitive
 
         sizes, real = [], FueterPrimitive.eval
         monkeypatch.setattr(FueterPrimitive, "eval", lambda self, x0, r: sizes.append(np.size(r)) or real(self, x0, r))
         code, _ = run(capsys, "roundtrip", "--h", "z^3", "--m", "3", "--grid", "4,4")
         assert code == 0
-        assert sizes == [16, 16 * jets.CIRCLE_POINTS] + [16] * 4
+        assert sizes == [16, 16 * jets.CIRCLE_POINTS, 16 * jets.CIRCLE_POINTS]
+
+    @pytest.mark.parametrize("argv", [("--h", "recip", "--m", "3"),
+                                      ("--h", "arctan", "--m", "7", "--k", "1", "--quad-tol", "1e-7")])
+    def test_cr_residual_detects_planted_non_holomorphic_term(self, capsys, monkeypatch, argv):
+        # the computed primitive is holomorphic to rounding; adding 1e-9 conj(z)^2,
+        # whose residual is 4e-9 |z0| per circle, lifts the report above 1e-9
+        code, out = run(capsys, "roundtrip", *argv)
+        assert code == 0
+        assert json.loads(out)["cr_residual"] <= 1e-10
+        from fueter.inverse import FueterPrimitive
+
+        real = FueterPrimitive.eval
+
+        def planted(self, x0, r):
+            u, v = real(self, x0, r)
+            w = 1e-9 * (np.asarray(x0) - 1j * np.asarray(r)) ** 2
+            return u + w.real, v + w.imag
+
+        monkeypatch.setattr(FueterPrimitive, "eval", planted)
+        code, out = run(capsys, "roundtrip", *argv)
+        assert code == 0
+        assert json.loads(out)["cr_residual"] > 1e-9
 
     def test_second_order_case(self, capsys):
         code, out = run(capsys, "roundtrip", "--h", "recip", "--m", "5", "--grid", "4,4")
@@ -437,6 +460,7 @@ class TestRoundtrip:
         data = json.loads(out)
         assert data["gauge_fit_residual"] <= 1e-8
         assert relative_field_residual(data, h) <= 1e-10
+        assert data["cr_residual"] <= 1e-10
 
 
 class TestKernel:
@@ -520,14 +544,22 @@ class TestConfigMerging:
         (["kernel", "--m", "3"], {"nmax": [2]}, "--nmax must be an integer, got [2]"),
         (["invert", "--field", "cubic", "--grid", "2,2"], {"init": 5}, "--init needs 2 comma-separated numbers, got 5"),
         (["invert", "--field", "cubic", "--grid", "2,2"], {"quad_tol": [1e-9]}, "--quad-tol must be a number"),
+        (["invert", "--grid", "2,2"], {"field_json": [1]}, "--field-json must be a string, got [1]"),
+        (["invert", "--grid", "2,2"], {"field": 3}, "--field must be a string, got 3"),
+        (["forward", "--grid", "2,2"], {"h": ["recip"]}, "--h must be a string, got ['recip']"),
+        (["forward", "--h", "recip", "--grid", "2,2"], {"out": 5}, "--out must be a string, got 5"),
+        (["forward", "--h", "recip", "--grid", "2,2"], {"format": "xml"}, "--format must be json or csv, got 'xml'"),
     ], ids=["m-list", "m-fraction", "rect-number", "rect-string-entry", "profiles-string", "grid-null",
-            "nmax-list", "init-number", "quad-tol-list"])
+            "nmax-list", "init-number", "quad-tol-list", "field-json-list", "field-number", "h-list",
+            "out-number", "format-unknown"])
     def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, command, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code = main([*command, "--config", str(cfg)])
+        captured = capsys.readouterr()
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert message in captured.err
+        assert captured.out == ""  # no output is written
 
     def test_config_number_lists_match_flags(self, capsys, tmp_path):
         # a JSON list and a comma string are one parser: the same payload

@@ -24,7 +24,7 @@ from fueter.inverse import (
 )
 from fueter.oracles import axial_field, example1_oracle
 from fueter.quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, integrate
-from fueter.verify import GridSpec, polynomial_fit_residual, vekua_residual
+from fueter.verify import polynomial_fit_residual
 
 RECT = Rectangle(0.0, 1.0, 0.5, 1.5)
 
@@ -428,14 +428,6 @@ class TestPrimitiveObject:
         prim = invert(H)
         with pytest.raises(ValueError, match="outside"):
             prim.eval(2.0, 1.0)
-
-    def test_vekua_residual_passes_good_field(self):
-        H = axial_field("cubic")
-        assert vekua_residual(H.A, H.B, H.k, H.m, GridSpec(H.rect, 6, 6)).max <= 1e-8
-
-    def test_vekua_residual_flags_non_monogenic_field(self):
-        bad = AxialFunction(lambda x0, r: x0 * 0 + 1.0, lambda x0, r: r * 0 + 1.0, 3, 0, RECT)
-        assert vekua_residual(bad.A, bad.B, bad.k, bad.m, GridSpec(RECT, 5, 5)).max > 1e-8
 
     def test_quadrature_config_threads_through(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
