@@ -152,6 +152,8 @@ def _dumps(payload: dict) -> str:
     A last "points" list of {"x0", "r", "value": [floats]} of one width, all
     finite, takes one %-template per point (json writes floats as %r does)
     spliced into json's rendering of the rest; any other payload is json's.
+    A grid repeats each x0 and r many times, so each distinct nonzero
+    coordinate is formatted once (equal nonzero floats have one repr).
     """
     points = payload.get("points")
     try:
@@ -164,8 +166,11 @@ def _dumps(payload: dict) -> str:
     if width and len(rows) == len(points) and set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
         head = json.dumps({**payload, "points": []}, indent=2)
         if head.endswith('\n  "points": []\n}'):
+            coords = {v: repr(v) for v in {c for row in rows for c in row[:2]} if v}
+            flat[:: width + 2] = [coords.get(row[0]) or repr(row[0]) for row in rows]
+            flat[1 :: width + 2] = [coords.get(row[1]) or repr(row[1]) for row in rows]
             values = ",\n".join(["        %r"] * width)
-            item = f'    {{\n      "x0": %r,\n      "r": %r,\n      "value": [\n{values}\n      ]\n    }}'
+            item = f'    {{\n      "x0": %s,\n      "r": %s,\n      "value": [\n{values}\n      ]\n    }}'
             return head[:-4] + "[\n" + ",\n".join([item] * len(rows)) % tuple(flat) + "\n  ]\n}"
     return json.dumps(payload, indent=2)
 
@@ -312,15 +317,17 @@ def _cmd_roundtrip(args) -> int:
     w = np.array([complex(u, v) for u, v in zip(*prim.eval(np.array(xs), np.array(rs)))]) - h(np.array(z))
     fit = polynomial_fit_residual(list(zip(z, w.tolist())), cfg.kernel_degree)
 
-    # field and Cauchy-Riemann residuals from the primitive's samples on circles inside rect:
-    # its image through Cauchy-integral jets, and its departure from holomorphic
+    # field and Cauchy-Riemann residuals from one FFT of the primitive's samples on circles
+    # inside rect: its image through Cauchy-integral jets, and its departure from holomorphic
     margin = min(rect.b - rect.a, rect.d - rect.c) / 4
     radius = 0.9 * margin
     xs, rs = _full_grid(Rectangle(rect.a + margin, rect.b - margin, rect.c + margin, rect.d - margin), 4, 4)
     xv, rv = np.array(xs), np.array(rs)
-    image = fueter_profile(jets.HolomorphicFn.from_callable(prim, radius), cfg, xv, rv)
+    centres = xv + 1j * rv
+    coeffs = jets.circle_coefficients(prim, centres, radius)
+    image = fueter_profile(jets.HolomorphicFn.from_circle_coefficients(centres, coeffs, radius), cfg, xv, rv)
     worst = float(np.max(np.abs(np.stack(image) - np.stack([A(xv, rv), B(xv, rv)]))))
-    cr = cr_residual(prim, xv + 1j * rv, radius)
+    cr = cr_residual(coeffs, radius)
     payload = {
         "meta": {"command": "roundtrip", "m": m, "k": k, "h": h.name,
                  "rect": list(rect.as_tuple()), "kernel_degree": cfg.kernel_degree},
@@ -337,6 +344,8 @@ def _cmd_kernel(args) -> int:
     m, k = opts.mk()
     cfg = FueterConfig(m, k)
     nmax = opts.integer("nmax", cfg.kernel_degree + 1)
+    if nmax < 0:
+        raise ValueError(f"--nmax must be nonnegative, got {nmax}")
     rect = opts.rect(default=(0.3, 1.3, 0.4, 1.4))
     nx0, nr = opts.grid(default=(5, 5))
     grid = GridSpec(rect, nx0, nr)

@@ -70,27 +70,56 @@ def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0, r):
 
     x0 and r broadcast against each other.  A and B are float64 arrays of
     the broadcast shape, or Python floats when x0 and r are both scalars.
+    One jet of h and one table of powers of r serve both.
     """
     u, v = radial_derivatives(h, x0, r, cfg.N)
     const = float(cfg.leading_constant)
-    return const * radial_op(u, r, cfg.N, "minus"), const * radial_op(v, r, cfg.N, "plus")
+    a, b = radial_op(u, v, r, cfg.N)
+    return const * a, const * b
 
 
 def fueter_fields(h: HolomorphicFn, cfg: FueterConfig) -> tuple[Callable, Callable]:
     """(A, B) evaluators of the image field at scalar or broadcastable array (x0, r).
 
-    Each builds one jet per call and applies only its own operator; values
-    equal fueter_profile's bit for bit.
+    A call to either runs fueter_profile once and returns its own component.
+    It keeps the other one, with a float64 copy of (x0, r), until the next
+    call to either evaluator.  If that call is the other evaluator's, at
+    (x0, r) of equal shape and bits, it returns the kept component; any
+    other call recomputes.  So A then B at the same points costs one jet,
+    every returned array is fresh, and mutating the inputs in between cannot
+    return stale values.  Values equal fueter_profile's bit for bit.
     """
+    kept = []  # at most one (component, _key(x0, r), value) not yet taken
 
-    def make(which: int, variant: str):
+    def evaluator(which: int):
         def eval_field(x0, r):
-            stack = radial_derivatives(h, x0, r, cfg.N)[which]
-            return float(cfg.leading_constant) * radial_op(stack, r, cfg.N, variant)
+            key = _key(x0, r)
+            try:
+                component, key_kept, value = kept.pop()
+            except IndexError:  # nothing kept, or another thread took it
+                pass
+            else:
+                if component == which and key is not None and key == key_kept:
+                    return value
+            pair = fueter_profile(h, cfg, x0, r)
+            kept[:] = [] if key is None else [(1 - which, key, pair[1 - which])]
+            return pair[which]
 
         return eval_field
 
-    return make(0, "minus"), make(1, "plus")
+    return evaluator(0), evaluator(1)
+
+
+def _key(x0, r) -> tuple | None:
+    """The shapes and float64 bytes of x0 and r; None unless both are floats of
+    at most double width, the inputs whose float64 bits fix what the jet reads."""
+    key = ()
+    for x in (x0, r):
+        x = np.asarray(x)
+        if x.dtype.kind != "f" or x.dtype.itemsize > 8:
+            return None
+        key += (x.shape, x.astype(np.float64, copy=False).tobytes())
+    return key
 
 
 def _check_pair(P: MonogenicPolynomial, cfg: FueterConfig) -> None:

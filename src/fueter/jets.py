@@ -190,15 +190,23 @@ class HolomorphicFn:
         n! c_n / radius^n: the trapezoidal rule for Cauchy's integral (Lyness and Moler, 1967).
         """
         radius = _checked_radius(radius)
-        scale = np.array([math.factorial(n) / radius**n for n in range(CIRCLE_POINTS)])
+        name = getattr(f, "__name__", type(f).__name__)
+        return cls(name, lambda z, d: _circle_jet(circle_coefficients(f, z, radius), radius, d, z.shape))
 
-        def jet_fn(z: np.ndarray, d: int) -> np.ndarray:
-            if d >= CIRCLE_POINTS:
-                raise ValueError(f"a jet from {CIRCLE_POINTS} circle points has order < {CIRCLE_POINTS}, got {d}")
-            taylor = circle_coefficients(f, z, radius)[:, : d + 1]
-            return (taylor * scale[: d + 1]).T.astype(np.clongdouble).reshape((d + 1,) + z.shape)
+    @classmethod
+    def from_circle_coefficients(cls, z, coeffs: np.ndarray, radius: float) -> "HolomorphicFn":
+        """The jets that from_callable(f, radius) gives at the points z, read off the given
+        coeffs = circle_coefficients(f, z, radius), so a caller that needs the coefficients
+        too samples f once.  A jet at any other points raises."""
+        centres = np.asarray(z, dtype=np.complex128)
+        radius = _checked_radius(radius)
 
-        return cls(getattr(f, "__name__", type(f).__name__), jet_fn)
+        def jet_fn(w: np.ndarray, d: int) -> np.ndarray:
+            if w.shape != centres.shape or not np.array_equal(w, centres):
+                raise ValueError("circle coefficients give jets only at the centres of their circles")
+            return _circle_jet(coeffs, radius, d, w.shape)
+
+        return cls("circle samples", jet_fn)
 
     # a product keeps the tighter of the two domains
     def __mul__(self, other):
@@ -242,6 +250,15 @@ def circle_coefficients(f: Callable[[np.ndarray], np.ndarray], z, radius: float)
     circle = _checked_radius(radius) * np.exp(2j * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
     samples = np.asarray(f(np.reshape(z, (-1, 1)).astype(np.complex128) + circle), dtype=np.complex128)
     return np.fft.fft(samples, axis=1) / CIRCLE_POINTS
+
+
+def _circle_jet(coeffs: np.ndarray, radius: float, d: int, shape: tuple) -> np.ndarray:
+    """The jet to order d at the centres, of the given shape, of circles with coefficients
+    circle_coefficients(f, centres, radius): h^(n) = n! c_n / radius^n."""
+    if d >= CIRCLE_POINTS:
+        raise ValueError(f"a jet from {CIRCLE_POINTS} circle points has order < {CIRCLE_POINTS}, got {d}")
+    scale = np.array([math.factorial(n) / radius**n for n in range(d + 1)])
+    return (coeffs[:, : d + 1] * scale).T.astype(np.clongdouble).reshape((d + 1,) + shape)
 
 
 def _both(f: Callable | None, g: Callable | None) -> Callable | None:

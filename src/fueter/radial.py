@@ -9,9 +9,13 @@ with the exact integer coefficients
 
     a_{j,n} = (2n-j-1)! / (2^(n-j) (n-j)! (j-1)!),   1 <= j <= n,
 
-the coefficient rows of the Bessel polynomials.  Inverting either operator
-one level costs one weighted integral (the two-variable kernel collapses a
-nested n-fold integral to a single one):
+the coefficient rows of the Bessel polynomials.  The forward map needs
+minus of u and plus of v at the same x, so radial_op(u, v, x, n) returns
+that pair from one table of the powers x^(j-2n), j = 0..n: plus reads all
+of it and minus rows 1..n.
+
+Inverting either operator one level costs one weighted integral (the
+two-variable kernel collapses a nested n-fold integral to a single one):
 
     phi_n(x) = (2n-2)!!^-1 integral_a^x t (x^2-t^2)^(n-1) f(t) dt
     psi_n(x) = x (2n-2)!!^-1 integral_a^x (x^2-t^2)^(n-1) f(t) dt
@@ -31,8 +35,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-VARIANTS = ("minus", "plus")
 
 
 def double_factorial(n: int) -> int:
@@ -71,38 +73,40 @@ def coeff_row(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _op_terms(n: int, variant: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """The expansion's lowest derivative order, and as read-only columns the
-    signed coefficients (-1)^(n+j) a and the powers j - 2n of x of its terms."""
-    first, row = (1, coeff_row(n)) if variant == "minus" else (0, coeff_row(n + 1))
+def _signed_coeffs(n: int, first: int) -> np.ndarray:
+    """The signed coefficients (-1)^(n+j) a of the minus (first = 1) or the
+    plus (first = 0) expansion's terms, j = first..n, as a read-only column."""
+    row = coeff_row(n + 1 - first)
     coeffs = np.array([(-1) ** (n + j) * a for j, a in enumerate(row, first)], dtype=np.longdouble)
-    coeffs, powers = coeffs.reshape(-1, 1), np.arange(first - 2 * n, 1 - n).reshape(-1, 1)
+    coeffs = coeffs.reshape(-1, 1)
     coeffs.setflags(write=False)
-    powers.setflags(write=False)
-    return first, coeffs, powers
+    return coeffs
 
 
-def radial_op(derivs, x, n: int, variant: str = "minus"):
-    """Apply (x^-1 d/dx)^n ("minus") or (d/dx x^-1)^n ("plus") at x.
+def radial_op(u, v, x, n: int):
+    """(x^-1 d/dx)^n u and (d/dx x^-1)^n v at x: the minus operator on u, the plus on v.
 
-    derivs stacks g(x), g'(x), ..., at least to order n, along its first
-    axis: shape (order+1, *batch), with x broadcasting to the batch shape.
-    The terms ((-1)^(n+j) a x^(j-2n)) g^(j), with exact integers a, are
-    formed and summed in longdouble in increasing j, then rounded once to
-    float64: a Python float at a single point, else a batch-shaped array.
-    n = 0 returns g(x) for either variant.
+    u and v stack g(x), g'(x), ..., at least to order n, along their first
+    axis: shape (order+1, *batch), one batch shape for both, with x
+    broadcasting to it.  One longdouble table x^(j-2n), j = 0..n, serves
+    both expansions: plus reads all its rows and minus rows 1..n.  Each
+    expansion's terms ((-1)^(n+j) a x^(j-2n)) g^(j), with exact integers a,
+    are formed and summed in longdouble in increasing j, then rounded once
+    to float64: Python floats at a single point, else batch-shaped arrays.
+    n = 0 returns (u(x), v(x)).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = int(n)
     if n < 0:
         raise ValueError(f"operator order must be nonnegative, got {n}")
-    g = np.asarray(derivs, dtype=np.longdouble)
-    if g.ndim == 0 or g.shape[0] < n + 1:
-        raise ValueError(f"need derivatives up to order {n}, got shape {g.shape}")
-    batch = g.shape[1:]
+    u, v = np.asarray(u, dtype=np.longdouble), np.asarray(v, dtype=np.longdouble)
+    for g in (u, v):
+        if g.ndim == 0 or g.shape[0] < n + 1:
+            raise ValueError(f"need derivatives up to order {n}, got shape {g.shape}")
+    batch = u.shape[1:]
+    if v.shape[1:] != batch:
+        raise ValueError(f"u and v need one batch shape, got {batch} and {v.shape[1:]}")
     if n == 0:
-        out = g[0]
+        pair = u[0], v[0]
     else:
         xs = np.asarray(x, dtype=np.longdouble)
         if xs.shape != batch:
@@ -110,12 +114,14 @@ def radial_op(derivs, x, n: int, variant: str = "minus"):
         xs = xs.reshape(-1)
         if np.count_nonzero(xs) < xs.size:
             raise ValueError("radial operators are singular at x = 0")
-        first, coeffs, powers = _op_terms(n, variant)
-        terms = coeffs * np.power(xs, powers)
-        terms *= g[first : n + 1].reshape(len(coeffs), -1)
-        # a matrix product sums in a fixed order, whatever the batch shape
-        out = (np.ones(len(coeffs), dtype=np.longdouble) @ terms).reshape(batch)
-    return float(out) if not batch else out.astype(np.float64)
+        table = np.power(xs, np.arange(-2 * n, 1 - n).reshape(-1, 1))
+        pair = []
+        for g, first in ((u, 1), (v, 0)):
+            terms = _signed_coeffs(n, first) * table[first:]
+            terms *= g[first : n + 1].reshape(n + 1 - first, -1)
+            # a matrix product sums in a fixed order, whatever the batch shape
+            pair.append((np.ones(n + 1 - first, dtype=np.longdouble) @ terms).reshape(batch))
+    return tuple(float(out) if not batch else out.astype(np.float64) for out in pair)
 
 
 def nested_antiderivative_oracle(

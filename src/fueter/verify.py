@@ -2,21 +2,21 @@
 polynomial gauge fitting.
 
 The Cauchy-Riemann residual reads the Fourier coefficients of circle samples
-(jets.circle_coefficients), the FFT that the roundtrip's field residual also
-takes; nothing here differentiates numerically.
+(jets.circle_coefficients), the one FFT from which the roundtrip also reads
+the jets of its field residual; nothing here differentiates numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clifford import Paravector
 from .forward import FueterConfig, fueter_map
 from .inverse import Rectangle
-from .jets import circle_coefficients, power
+from .jets import _checked_radius, power
 from .polynomials import MonogenicPolynomial, builtin_pk
 
 
@@ -52,10 +52,10 @@ class GridSpec:
                 yield float(x0), float(rr)
 
 
-def cr_residual(f: Callable[[np.ndarray], np.ndarray], z, radius: float) -> float:
-    """Largest departure of f from the Cauchy-Riemann equations over the discs of the given
-    radius around the points z; f maps a complex array to its values, as FueterPrimitive does,
-    and is called once for all circles.
+def cr_residual(coeffs: np.ndarray, radius: float) -> float:
+    """Largest departure from the Cauchy-Riemann equations of a function f over the discs of
+    the given radius whose circle samples have the Fourier coefficients coeffs =
+    jets.circle_coefficients(f, z, radius), one row per disc.
 
     Per disc this is 2 |c_-1| / radius, with c_-1 the coefficient of e^(-it) on the circle.  By
     Green's theorem c_-1 = radius * (disc mean of df/dz-bar), so the value is
@@ -64,8 +64,7 @@ def cr_residual(f: Callable[[np.ndarray], np.ndarray], z, radius: float) -> floa
     is read: slot -n also holds c_(CIRCLE_POINTS - n) of f's own Taylor series, which grows
     with n and would swamp a small departure.
     """
-    c_minus_1 = circle_coefficients(f, z, radius)[:, -1]
-    return float(2 * np.max(np.abs(c_minus_1)) / radius)
+    return float(2 * np.max(np.abs(coeffs[:, -1])) / _checked_radius(radius))
 
 
 def kernel_check(

@@ -409,16 +409,16 @@ class TestRoundtrip:
         assert sorted(data) == ["cr_residual", "field_residual", "gauge_fit_residual", "meta"]
 
     def test_primitive_evaluated_once_per_grid(self, capsys, monkeypatch):
-        # one call for the gauge samples, then one each for the jets and the
-        # Cauchy-Riemann residual on the 32-point circles around the 4 x 4
-        # residual grid; none point by point
+        # one call for the gauge samples, then one on the 32-point circles
+        # around the 4 x 4 residual grid, whose FFT gives both the jets and
+        # the Cauchy-Riemann residual; none point by point
         from fueter.inverse import FueterPrimitive
 
         sizes, real = [], FueterPrimitive.eval
         monkeypatch.setattr(FueterPrimitive, "eval", lambda self, x0, r: sizes.append(np.size(r)) or real(self, x0, r))
         code, _ = run(capsys, "roundtrip", "--h", "z^3", "--m", "3", "--grid", "4,4")
         assert code == 0
-        assert sizes == [16, 16 * jets.CIRCLE_POINTS, 16 * jets.CIRCLE_POINTS]
+        assert sizes == [16, 16 * jets.CIRCLE_POINTS]
 
     @pytest.mark.parametrize("argv", [("--h", "recip", "--m", "3"),
                                       ("--h", "arctan", "--m", "7", "--k", "1", "--quad-tol", "1e-7")])
@@ -491,6 +491,20 @@ class TestKernel:
             ref = fueter_map(jets.power(row["n"]), P, cfg, Paravector(1.0, np.eye(5)[0]))
             assert Multivector.from_pairs(5, row["value_at_ref"]) == ref
             assert (row["max_norm"], row["expected_zero"]) == kernel_check(row["n"], 1, 5, grid, P=P)
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_negative_nmax_is_config_error(self, capsys, tmp_path, via_config):
+        # an empty scan would read as a pass, like --grid 0,3 it is refused
+        argv = ["kernel", "--m", "3", "--nmax", "-1"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"nmax": -1}))
+            argv[3:] = ["--config", str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--nmax must be nonnegative, got -1" in captured.err
+        assert captured.out == ""
 
 
 class TestSuites:

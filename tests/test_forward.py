@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +105,89 @@ class TestFieldViews:
             a, b = fueter_profile(jets.recip(), cfg3(), 0.8, float(r))
             assert av[i] == pytest.approx(a)
             assert bv[i] == pytest.approx(b)
+
+    @staticmethod
+    def counting(h):
+        """h, and a list that records the shape of every jet it builds."""
+        calls = []
+        return jets.HolomorphicFn(h.name, lambda z, d: calls.append(z.shape) or h.jet(z, d)), calls
+
+    def test_a_then_b_share_one_jet(self):
+        h, calls = self.counting(jets.arctan())
+        cfg = FueterConfig(5, 1)
+        A, B = fueter_fields(h, cfg)
+        x0s, rs = np.linspace(0.2, 1.0, 4), np.linspace(0.5, 1.5, 4)
+        want = fueter_profile(jets.arctan(), cfg, x0s, rs)
+        a = A(x0s, rs)
+        b = B(x0s.copy(), rs.copy())  # equal values, other objects
+        assert calls == [(4,)]
+        assert a.tolist() == want[0].tolist() and b.tolist() == want[1].tolist()
+        assert (B(x0s, rs).tolist(), A(x0s, rs).tolist()) == (b.tolist(), a.tolist())
+        assert calls == [(4,)] * 2
+        assert (A(0.7, 0.9), B(0.7, 0.9)) == fueter_profile(jets.arctan(), cfg, 0.7, 0.9)
+        assert len(calls) == 3
+
+    def test_b_at_other_points_recomputes(self):
+        h, calls = self.counting(jets.recip())
+        A, B = fueter_fields(h, cfg3())
+        rs = np.array([0.5, 1.0, 1.5])
+        for first, then in [((0.8, rs), (0.9, rs)),               # other x0
+                            ((0.8, rs), (0.8, rs[:2])),           # other r
+                            ((0.8, rs), (np.full(3, 0.8), rs)),   # equal values, other shape
+                            ((0.0, rs), (-0.0, rs)),              # other sign of zero
+                            ((1, 2), (1, 2))]:                    # integers, not keyed by float64 bits
+            del calls[:]
+            A(*first)
+            b = B(*then)
+            assert len(calls) == 2
+            assert np.array_equal(b, fueter_profile(jets.recip(), cfg3(), *then)[1])
+
+    def test_b_after_input_mutated_in_place_recomputes(self):
+        h, calls = self.counting(jets.arctan())
+        A, B = fueter_fields(h, cfg3())
+        rs = np.array([0.5, 1.0, 1.5])
+        A(0.8, rs)
+        rs[1] = 1.25
+        b = B(0.8, rs)
+        assert len(calls) == 2
+        assert b.tolist() == fueter_profile(jets.arctan(), cfg3(), 0.8, np.array([0.5, 1.25, 1.5]))[1].tolist()
+
+    def test_repeated_calls_return_fresh_arrays(self):
+        h, calls = self.counting(jets.arctan())
+        A, B = fueter_fields(h, cfg3())
+        rs = np.array([0.5, 1.0, 1.5])
+        first, second = A(0.8, rs), A(0.8, rs)
+        assert first is not second and first.tolist() == second.tolist()
+        b1, b2 = B(0.8, rs), B(0.8, rs)  # the kept B is handed out once
+        assert b1 is not b2 and b1.tolist() == b2.tolist()
+        assert len(calls) == 3
+
+    def test_threads_sharing_the_evaluators_get_their_own_values(self):
+        # each thread's B follows its own A at its own points; a kept component
+        # another thread took or replaced must be recomputed, never mixed up
+        A, B = fueter_fields(jets.recip(), cfg3())
+        rs = np.array([0.5, 1.0, 1.5])
+        wrong = []
+
+        def worker(x0):
+            want = fueter_profile(jets.recip(), cfg3(), x0, rs)
+            for _ in range(100):
+                a, b = A(x0, rs), B(x0, rs)
+                if a.tolist() != want[0].tolist() or b.tolist() != want[1].tolist():
+                    wrong.append(x0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(0.1 * (i + 1),)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_real_axis_rejected(self):
         with pytest.raises(ValueError, match="r > 0"):

@@ -208,6 +208,23 @@ class TestFromCallable:
         assert f.jet(self.POINTS.reshape(3, 1), 2).shape == (3, 3, 1)
         assert shapes == [(3, jets.CIRCLE_POINTS)]
 
+    def test_given_coefficients_give_the_same_jets(self):
+        # one sampling serves the jets and whatever else reads the coefficients
+        coeffs = jets.circle_coefficients(jets.arctan(), self.POINTS, 0.2)
+        given = jets.HolomorphicFn.from_circle_coefficients(self.POINTS, coeffs, 0.2)
+        for d in (0, 3, jets.CIRCLE_POINTS - 1):
+            want = jets.HolomorphicFn.from_callable(jets.arctan(), 0.2).jet(self.POINTS, d)
+            assert np.array_equal(given.jet(self.POINTS, d), want)
+        with pytest.raises(ValueError, match="order"):
+            given.jet(self.POINTS, jets.CIRCLE_POINTS)
+
+    def test_given_coefficients_have_jets_only_at_their_centres(self):
+        coeffs = jets.circle_coefficients(np.exp, self.POINTS, 0.2)
+        given = jets.HolomorphicFn.from_circle_coefficients(self.POINTS, coeffs, 0.2)
+        for z in (self.POINTS[:2], self.POINTS + 1e-9, self.POINTS.reshape(3, 1)):
+            with pytest.raises(ValueError, match="only at the centres"):
+                given.jet(z, 2)
+
     @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="radius"):

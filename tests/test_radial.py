@@ -72,6 +72,28 @@ class TestCoefficients:
             double_factorial(-2)
 
 
+def single_variant_reference(derivs, x, n, variant):
+    """The one-operator expansion radial_op computed per variant before it
+    returned the pair, step for step: one power table per variant."""
+    g = np.asarray(derivs, dtype=np.longdouble)
+    batch = g.shape[1:]
+    if n == 0:
+        out = g[0]
+    else:
+        xs = np.broadcast_to(np.asarray(x, dtype=np.longdouble), batch).reshape(-1)
+        first, row = (1, coeff_row(n)) if variant == "minus" else (0, coeff_row(n + 1))
+        coeffs = np.array([(-1) ** (n + j) * a for j, a in enumerate(row, first)], dtype=np.longdouble)
+        terms = coeffs.reshape(-1, 1) * np.power(xs, np.arange(first - 2 * n, 1 - n).reshape(-1, 1))
+        terms *= g[first : n + 1].reshape(len(coeffs), -1)
+        out = (np.ones(len(coeffs), dtype=np.longdouble) @ terms).reshape(batch)
+    return float(out) if not batch else out.astype(np.float64)
+
+
+def op(derivs, x, n, variant):
+    """One component of radial_op's pair: minus of u, or plus of v."""
+    return radial_op(derivs, derivs, x, n)[0 if variant == "minus" else 1]
+
+
 class TestRadialOp:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("variant", ["minus", "plus"])
@@ -79,9 +101,9 @@ class TestRadialOp:
         # derivative data from exp: every order is exp(x)
         x = 1.7
         derivs = np.full(n + 1, math.exp(x))
-        got = radial_op(derivs, x, n, variant)
-        op = sym_minus if variant == "minus" else sym_plus
-        want = float(op(sympy.exp(X), n).subs(X, x))
+        got = op(derivs, x, n, variant)
+        sym = sym_minus if variant == "minus" else sym_plus
+        want = float(sym(sympy.exp(X), n).subs(X, x))
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
@@ -89,14 +111,13 @@ class TestRadialOp:
         g = X**7 + 3 * X**4 + 2
         x = 0.83
         derivs = [float(sympy.diff(g, X, j).subs(X, x)) for j in range(4)]
-        got = radial_op(np.array(derivs), x, 3, variant)
-        op = sym_minus if variant == "minus" else sym_plus
-        want = float(op(g, 3).subs(X, x))
+        got = op(np.array(derivs), x, 3, variant)
+        sym = sym_minus if variant == "minus" else sym_plus
+        want = float(sym(g, 3).subs(X, x))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_order_zero_is_identity(self):
-        assert radial_op([4.5, 1.0], 2.0, 0, "minus") == 4.5
-        assert radial_op([4.5, 1.0], 2.0, 0, "plus") == 4.5
+        assert radial_op([4.5, 1.0], [-2.5, 3.0], 2.0, 0) == (4.5, -2.5)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_minus_annihilates_even_powers(self, n):
@@ -105,7 +126,7 @@ class TestRadialOp:
             g = X ** (2 * j)
             for x in (0.5, 1.0, 2.3):
                 derivs = [float(sympy.diff(g, X, i).subs(X, x)) for i in range(n + 1)]
-                assert radial_op(np.array(derivs), x, n, "minus") == pytest.approx(0.0, abs=1e-9)
+                assert op(np.array(derivs), x, n, "minus") == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_plus_annihilates_odd_powers(self, n):
@@ -113,7 +134,7 @@ class TestRadialOp:
             g = X ** (2 * j + 1)
             for x in (0.5, 1.0, 2.3):
                 derivs = [float(sympy.diff(g, X, i).subs(X, x)) for i in range(n + 1)]
-                assert radial_op(np.array(derivs), x, n, "plus") == pytest.approx(0.0, abs=1e-9)
+                assert op(np.array(derivs), x, n, "plus") == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("variant", ["minus", "plus"])
     def test_stack_matches_columns(self, variant):
@@ -121,23 +142,43 @@ class TestRadialOp:
         rng = np.random.default_rng(7)
         derivs = rng.uniform(-2.0, 2.0, (n + 1, 7))
         xs = rng.uniform(0.05, 2.0, 7)
-        got = radial_op(derivs, xs, n, variant)
+        got = op(derivs, xs, n, variant)
         assert got.shape == (7,) and got.dtype == np.float64
-        assert got.tolist() == [radial_op(derivs[:, i], xs[i], n, variant) for i in range(7)]
+        assert got.tolist() == [op(derivs[:, i], xs[i], n, variant) for i in range(7)]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_pair_equals_single_variant_expansions_bit_for_bit(self, n):
+        # one shared power table gives each component the bits of its own expansion,
+        # at a point, on a batch and whatever the batch's shape
+        rng = np.random.default_rng(100 + n)
+        u, v = rng.uniform(-3.0, 3.0, (2, n + 2, 4, 5))
+        xs = rng.uniform(0.01, 2.0, (4, 5))
+        minus, plus = radial_op(u, v, xs, n)
+        assert minus.tolist() == single_variant_reference(u, xs, n, "minus").tolist()
+        assert plus.tolist() == single_variant_reference(v, xs, n, "plus").tolist()
+        flat = radial_op(u.reshape(n + 2, 20), v.reshape(n + 2, 20), xs.reshape(20), n)
+        assert [c.reshape(4, 5).tolist() for c in flat] == [minus.tolist(), plus.tolist()]
+        point = radial_op(u[:, 1, 2], v[:, 1, 2], xs[1, 2], n)
+        assert all(type(c) is float for c in point)
+        assert point == (single_variant_reference(u[:, 1, 2], xs[1, 2], n, "minus"),
+                         single_variant_reference(v[:, 1, 2], xs[1, 2], n, "plus"))
+        assert point == (minus[1, 2], plus[1, 2])
 
     def test_singular_at_origin(self):
         with pytest.raises(ValueError, match="singular"):
-            radial_op([1.0, 1.0], 0.0, 1)
+            radial_op([1.0, 1.0], [1.0, 1.0], 0.0, 1)
         with pytest.raises(ValueError, match="singular"):
-            radial_op(np.ones((2, 3)), np.array([1.0, 0.0, 2.0]), 1)
+            radial_op(np.ones((2, 3)), np.ones((2, 3)), np.array([1.0, 0.0, 2.0]), 1)
 
     def test_short_derivative_array(self):
         with pytest.raises(ValueError):
-            radial_op([1.0], 1.0, 1)
-
-    def test_bad_variant(self):
+            radial_op([1.0], [1.0, 1.0], 1.0, 1)
         with pytest.raises(ValueError):
-            radial_op([1.0, 1.0], 1.0, 1, "sideways")
+            radial_op([1.0, 1.0], [1.0], 1.0, 1)
+
+    def test_mismatched_batch_shapes_rejected(self):
+        with pytest.raises(ValueError, match="batch"):
+            radial_op(np.ones((2, 3)), np.ones((2, 4)), 1.0, 1)
 
 
 class TestAntiderivative:

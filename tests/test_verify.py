@@ -8,6 +8,7 @@ from fueter.clifford import Multivector, Paravector
 from fueter.forward import FueterConfig, fueter_map, laplacian_oracle
 from fueter.inverse import Rectangle
 from fueter.polynomials import builtin_pk
+from fueter.jets import circle_coefficients
 from fueter.verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual
 
 RECT = Rectangle(0.3, 1.0, 0.5, 1.2)
@@ -38,28 +39,33 @@ class TestGridSpec:
 
 class TestCrResidual:
     def test_holomorphic_pair_passes(self):
-        assert cr_residual(lambda w: w * w, CENTRES, 0.2) <= 1e-13
+        assert cr_residual(circle_coefficients(lambda w: w * w, CENTRES, 0.2), 0.2) <= 1e-13
 
     def test_detects_violation(self):
         # conj(z)^2 on a circle about z0 has c_-1 = 2 conj(z0) radius: 4|z0| per circle
         for z0 in CENTRES:
-            assert cr_residual(lambda w: np.conj(w) ** 2, z0, 0.2) == pytest.approx(4 * abs(z0), rel=1e-14)
+            assert cr_residual(circle_coefficients(lambda w: np.conj(w) ** 2, z0, 0.2), 0.2) == pytest.approx(4 * abs(z0), rel=1e-14)
 
     def test_f_called_once_for_all_circles(self):
         shapes = []
-        cr_residual(lambda w: shapes.append(w.shape) or w, CENTRES, 0.2)
+        cr_residual(circle_coefficients(lambda w: shapes.append(w.shape) or w, CENTRES, 0.2), 0.2)
         assert shapes == [(3, jets.CIRCLE_POINTS)]
 
     def test_all_circles_match_one_at_a_time(self):
         # each circle's FFT row is its own, so the batch gives the largest
         # single-circle value bit for bit
-        f = lambda w: w * w + 1e-9 * np.conj(w) ** 2
-        assert cr_residual(f, CENTRES, 0.2) == max(cr_residual(f, z0, 0.2) for z0 in CENTRES)
+        def f(w):
+            return w * w + 1e-9 * np.conj(w) ** 2
+
+        def cr(z):
+            return cr_residual(circle_coefficients(f, z, 0.2), 0.2)
+
+        assert cr(CENTRES) == max(cr(z0) for z0 in CENTRES)
 
     @pytest.mark.parametrize("radius", [0.0, -1e-3, float("nan"), float("inf")])
     def test_non_finite_or_nonpositive_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="finite and positive"):
-            cr_residual(lambda w: w, CENTRES, radius)
+            cr_residual(circle_coefficients(lambda w: w, CENTRES, 0.2), radius)
 
 
 class TestMonogenicity:
