@@ -36,7 +36,7 @@ from .radial import (
     nested_antiderivative_oracle,
     radial_op,
 )
-from .verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual
+from .verify import cr_residual, kernel_check, polynomial_fit_residual
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,7 @@ __all__ = [
     "radial_integrals", "invert",
     "unit_sphere_area", "cauchy_kernel", "example1_oracle", "example2_oracle",
     "SphereQuadrature", "sphere_cauchy_integral", "axial_field",
-    "GridSpec", "cr_residual", "kernel_check", "polynomial_fit_residual",
+    "cr_residual", "kernel_check", "polynomial_fit_residual",
     "NumericalError", "QuadratureError",
     "__version__",
 ]

@@ -15,13 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import Multivector, Paravector
-from .forward import FueterConfig, fueter_map, fueter_profile, laplacian_oracle
+from .forward import FueterConfig, e1_point, fueter_map, fueter_profile, laplacian_oracle
 from .inverse import AxialFunction, Rectangle, invert, radial_integrals
 from .jets import polynomial, power, recip
 from .oracles import SphereQuadrature, axial_field, example1_oracle, example2_oracle, sphere_cauchy_integral
 from .polynomials import builtin_pk
 from .radial import coeff_a, coeff_row, double_factorial, nested_antiderivative_oracle
-from .verify import GridSpec, kernel_check, polynomial_fit_residual
+from .verify import kernel_check, polynomial_fit_residual
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,13 @@ def criterion_1() -> CriterionResult:
     prim = invert(H)
     h = polynomial([0.0, 0.25, 0.0, 1.0])
     cfg = FueterConfig(3, 0)
-    xs = np.linspace(H.rect.a, H.rect.b, 20)
-    rs = np.linspace(H.rect.c, H.rect.d, 20)
+    x0s, r0s = H.rect.grid(20, 20)
     uv_err = 0.0
-    for x0 in xs:
-        for r in rs:
-            u, v = prim.eval(float(x0), float(r))
-            z = complex(x0, r)
-            want = z**3 + 0.25 * z
-            uv_err = max(uv_err, abs(u - want.real), abs(v - want.imag))
-    x0s, r0s = np.meshgrid(xs, rs, indexing="ij")
+    for x0, r in zip(x0s.tolist(), r0s.tolist()):
+        u, v = prim.eval(x0, r)
+        z = complex(x0, r)
+        want = z**3 + 0.25 * z
+        uv_err = max(uv_err, abs(u - want.real), abs(v - want.imag))
     a, b = fueter_profile(h, cfg, x0s, r0s)
     ab_err = float(max(np.max(np.abs(a - (-12.0 * x0s))), np.max(np.abs(b - (-4.0 * r0s)))))
     elapsed = time.perf_counter() - t0
@@ -85,18 +82,16 @@ def criterion_2() -> CriterionResult:
     rect = Rectangle(0.2, 1.0, 0.5, 1.5)
     H = axial_field("example1", rect)
     c = rect.c
-    xs = np.linspace(0.2, 1.0, 10)
-    rs = np.linspace(0.6, 1.4, 10)
+    xs, rs = Rectangle(0.2, 1.0, 0.6, 1.4).grid(10, 10)
+    points = list(zip(xs.tolist(), rs.tolist()))
     i_err = 0.0
-    for x0 in xs:
-        for r in rs:
-            x0f, rf = float(x0), float(r)
-            i1, i2 = radial_integrals(H, x0f, rf)
-            i_err = max(
-                i_err,
-                abs(i1 - example1_oracle("I1", x0=x0f, r=rf, c=c)),
-                abs(i2 - example1_oracle("I2", x0=x0f, r=rf, c=c)),
-            )
+    for x0, r in points:
+        i1, i2 = radial_integrals(H, x0, r)
+        i_err = max(
+            i_err,
+            abs(i1 - example1_oracle("I1", x0=x0, r=r, c=c)),
+            abs(i2 - example1_oracle("I2", x0=x0, r=r, c=c)),
+        )
     init = [
         example1_oracle("alpha0", x0=rect.a, c=c),
         example1_oracle("alpha1", x0=rect.a, c=c),
@@ -105,15 +100,13 @@ def criterion_2() -> CriterionResult:
     ]
     prim = invert(H, init=init)
     uv_err = 0.0
-    for x0 in xs:
-        for r in rs:
-            x0f, rf = float(x0), float(r)
-            u, v = prim.eval(x0f, rf)
-            uv_err = max(
-                uv_err,
-                abs(u - example1_oracle("u", x0=x0f, r=rf)),
-                abs(v - example1_oracle("v", x0=x0f, r=rf)),
-            )
+    for x0, r in points:
+        u, v = prim.eval(x0, r)
+        uv_err = max(
+            uv_err,
+            abs(u - example1_oracle("u", x0=x0, r=r)),
+            abs(v - example1_oracle("v", x0=x0, r=r)),
+        )
     ok = i_err <= EX1_TOL_I and uv_err <= EX1_TOL_UV
     detail = (
         f"max integral error = {i_err:.2e} (tol {EX1_TOL_I:g}); "
@@ -162,21 +155,18 @@ KER_BUDGET_S = 10.0
 def criterion_4() -> CriterionResult:
     """z^n is annihilated iff n <= 2k+m-2; first survivor is visibly nonzero."""
     t0 = time.perf_counter()
-    grid = GridSpec(Rectangle(0.3, 1.3, 0.4, 1.4), 5, 5)
+    rect = Rectangle(0.3, 1.3, 0.4, 1.4)
     worst_zero = 0.0
     least_nonzero = math.inf
     lines = []
     for k, m in ((0, 3), (1, 3), (0, 5)):
         cfg = FueterConfig(m, k)
         for n in range(cfg.kernel_degree + 1):
-            max_norm, expected_zero = kernel_check(n, k, m, grid)
+            max_norm, expected_zero = kernel_check(n, k, m, rect, 5, 5)
             assert expected_zero
             worst_zero = max(worst_zero, max_norm)
         n1 = cfg.kernel_degree + 1
-        P = builtin_pk(m, k)
-        direction = np.zeros(m)
-        direction[0] = 1.0
-        val = fueter_map(power(n1), P, cfg, Paravector(1.0, direction)).norm()
+        val = fueter_map(power(n1), builtin_pk(m, k), cfg, e1_point(m, 1.0, 1.0)).norm()
         least_nonzero = min(least_nonzero, val)
         lines.append(f"(k={k},m={m}): n<={cfg.kernel_degree} zero, |Ft[z^{n1}]|(1,1)={val:.3g}")
     elapsed = time.perf_counter() - t0
@@ -310,8 +300,8 @@ SPHERE_LADDER = ((2, 4), (4, 8), (8, 16), (16, 32), (32, 64), (64, 128))
 def criterion_7() -> CriterionResult:
     """Product quadrature reproduces both spherical-mean fields; errors shrink."""
     t0 = time.perf_counter()
-    q = Paravector(1.2, [0.3, 0.0, 0.0])
     x0, r = 1.2, 0.3
+    q = e1_point(3, x0, r)
     e1 = Multivector.basis_vector(3, 1)
     expected = {
         False: Multivector.scalar(3, example2_oracle("Nplus_A", x0, r))

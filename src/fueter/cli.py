@@ -4,9 +4,10 @@ Subcommands: forward, invert, roundtrip, kernel, oracles, selftest.
 Option precedence is flags > --config JSON file > built-in defaults.
 Exit codes: 0 ok, 1 failed acceptance/agreement checks, 2 invalid
 configuration, 3 numerical failure.  forward evaluates its whole grid's
-profiles in one array call, invert its primitive in one eval call and
-roundtrip in one per grid or set of circles (its Cauchy-integral field
-residual and its Cauchy-Riemann residual); kernel runs point by point.
+profiles in one array call, kernel one per power of z, invert its primitive
+in one eval call and roundtrip in one per grid or set of circles (its
+Cauchy-integral field residual and its Cauchy-Riemann residual).  Every grid
+is Rectangle.grid's.
 JSON output is json.dumps(payload, indent=2): 2-space indent, Python float
 repr, NaN/Infinity if non-finite, stable byte for byte.
 """
@@ -26,14 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import acceptance, jets
-from .clifford import Multivector, Paravector, _blade_label
+from .clifford import Multivector, _blade_label
 from .errors import NumericalError
-from .forward import FueterConfig, axial_image, fueter_fields, fueter_map, fueter_profile
+from .forward import FueterConfig, axial_image, e1_point, fueter_fields, fueter_map, fueter_profile
 from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
 from .quadrature import QuadratureConfig
-from .verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual
+from .verify import cr_residual, kernel_check, polynomial_fit_residual
 
 DEFAULT_RECT = (0.0, 1.0, 0.5, 1.5)
 DEFAULT_GRID = (20, 20)
@@ -42,15 +43,19 @@ DEFAULT_GRID = (20, 20)
 # -- option plumbing -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, quad_tol: bool, csv_out: bool) -> None:
+    """The options of the grid subcommands; --quad-tol only where one inverts, --format only
+    where csv can be written."""
     p.add_argument("--config", help="JSON file with option defaults (flags win)")
     p.add_argument("--m", type=int, help="vector dimension (odd, >= 3)")
     p.add_argument("--k", type=int, help="spherical monogenic degree (default 0)")
     p.add_argument("--rect", help="rectangle a,b,c,d in the (x0, r) half plane")
     p.add_argument("--grid", help="evaluation grid nx0,nr")
-    p.add_argument("--quad-tol", type=float, dest="quad_tol", help="quadrature abs tolerance")
+    if quad_tol:
+        p.add_argument("--quad-tol", type=float, dest="quad_tol", help="quadrature abs tolerance")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
+    if csv_out:
+        p.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
 
 
 def _load_config(path: str | None) -> dict:
@@ -140,12 +145,6 @@ class _Options:
 
 
 
-def _full_grid(rect: Rectangle, nx0: int, nr: int) -> tuple[list[float], list[float]]:
-    """x0 and r of every grid point, x0-major."""
-    xs, rs = np.meshgrid(np.linspace(rect.a, rect.b, nx0), np.linspace(rect.c, rect.d, nr), indexing="ij")
-    return xs.ravel().tolist(), rs.ravel().tolist()
-
-
 def _dumps(payload: dict) -> str:
     """json.dumps(payload, indent=2), byte for byte, without json's pure-Python indenting encoder.
 
@@ -175,12 +174,10 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list]]] | None) -> None:
-    """Write payload as JSON, or as CSV from csv_rows(), built only when asked for."""
-    fmt = opts.string("format", "json", ("json", "csv"))
-    if fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not available for this subcommand")
+def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list]]] | None = None) -> None:
+    """Write payload as JSON, or, when csv_rows is given, as CSV from csv_rows(), built only
+    when asked for."""
+    if csv_rows is not None and opts.string("format", "json", ("json", "csv")) == "csv":
         header, rows = csv_rows()
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -214,12 +211,10 @@ def _cmd_forward(args) -> int:
     P = None if profiles else opts.pk(m, k)  # the scalar profiles never use P_k
     rect = opts.rect()
     nx0, nr = opts.grid()
-    direction = np.zeros(m)
-    direction[0] = 1.0
 
-    xs, rs = _full_grid(rect, nx0, nr)
+    xs, rs = rect.grid(nx0, nr)
     try:
-        a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, np.array(xs), np.array(rs)))
+        a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, xs, rs))
     except ValueError as exc:  # h undefined at a grid point
         which = "the default rectangle" if opts.get("rect") is None else "the rectangle"
         raise ValueError(
@@ -227,8 +222,8 @@ def _cmd_forward(args) -> int:
             f"choose one inside the domain of {h.name} with --rect a,b,c,d"
         ) from exc
     points = []
-    for x0, r, a, b in zip(xs, rs, a_all, b_all):
-        value = [a, b] if profiles else axial_image(P, Paravector(x0, r * direction), a, b).to_pairs()
+    for x0, r, a, b in zip(xs.tolist(), rs.tolist(), a_all, b_all):
+        value = [a, b] if profiles else axial_image(P, e1_point(m, x0, r), a, b).to_pairs()
         points.append({"x0": x0, "r": r, "value": value})
     payload = {
         "meta": {
@@ -278,8 +273,9 @@ def _cmd_invert(args) -> int:
     prim = invert(H, init=init, quad=opts.quad())
     nx0, nr = opts.grid()
 
-    xs, rs = _full_grid(H.rect, nx0, nr)
-    us, vs = (c.tolist() for c in prim.eval(np.array(xs), np.array(rs)))
+    xs, rs = H.rect.grid(nx0, nr)
+    us, vs = (c.tolist() for c in prim.eval(xs, rs))
+    xs, rs = xs.tolist(), rs.tolist()
     points = [{"x0": x0, "r": r, "value": [u, v]} for x0, r, u, v in zip(xs, rs, us, vs)]
     payload = {
         "meta": {
@@ -306,23 +302,23 @@ def _cmd_roundtrip(args) -> int:
         raise ValueError("roundtrip needs --h <function name>")
     h = jets.by_name(h_name)
     cfg = FueterConfig(m, k)
+    opts.string("format", "json", ("json",))  # a config file's csv is refused before the inversion
     rect = opts.rect(default=(0.2, 1.0, 0.5, 1.5))
     nx0, nr = opts.grid(default=(8, 8))
     A, B = fueter_fields(h, cfg)
     H = AxialFunction(A, B, m, k, rect, name=f"forward:{h.name}")
     prim = invert(H, quad=opts.quad())
 
-    xs, rs = _full_grid(rect, nx0, nr)
-    z = [complex(x0, r) for x0, r in zip(xs, rs)]
-    w = np.array([complex(u, v) for u, v in zip(*prim.eval(np.array(xs), np.array(rs)))]) - h(np.array(z))
-    fit = polynomial_fit_residual(list(zip(z, w.tolist())), cfg.kernel_degree)
+    xs, rs = rect.grid(nx0, nr)
+    z = xs + 1j * rs
+    w = np.array([complex(u, v) for u, v in zip(*prim.eval(xs, rs))]) - h(z)
+    fit = polynomial_fit_residual(list(zip(z.tolist(), w.tolist())), cfg.kernel_degree)
 
     # field and Cauchy-Riemann residuals from one FFT of the primitive's samples on circles
     # inside rect: its image through Cauchy-integral jets, and its departure from holomorphic
     margin = min(rect.b - rect.a, rect.d - rect.c) / 4
     radius = 0.9 * margin
-    xs, rs = _full_grid(Rectangle(rect.a + margin, rect.b - margin, rect.c + margin, rect.d - margin), 4, 4)
-    xv, rv = np.array(xs), np.array(rs)
+    xv, rv = Rectangle(rect.a + margin, rect.b - margin, rect.c + margin, rect.d - margin).grid(4, 4)
     centres = xv + 1j * rv
     coeffs = jets.circle_coefficients(prim, centres, radius)
     image = fueter_profile(jets.HolomorphicFn.from_circle_coefficients(centres, coeffs, radius), cfg, xv, rv)
@@ -335,7 +331,7 @@ def _cmd_roundtrip(args) -> int:
         "field_residual": worst,
         "cr_residual": cr,
     }
-    _emit(opts, payload, None)
+    _emit(opts, payload)
     return 0
 
 
@@ -348,14 +344,11 @@ def _cmd_kernel(args) -> int:
         raise ValueError(f"--nmax must be nonnegative, got {nmax}")
     rect = opts.rect(default=(0.3, 1.3, 0.4, 1.4))
     nx0, nr = opts.grid(default=(5, 5))
-    grid = GridSpec(rect, nx0, nr)
     P = opts.pk(m, k)
-    direction = np.zeros(m)
-    direction[0] = 1.0
     results = []
     for n in range(nmax + 1):
-        max_norm, expected_zero = kernel_check(n, k, m, grid, P=P)
-        ref = fueter_map(jets.power(n), P, cfg, Paravector(1.0, direction))
+        max_norm, expected_zero = kernel_check(n, k, m, rect, nx0, nr, P=P)
+        ref = fueter_map(jets.power(n), P, cfg, e1_point(m, 1.0, 1.0))
         results.append(
             {
                 "n": n,
@@ -406,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="evaluate the forward transform of h on a grid")
-    _add_common(p)
+    _add_common(p, quad_tol=False, csv_out=True)
     p.add_argument("--h", help="holomorphic function (recip, arctan, z^n, z*arctan, poly:...)")
     p.add_argument("--pk", help="degree-1 polynomial variant i,j,+ or i,j,-")
     p.add_argument(
@@ -418,19 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_forward)
 
     p = sub.add_parser("invert", help="construct a holomorphic primitive of an axial field")
-    _add_common(p)
+    _add_common(p, quad_tol=True, csv_out=True)
     p.add_argument("--field", help="built-in field name (example1, example2-nplus, ...)")
     p.add_argument("--field-json", dest="field_json", help="tabulated field grid JSON")
     p.add_argument("--init", help="2N initial constants a0,..,b0,..")
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("roundtrip", help="forward-map h, invert the image, report residuals")
-    _add_common(p)
+    _add_common(p, quad_tol=True, csv_out=False)
     p.add_argument("--h", help="holomorphic function to round-trip")
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("kernel", help="scan |Ft[z^n]| against the predicted kernel")
-    _add_common(p)
+    _add_common(p, quad_tol=False, csv_out=True)
     p.add_argument("--nmax", type=int, help="largest power to scan (default kernel degree + 1)")
     p.add_argument("--pk", help="degree-1 polynomial variant i,j,+ or i,j,-")
     p.set_defaults(fn=_cmd_kernel)

@@ -129,6 +129,13 @@ def _check_pair(P: MonogenicPolynomial, cfg: FueterConfig) -> None:
         raise ValueError(f"polynomial degree {P.k} does not match config k={cfg.k}")
 
 
+def e1_point(m: int, x0: float, r: float) -> Paravector:
+    """The point x0 + r e_1 of R^(m+1), where a grid point (x0, r) is placed."""
+    vec = np.zeros(m)
+    vec[0] = r
+    return Paravector(x0, vec)
+
+
 def axial_image(P: MonogenicPolynomial, p: Paravector, a: float, b: float) -> Multivector:
     """Ft[h, P_k] at p from the profile (a, b) of h at (p.x0, p.r): (a + omega b) P_k(x_)."""
     return Paravector(a, b * p.omega).embed() * P(p.vec)

@@ -100,6 +100,14 @@ class Rectangle:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
+    def grid(self, nx0: int, nr: int) -> tuple[np.ndarray, np.ndarray]:
+        """x0 and r of the regular nx0 x nr grid on the rectangle, edges included, as flat
+        float64 arrays in x0-major order; a single point along an axis sits on a or c."""
+        if nx0 < 1 or nr < 1:
+            raise ValueError(f"grid needs at least 1x1 points, got {nx0}x{nr}")
+        xs, rs = np.meshgrid(np.linspace(self.a, self.b, nx0), np.linspace(self.c, self.d, nr), indexing="ij")
+        return xs.ravel(), rs.ravel()
+
 
 def _fh_weights(grid: np.ndarray, d: int) -> np.ndarray:
     """Floater-Hormann barycentric weights of blending degree d on increasing nodes.

@@ -7,8 +7,9 @@ the Leibniz rule; powers, polynomials and 1/z share one table of falling
 factorials, log goes through 1/z, and arctan through the exact three-term
 recurrence of its derivative 1/(1+z^2).
 circle_coefficients takes the FFT of a callable's samples on circles around
-base points; HolomorphicFn.from_callable reads the jets of any holomorphic
-callable, such as a computed primitive, from it (Cauchy's integral formula).
+base points; HolomorphicFn.from_circle_coefficients reads the jets of any
+holomorphic callable, such as a computed primitive, from it (Cauchy's integral
+formula).
 
 On x86-64, np.clongdouble carries 11 more bits than complex128 for the
 radial expansion downstream, which cancels about (2N-1) log10(1/r) digits
@@ -182,22 +183,12 @@ class HolomorphicFn:
         return complex(value) if np.ndim(value) == 0 else value.astype(np.complex128)
 
     @classmethod
-    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], radius: float) -> "HolomorphicFn":
-        """Jets of the callable f from its samples on a circle of the given radius around each point z.
-
-        f maps a complex128 array to h there, is called once per jet for all circles (through
-        circle_coefficients), and must be holomorphic on each closed disc.  h^(n)(z) =
-        n! c_n / radius^n: the trapezoidal rule for Cauchy's integral (Lyness and Moler, 1967).
-        """
-        radius = _checked_radius(radius)
-        name = getattr(f, "__name__", type(f).__name__)
-        return cls(name, lambda z, d: _circle_jet(circle_coefficients(f, z, radius), radius, d, z.shape))
-
-    @classmethod
     def from_circle_coefficients(cls, z, coeffs: np.ndarray, radius: float) -> "HolomorphicFn":
-        """The jets that from_callable(f, radius) gives at the points z, read off the given
-        coeffs = circle_coefficients(f, z, radius), so a caller that needs the coefficients
-        too samples f once.  A jet at any other points raises."""
+        """Jets at the points z of a function f holomorphic on the closed disc of the given
+        radius around each, read off coeffs = circle_coefficients(f, z, radius), so a caller
+        that needs the coefficients too samples f once.  h^(n)(z) = n! c_n / radius^n: the
+        trapezoidal rule for Cauchy's integral (Lyness and Moler, 1967).  A jet at any other
+        points raises."""
         centres = np.asarray(z, dtype=np.complex128)
         radius = _checked_radius(radius)
 

@@ -8,48 +8,14 @@ the jets of its field residual; nothing here differentiates numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .clifford import Paravector
-from .forward import FueterConfig, fueter_map
+from .forward import FueterConfig, _check_pair, axial_image, e1_point, fueter_profile
 from .inverse import Rectangle
 from .jets import _checked_radius, power
 from .polynomials import MonogenicPolynomial, builtin_pk
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Regular grid of points (x0, r) on a rectangle: the kernel scan's grid.
-
-    The points sit inset from each side by 1.0000001e-4 of the longer side;
-    the kernel scan's outputs depend on that placement bit for bit.
-    """
-
-    rect: Rectangle
-    nx0: int = 10
-    nr: int = 10
-
-    def __post_init__(self):
-        if self.nx0 < 1 or self.nr < 1:
-            raise ValueError(f"grid needs at least 1x1 points, got {self.nx0}x{self.nr}")
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        r = self.rect
-        inset = 1.0000001 * (1e-4 * max(r.b - r.a, r.d - r.c))
-        if r.a + inset >= r.b - inset or r.c + inset >= r.d - inset:
-            raise ValueError("rectangle too thin for the grid's inset")
-        xs = np.linspace(r.a + inset, r.b - inset, self.nx0)
-        rs = np.linspace(r.c + inset, r.d - inset, self.nr)
-        return xs, rs
-
-    def points(self):
-        xs, rs = self.axes()
-        for x0 in xs:
-            for rr in rs:
-                yield float(x0), float(rr)
 
 
 def cr_residual(coeffs: np.ndarray, radius: float) -> float:
@@ -68,26 +34,25 @@ def cr_residual(coeffs: np.ndarray, radius: float) -> float:
 
 
 def kernel_check(
-    n: int, k: int, m: int, grid: GridSpec, P: MonogenicPolynomial | None = None
+    n: int, k: int, m: int, rect: Rectangle, nx0: int, nr: int, P: MonogenicPolynomial | None = None
 ) -> tuple[float, bool]:
-    """Largest |Ft[z^n, P_k]| over the grid points (x0, r), placed at x0 + r e_1,
-    and whether zero is expected.
+    """Largest |Ft[z^n, P_k]| over the points x0 + r e_1 of rect.grid(nx0, nr), and whether
+    zero is expected.
 
-    z^n is annihilated exactly when n <= 2k + m - 2.
+    One fueter_profile call serves the whole grid; each image equals fueter_map's at its
+    point bit for bit.  z^n is annihilated exactly when n <= 2k + m - 2.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     cfg = FueterConfig(m, k)
     if P is None:
         P = builtin_pk(m, k)
-    dirv = np.zeros(m)
-    dirv[0] = 1.0
-    h = power(n)
-    worst = 0.0
-    for x0, r in grid.points():
-        val = fueter_map(h, P, cfg, Paravector(x0, r * dirv))
-        worst = max(worst, val.norm())
-    return worst, n <= cfg.kernel_degree
+    _check_pair(P, cfg)
+    xs, rs = rect.grid(nx0, nr)
+    a_all, b_all = fueter_profile(power(n), cfg, xs, rs)
+    norms = [axial_image(P, e1_point(m, x0, r), a, b).norm()
+             for x0, r, a, b in zip(xs.tolist(), rs.tolist(), a_all.tolist(), b_all.tolist())]
+    return float(np.max(norms)), n <= cfg.kernel_degree
 
 
 def polynomial_fit_residual(

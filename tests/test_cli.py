@@ -15,7 +15,6 @@ from fueter.forward import FueterConfig, fueter_fields, fueter_map, fueter_profi
 from fueter.inverse import Rectangle, invert
 from fueter.oracles import axial_field
 from fueter.polynomials import builtin_pk
-from fueter.verify import GridSpec, kernel_check
 
 
 def run(capsys, *argv):
@@ -367,8 +366,8 @@ def field_scale(h_name: str, m: int, k: int, rect) -> float:
     the rectangle shrunk by a quarter of its smaller side."""
     a, b, c, d = rect
     margin = min(b - a, d - c) / 4
-    x0, r = np.meshgrid(np.linspace(a + margin, b - margin, 4), np.linspace(c + margin, d - margin, 4), indexing="ij")
-    return float(np.max(np.abs(np.stack(fueter_profile(jets.by_name(h_name), FueterConfig(m, k), x0.ravel(), r.ravel())))))
+    x0, r = Rectangle(a + margin, b - margin, c + margin, d - margin).grid(4, 4)
+    return float(np.max(np.abs(np.stack(fueter_profile(jets.by_name(h_name), FueterConfig(m, k), x0, r)))))
 
 
 def relative_field_residual(data: dict, h_name: str) -> float:
@@ -484,13 +483,34 @@ class TestKernel:
         code, out = run(capsys, "kernel", "--m", "5", "--k", "1", "--pk", "1,3,-", "--grid", "2,2")
         assert code == 0
         P, cfg = builtin_pk(5, 1, 1, 3, -1), FueterConfig(5, 1)
-        grid = GridSpec(Rectangle(0.3, 1.3, 0.4, 1.4), 2, 2)
+        xs, rs = Rectangle(0.3, 1.3, 0.4, 1.4).grid(2, 2)
         results = json.loads(out)["results"]
         assert [row["n"] for row in results] == list(range(cfg.kernel_degree + 2))
         for row in results:
-            ref = fueter_map(jets.power(row["n"]), P, cfg, Paravector(1.0, np.eye(5)[0]))
+            h = jets.power(row["n"])
+            ref = fueter_map(h, P, cfg, Paravector(1.0, np.eye(5)[0]))
             assert Multivector.from_pairs(5, row["value_at_ref"]) == ref
-            assert (row["max_norm"], row["expected_zero"]) == kernel_check(row["n"], 1, 5, grid, P=P)
+            scan = max(fueter_map(h, P, cfg, Paravector(x0, r * np.eye(5)[0])).norm() for x0, r in zip(xs, rs))
+            assert (row["max_norm"], row["expected_zero"]) == (scan, row["n"] <= cfg.kernel_degree)
+
+    def test_thin_rectangle_is_scanned(self, capsys):
+        # a rectangle 1e-5 high was once refused as too thin for an inset grid
+        code, out = run(capsys, "kernel", "--m", "5", "--k", "1", "--rect", "0.3,1.3,0.4,0.40001")
+        assert code == 0
+        for row in json.loads(out)["results"]:
+            assert (row["max_norm"] <= 1e-9) if row["expected_zero"] else (row["max_norm"] > 0.1)
+
+    @pytest.mark.parametrize("pk", [(), ("--pk", "1,3,-")], ids=["default", "pk"])
+    def test_scans_the_points_forward_evaluates(self, capsys, pk):
+        # kernel and forward --h z^n share --rect and --grid, and so the points x0 + r e_1
+        argv = ("--m", "5", "--k", "1", *pk, "--rect", "0.3,1.3,0.4,1.4", "--grid", "3,4")
+        code, out = run(capsys, "kernel", *argv)
+        assert code == 0
+        for row in json.loads(out)["results"]:
+            code, field = run(capsys, "forward", "--h", f"z^{row['n']}", *argv)
+            assert code == 0
+            values = [Multivector.from_pairs(5, pt["value"]).norm() for pt in json.loads(field)["points"]]
+            assert row["max_norm"] == max(values)
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     def test_negative_nmax_is_config_error(self, capsys, tmp_path, via_config):
@@ -590,6 +610,41 @@ class TestConfigMerging:
         with pytest.raises(SystemExit) as err:
             main(["forward", "--nope"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--h", "recip", "--quad-tol", "1e-9"],
+        ["kernel", "--quad-tol", "-5"],
+        ["roundtrip", "--h", "recip", "--format", "json"],
+    ], ids=["forward-quad-tol", "kernel-quad-tol", "roundtrip-format"])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+    def test_roundtrip_refuses_csv_before_any_field_call(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fueter_fields", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "invert", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        code = main(["roundtrip", "--h", "arctan", "--m", "9", "--k", "2", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and calls == [] and captured.out == ""
+        assert "--format must be json, got 'csv'" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--h", "recip", "--grid", "2,2"],
+        ["invert", "--field", "cubic", "--grid", "2,2"],
+        ["roundtrip", "--h", "z^3", "--grid", "4,4"],
+        ["kernel", "--m", "3", "--grid", "2,2"],
+    ], ids=["forward", "invert", "roundtrip", "kernel"])
+    def test_config_keys_of_other_subcommands_stay_valid(self, capsys, tmp_path, argv):
+        # one config file may serve every subcommand: forward and kernel ignore its
+        # quad_tol, roundtrip takes its format json
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad_tol": 1e-9, "format": "json", "profiles": False}))
+        code, out = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["meta"]["command"] == argv[0]
 
 
 

@@ -56,6 +56,35 @@ class TestGeometry:
             RECT.require(0.5, 0.4)
 
 
+class TestRectangleGrid:
+    RECT = Rectangle(0.3, 1.0, 0.5, 1.2)
+
+    def test_edges_included(self):
+        xs, rs = self.RECT.grid(5, 4)
+        assert xs.dtype == rs.dtype == np.float64 and xs.shape == rs.shape == (20,)
+        assert (xs.min(), xs.max(), rs.min(), rs.max()) == self.RECT.as_tuple()
+        assert all(self.RECT.contains(x0, r) for x0, r in zip(xs, rs))
+
+    def test_x0_major_order(self):
+        xs, rs = self.RECT.grid(3, 4)
+        axis_x0, axis_r = np.linspace(0.3, 1.0, 3), np.linspace(0.5, 1.2, 4)
+        assert list(zip(xs, rs)) == [(x0, r) for x0 in axis_x0 for r in axis_r]
+
+    def test_one_by_one_grid_is_the_corner(self):
+        xs, rs = self.RECT.grid(1, 1)
+        assert (xs.tolist(), rs.tolist()) == ([0.3], [0.5])
+
+    @pytest.mark.parametrize("counts", [(0, 3), (3, 0), (-1, -1)])
+    def test_counts_below_one_raise(self, counts):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            self.RECT.grid(*counts)
+
+    def test_thin_rectangle_has_a_grid(self):
+        # no inset: a rectangle 1e-5 high gives its own edges like any other
+        xs, rs = Rectangle(0.3, 1.3, 0.4, 0.40001).grid(5, 5)
+        assert (xs.min(), xs.max(), rs.min(), rs.max()) == (0.3, 1.3, 0.4, 0.40001)
+
+
 class TestNormalization:
     def test_exact_values(self):
         assert FueterConfig(3, 0).K_N == Fraction(1, 2)

@@ -189,7 +189,15 @@ class TestHolomorphicFn:
         assert np.allclose(values, np.arctan(z), rtol=1e-15, atol=0)
 
 
+def circle_jets(f, z, radius: float) -> jets.HolomorphicFn:
+    """Jets of the callable f at the points z, from its samples on circles of the given radius."""
+    return jets.HolomorphicFn.from_circle_coefficients(z, jets.circle_coefficients(f, z, radius), radius)
+
+
 class TestFromCallable:
+    """Jets of a callable read off its circle samples: circle_coefficients, then
+    HolomorphicFn.from_circle_coefficients."""
+
     # each at least 2.5 radii from the singularities 0 and +-i, so the aliased
     # Taylor terms CIRCLE_POINTS orders up weigh at most 0.4^32 ~ 2e-13
     POINTS = np.array([0.5 + 0.5j, 1.0 + 0.3j, 0.4 + 1.3j])
@@ -197,24 +205,26 @@ class TestFromCallable:
     @pytest.mark.parametrize("name", ["recip", "arctan", "log", "z*arctan"])
     def test_matches_exact_jets(self, name):
         h = jets.by_name(name)
-        got = jets.HolomorphicFn.from_callable(h, 0.2).jet(self.POINTS, 6)
+        got = circle_jets(h, self.POINTS, 0.2).jet(self.POINTS, 6)
         want = h.jet(self.POINTS, 6)
         for n in range(7):
             assert np.max(np.abs(got[n] - want[n])) <= 1e-10 * np.max(np.abs(want[n])), n
 
     def test_one_call_per_jet(self):
         shapes = []
-        f = jets.HolomorphicFn.from_callable(lambda w: shapes.append(w.shape) or w * w, 0.1)
-        assert f.jet(self.POINTS.reshape(3, 1), 2).shape == (3, 3, 1)
+        z = self.POINTS.reshape(3, 1)
+        f = circle_jets(lambda w: shapes.append(w.shape) or w * w, z, 0.1)
+        assert f.jet(z, 2).shape == (3, 3, 1)
+        assert f.jet(z, 5).shape == (6, 3, 1)  # the jets of every order read one sampling
         assert shapes == [(3, jets.CIRCLE_POINTS)]
 
     def test_given_coefficients_give_the_same_jets(self):
-        # one sampling serves the jets and whatever else reads the coefficients
+        # one sampling serves the jets of every order: each is the top one truncated
         coeffs = jets.circle_coefficients(jets.arctan(), self.POINTS, 0.2)
         given = jets.HolomorphicFn.from_circle_coefficients(self.POINTS, coeffs, 0.2)
-        for d in (0, 3, jets.CIRCLE_POINTS - 1):
-            want = jets.HolomorphicFn.from_callable(jets.arctan(), 0.2).jet(self.POINTS, d)
-            assert np.array_equal(given.jet(self.POINTS, d), want)
+        top = given.jet(self.POINTS, jets.CIRCLE_POINTS - 1)
+        for d in (0, 3):
+            assert np.array_equal(given.jet(self.POINTS, d), top[: d + 1])
         with pytest.raises(ValueError, match="order"):
             given.jet(self.POINTS, jets.CIRCLE_POINTS)
 
@@ -228,10 +238,13 @@ class TestFromCallable:
     @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="radius"):
-            jets.HolomorphicFn.from_callable(np.exp, radius)
+            jets.circle_coefficients(np.exp, self.POINTS, radius)
+        coeffs = jets.circle_coefficients(np.exp, self.POINTS, 0.5)
+        with pytest.raises(ValueError, match="radius"):
+            jets.HolomorphicFn.from_circle_coefficients(self.POINTS, coeffs, radius)
 
     def test_order_below_circle_points(self):
-        f = jets.HolomorphicFn.from_callable(np.exp, 0.5)
+        f = circle_jets(np.exp, 0.0, 0.5)
         assert f.jet(0.0, jets.CIRCLE_POINTS - 1).shape == (jets.CIRCLE_POINTS,)
         with pytest.raises(ValueError, match="order"):
             f.jet(0.0, jets.CIRCLE_POINTS)

@@ -20,7 +20,6 @@ from fueter.oracles import (
     unit_sphere_area,
 )
 from fueter.polynomials import builtin_pk
-from fueter.verify import GridSpec
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 
@@ -73,7 +72,7 @@ class TestCauchyKernel:
         # checked with the independent FD oracle at oblique points
         c = cauchy_kernel_constant(3)
         dirv = np.ones(3) / np.sqrt(3)
-        for x0, r in GridSpec(Rectangle(0.4, 1.2, 0.5, 1.3), 4, 4).points():
+        for x0, r in zip(*Rectangle(0.4, 1.2, 0.5, 1.3).grid(4, 4)):
             p = Paravector(x0, r * dirv)
             want = cauchy_kernel(3, p)
             got = c * laplacian_oracle(jets.recip(), builtin_pk(3, 0), FueterConfig(3, 0), p)

@@ -1,40 +1,18 @@
-"""The Cauchy-Riemann residual, the kernel scan's grid and the polynomial gauge fit."""
+"""The Cauchy-Riemann residual, the kernel scan and the polynomial gauge fit."""
 
 import numpy as np
 import pytest
 
 from fueter import jets
 from fueter.clifford import Multivector, Paravector
-from fueter.forward import FueterConfig, fueter_map, laplacian_oracle
+from fueter.forward import FueterConfig, e1_point, fueter_map, laplacian_oracle
 from fueter.inverse import Rectangle
 from fueter.polynomials import builtin_pk
 from fueter.jets import circle_coefficients
-from fueter.verify import GridSpec, cr_residual, kernel_check, polynomial_fit_residual
+from fueter.verify import cr_residual, kernel_check, polynomial_fit_residual
 
 RECT = Rectangle(0.3, 1.0, 0.5, 1.2)
 CENTRES = np.array([0.5 + 0.7j, 0.8 + 1.0j, 0.6 + 0.9j])
-
-
-class TestGridSpec:
-    def test_inset_scales_with_rectangle(self):
-        xs, rs = GridSpec(RECT, 4, 4).axes()
-        inset = 1.0000001e-4 * 0.7
-        assert xs[0] - RECT.a == pytest.approx(inset) and RECT.b - xs[-1] == pytest.approx(inset)
-        assert rs[0] - RECT.c == pytest.approx(inset) and RECT.d - rs[-1] == pytest.approx(inset)
-
-    def test_axes_stay_inside(self):
-        grid = GridSpec(RECT, 5, 5)
-        xs, rs = grid.axes()
-        assert xs.min() > RECT.a and xs.max() < RECT.b
-        assert rs.min() > RECT.c and rs.max() < RECT.d
-
-    def test_thin_rectangle_rejected(self):
-        with pytest.raises(ValueError, match="too thin"):
-            GridSpec(Rectangle(0.0, 1.0, 0.5, 0.5001), 4, 4).axes()
-
-    def test_point_counts(self):
-        grid = GridSpec(RECT, 3, 4)
-        assert len(list(grid.points())) == 12
 
 
 class TestCrResidual:
@@ -78,7 +56,7 @@ class TestMonogenicity:
         h, P, cfg = jets.by_name(name), builtin_pk(m, k), FueterConfig(m, k)
         step, tol = (1e-3, 1e-4) if cfg.N == 1 else (2e-3, 2e-2)
         dirv = np.ones(m) / np.sqrt(m)  # oblique, so no stencil term vanishes by symmetry
-        for x0, r in GridSpec(RECT, 3, 3).points():
+        for x0, r in zip(*RECT.grid(3, 3)):
             p = Paravector(x0, r * dirv)
             want = fueter_map(h, P, cfg, p)
             got = laplacian_oracle(h, P, cfg, p, fd_step=step)
@@ -94,21 +72,33 @@ class TestMonogenicity:
 
 class TestKernelCheck:
     def test_kernel_and_survivor(self):
-        grid = GridSpec(RECT, 3, 3)
-        max_in, expected = kernel_check(1, 0, 3, grid)
+        max_in, expected = kernel_check(1, 0, 3, RECT, 3, 3)
         assert expected and max_in <= 1e-10
-        max_out, expected = kernel_check(2, 0, 3, grid)
+        max_out, expected = kernel_check(2, 0, 3, RECT, 3, 3)
         assert not expected and max_out > 0.1
 
     def test_matches_kernel_degree(self):
-        grid = GridSpec(RECT, 2, 2)
         for n in range(5):
-            _, expected = kernel_check(n, 1, 3, grid)
+            _, expected = kernel_check(n, 1, 3, RECT, 2, 2)
             assert expected == (n <= 3)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            kernel_check(-1, 0, 3, GridSpec(RECT, 2, 2))
+            kernel_check(-1, 0, 3, RECT, 2, 2)
+
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    @pytest.mark.parametrize("k, pk", [(0, ()), (1, (1, 3, 1)), (1, (1, 3, -1))], ids=["k0", "k1+", "k1-"])
+    def test_equals_a_pointwise_scan(self, m, k, pk):
+        # one profile call over the grid gives each point's fueter_map image bit for bit
+        P, cfg = builtin_pk(m, k, *pk), FueterConfig(m, k)
+        xs, rs = RECT.grid(4, 3)
+        for n in (cfg.kernel_degree - 1, cfg.kernel_degree + 1):
+            pointwise = max(fueter_map(jets.power(n), P, cfg, e1_point(m, x0, r)).norm() for x0, r in zip(xs, rs))
+            assert kernel_check(n, k, m, RECT, 4, 3, P=P) == (pointwise, n <= cfg.kernel_degree)
+
+    def test_polynomial_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="m=5"):
+            kernel_check(1, 0, 3, RECT, 2, 2, P=builtin_pk(5, 0))
 
 
 class TestPolynomialFit:
