@@ -7,9 +7,12 @@ configuration, 3 numerical failure.  forward evaluates its whole grid's
 profiles in one array call, kernel one per power of z, invert its primitive
 in one eval call and roundtrip in one per grid or set of circles (its
 Cauchy-integral field residual and its Cauchy-Riemann residual).  Every grid
-is Rectangle.grid's.
+is Rectangle.grid's.  invert --field-json evaluates on --rect (or a config
+rect) in place of the file's meta.rect when one is given.
 JSON output is json.dumps(payload, indent=2): 2-space indent, Python float
-repr, NaN/Infinity if non-finite, stable byte for byte.
+repr, NaN/Infinity if non-finite, stable byte for byte.  forward --profiles
+and invert write their grid points with the same bytes straight from the
+flat (x0, r) arrays and value rows, without a dict per point.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import re
 import sys
 from functools import lru_cache
@@ -144,39 +146,41 @@ class _Options:
         return builtin_pk(m, k, int(parts[0]), int(parts[1]), 1 if parts[2] == "+" else -1)
 
 
+def _grid_json(payload: dict, xs: np.ndarray, rs: np.ndarray, values: Sequence[np.ndarray]) -> str:
+    """json.dumps({**payload, "points": [{"x0", "r", "value": [...]}, ...]}, indent=2), byte for
+    byte, from the flat float64 coordinates xs and rs and one or more value rows of their length.
 
-def _dumps(payload: dict) -> str:
-    """json.dumps(payload, indent=2), byte for byte, without json's pure-Python indenting encoder.
-
-    A last "points" list of {"x0", "r", "value": [floats]} of one width, all
-    finite, takes one %-template per point (json writes floats as %r does)
-    spliced into json's rendering of the rest; any other payload is json's.
-    A grid repeats each x0 and r many times, so each distinct nonzero
-    coordinate is formatted once (equal nonzero floats have one repr).
+    A finite grid takes one %-template per point (json writes floats as repr does), filled from
+    the coordinates' reprs and one repr of the flat value list, and spliced into json's
+    rendering of the rest; an empty grid or one with a non-finite number is json's.
     """
-    points = payload.get("points")
-    try:
-        width = len(points[0]["value"])
-        rows = [(p["x0"], p["r"], *p["value"]) for p in points
-                if tuple(p) == ("x0", "r", "value") and type(p["value"]) is list and len(p["value"]) == width]
-    except (TypeError, KeyError, IndexError):
-        width, rows = 0, []
-    flat = [v for row in rows for v in row]
-    if width and len(rows) == len(points) and set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
-        head = json.dumps({**payload, "points": []}, indent=2)
-        if head.endswith('\n  "points": []\n}'):
-            coords = {v: repr(v) for v in {c for row in rows for c in row[:2]} if v}
-            flat[:: width + 2] = [coords.get(row[0]) or repr(row[0]) for row in rows]
-            flat[1 :: width + 2] = [coords.get(row[1]) or repr(row[1]) for row in rows]
-            values = ",\n".join(["        %r"] * width)
-            item = f'    {{\n      "x0": %s,\n      "r": %s,\n      "value": [\n{values}\n      ]\n    }}'
-            return head[:-4] + "[\n" + ",\n".join([item] * len(rows)) % tuple(flat) + "\n  ]\n}"
-    return json.dumps(payload, indent=2)
+    table = np.stack([xs, rs, *values], axis=-1)  # one row (x0, r, values) per point
+    if not (table.size and np.isfinite(table).all()):
+        points = [{"x0": x0, "r": r, "value": value} for x0, r, *value in table.tolist()]
+        return json.dumps({**payload, "points": points}, indent=2)
+    n, width = table.shape[0], len(values)
+    text = [""] * (n * (width + 2))
+    for i, bits in enumerate(table[:, :2].view(np.int64).T.tolist()):
+        # a grid repeats each coordinate: format each distinct bit pattern once (a float-keyed
+        # cache would merge 0.0 and -0.0)
+        reprs = {b: repr(x) for b, x in dict(zip(bits, table[:, i].tolist())).items()}
+        text[i::width + 2] = [reprs[b] for b in bits]
+    reprs = repr(table[:, 2:].ravel().tolist())[1:-1].split(", ")
+    for j in range(width):
+        text[2 + j::width + 2] = reprs[j::width]
+    items = ",\n".join(["        %s"] * width)
+    item = f'    {{\n      "x0": %s,\n      "r": %s,\n      "value": [\n{items}\n      ]\n    }}'
+    head = json.dumps({**payload, "points": []}, indent=2)
+    return head[:-4] + "[\n" + ",\n".join([item] * n) % tuple(text) + "\n  ]\n}"
 
 
-def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list]]] | None = None) -> None:
-    """Write payload as JSON, or, when csv_rows is given, as CSV from csv_rows(), built only
-    when asked for."""
+def _emit(opts: _Options, payload: dict, csv_rows: Callable | None = None, grid: tuple | None = None) -> None:
+    """Write payload as JSON, or, when csv_rows is given, as CSV from csv_rows() -> (header,
+    rows), built only when asked for.  A grid (names, xs, rs, value rows) adds the JSON's last
+    "points" list, written by _grid_json, and gives the CSV columns x0, r and names."""
+    if grid is not None:
+        names, xs, rs, values = grid
+        csv_rows = lambda: (["x0", "r", *names], [list(row) for row in zip(*(c.tolist() for c in (xs, rs, *values)))])
     if csv_rows is not None and opts.string("format", "json", ("json", "csv")) == "csv":
         header, rows = csv_rows()
         buf = io.StringIO()
@@ -185,7 +189,7 @@ def _emit(opts: _Options, payload: dict, csv_rows: Callable[[], tuple[list[str],
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = _dumps(payload) + "\n"
+        text = (_grid_json(payload, *grid[1:]) if grid else json.dumps(payload, indent=2)) + "\n"
     out = opts.string("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -214,17 +218,13 @@ def _cmd_forward(args) -> int:
 
     xs, rs = rect.grid(nx0, nr)
     try:
-        a_all, b_all = (c.tolist() for c in fueter_profile(h, cfg, xs, rs))
+        ab = fueter_profile(h, cfg, xs, rs)
     except ValueError as exc:  # h undefined at a grid point
         which = "the default rectangle" if opts.get("rect") is None else "the rectangle"
         raise ValueError(
             f"{exc} on {which} [{rect.a:g}, {rect.b:g}] x [{rect.c:g}, {rect.d:g}]; "
             f"choose one inside the domain of {h.name} with --rect a,b,c,d"
         ) from exc
-    points = []
-    for x0, r, a, b in zip(xs.tolist(), rs.tolist(), a_all, b_all):
-        value = [a, b] if profiles else axial_image(P, e1_point(m, x0, r), a, b).to_pairs()
-        points.append({"x0": x0, "r": r, "value": value})
     payload = {
         "meta": {
             "command": "forward",
@@ -236,12 +236,16 @@ def _cmd_forward(args) -> int:
             "nx0": nx0,
             "nr": nr,
         },
-        "points": points,
     }
+    if profiles:
+        _emit(opts, payload, grid=(("A", "B"), xs, rs, ab))
+        return 0
+    points = payload["points"] = [
+        {"x0": x0, "r": r, "value": axial_image(P, e1_point(m, x0, r), a, b).to_pairs()}
+        for x0, r, a, b in zip(xs.tolist(), rs.tolist(), *(c.tolist() for c in ab))
+    ]
 
     def csv_rows():
-        if profiles:
-            return ["x0", "r", "A", "B"], [[p["x0"], p["r"], *p["value"]] for p in points]
         rows = [[p["x0"], p["r"]] + Multivector.from_pairs(m, p["value"]).coeffs.tolist() for p in points]
         return ["x0", "r"] + ["c" + _blade_label(idx) for idx in range(1 << m)], rows
 
@@ -253,7 +257,10 @@ def _resolve_field(opts: _Options, rect: Rectangle | None) -> AxialFunction:
     grid_path = opts.string("field_json")
     if grid_path:
         with open(grid_path, "r", encoding="utf-8") as fh:
-            return AxialFunction.from_grid(json.load(fh))
+            data = json.load(fh)
+        if rect is not None and isinstance(data, dict) and isinstance(data.get("meta"), dict):
+            data["meta"]["rect"] = list(rect.as_tuple())  # checked against the tabulated points as meta.rect
+        return AxialFunction.from_grid(data)
     name = opts.string("field")
     if not name:
         raise ValueError("need --field <name> or --field-json <path>")
@@ -274,9 +281,7 @@ def _cmd_invert(args) -> int:
     nx0, nr = opts.grid()
 
     xs, rs = H.rect.grid(nx0, nr)
-    us, vs = (c.tolist() for c in prim.eval(xs, rs))
-    xs, rs = xs.tolist(), rs.tolist()
-    points = [{"x0": x0, "r": r, "value": [u, v]} for x0, r, u, v in zip(xs, rs, us, vs)]
+    uv = prim.eval(xs, rs)
     payload = {
         "meta": {
             "command": "invert",
@@ -288,9 +293,8 @@ def _cmd_invert(args) -> int:
             "nr": nr,
         },
         "trajectories": prim.to_json(),
-        "points": points,
     }
-    _emit(opts, payload, lambda: (["x0", "r", "u", "v"], [[x0, r, u, v] for x0, r, u, v in zip(xs, rs, us, vs)]))
+    _emit(opts, payload, grid=(("u", "v"), xs, rs, uv))
     return 0
 
 

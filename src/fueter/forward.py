@@ -81,13 +81,21 @@ def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0, r):
 def fueter_fields(h: HolomorphicFn, cfg: FueterConfig) -> tuple[Callable, Callable]:
     """(A, B) evaluators of the image field at scalar or broadcastable array (x0, r).
 
-    A call to either runs fueter_profile once and returns its own component.
-    It keeps the other one, with a float64 copy of (x0, r), until the next
-    call to either evaluator.  If that call is the other evaluator's, at
-    (x0, r) of equal shape and bits, it returns the kept component; any
-    other call recomputes.  So A then B at the same points costs one jet,
-    every returned array is fresh, and mutating the inputs in between cannot
-    return stale values.  Values equal fueter_profile's bit for bit.
+    The two share one fueter_profile call through paired, so A then B at the
+    same points costs one jet.  Values equal fueter_profile's bit for bit.
+    """
+    return paired(lambda x0, r: fueter_profile(h, cfg, x0, r))
+
+
+def paired(pair: Callable) -> tuple[Callable, Callable]:
+    """(A, B) evaluators that share the calls of pair(x0, r) -> (a, b).
+
+    A call to either runs pair once and returns its own component.  It
+    keeps the other one, with a float64 copy of (x0, r), until the next call
+    to either evaluator.  If that call is the other evaluator's, at (x0, r)
+    of equal shape and bits, it returns the kept component; any other call
+    recomputes.  So every returned value is fresh, and mutating the inputs
+    in between, or another thread's call, cannot return stale values.
     """
     kept = []  # at most one (component, _key(x0, r), value) not yet taken
 
@@ -101,9 +109,9 @@ def fueter_fields(h: HolomorphicFn, cfg: FueterConfig) -> tuple[Callable, Callab
             else:
                 if component == which and key is not None and key == key_kept:
                     return value
-            pair = fueter_profile(h, cfg, x0, r)
-            kept[:] = [] if key is None else [(1 - which, key, pair[1 - which])]
-            return pair[which]
+            values = pair(x0, r)
+            kept[:] = [] if key is None else [(1 - which, key, values[1 - which])]
+            return values[which]
 
         return eval_field
 
@@ -112,7 +120,7 @@ def fueter_fields(h: HolomorphicFn, cfg: FueterConfig) -> tuple[Callable, Callab
 
 def _key(x0, r) -> tuple | None:
     """The shapes and float64 bytes of x0 and r; None unless both are floats of
-    at most double width, the inputs whose float64 bits fix what the jet reads."""
+    at most double width, the inputs whose float64 bits fix what a pair reads."""
     key = ()
     for x in (x0, r):
         x = np.asarray(x)

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .forward import FueterConfig
+from .forward import FueterConfig, paired
 from .quadrature import (
     DEFAULT_QUADRATURE, LAYOUT_CACHE, PANEL_ORDER, QuadratureConfig, _layout, _weigh, integrate, quadrature,
 )
@@ -142,7 +142,10 @@ def _fh_basis(t: np.ndarray, grid: np.ndarray, weights: np.ndarray) -> np.ndarra
 
 
 def _snap(t: np.ndarray, grid: np.ndarray, axis: str) -> np.ndarray:
-    """t with what Rectangle.contains lets past the grid's ends snapped onto them; exterior points raise."""
+    """t with what Rectangle.contains lets past the grid's ends snapped onto them; exterior points
+    raise.  t itself when every point lies more than EDGE_TOL inside both ends."""
+    if t.size and t.min() - grid[0] > EDGE_TOL and grid[-1] - t.max() > EDGE_TOL:
+        return t
     t = np.where(np.abs(t - grid[0]) <= EDGE_TOL, grid[0], t)
     t = np.where(np.abs(t - grid[-1]) <= EDGE_TOL, grid[-1], t)
     if not np.all((grid[0] <= t) & (t <= grid[-1])):
@@ -150,13 +153,20 @@ def _snap(t: np.ndarray, grid: np.ndarray, axis: str) -> np.ndarray:
     return t
 
 
-def _grid_row(p) -> tuple[float, float, float, float]:
-    """(x0, r, A, B) of one grid point {x0, r, value: [A, B]}; a malformed point raises ValueError."""
+def _is_number(value) -> bool:
+    """A real number and not a bool, which JSON spells true or false."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _grid_row(p) -> tuple:
+    """(x0, r, A, B) of one grid point {x0, r, value: [A, B]} of numbers; a malformed point raises ValueError."""
     try:
         x0, r, (a, b) = p["x0"], p["r"], p["value"]
-        return float(x0), float(r), float(a), float(b)
+        if all(map(_is_number, (x0, r, a, b))):
+            return x0, r, a, b
     except (KeyError, TypeError, ValueError):
-        raise ValueError(f"grid point {p!r} is not {{x0, r, value: [A, B]}} of numbers") from None
+        pass
+    raise ValueError(f"grid point {p!r} is not {{x0, r, value: [A, B]}} of numbers")
 
 
 class AxialFunction:
@@ -197,31 +207,39 @@ class AxialFunction:
 
         Expects the grid schema {"meta": {m, k, rect, nx0, nr},
         "points": [{x0, r, value: [A, B]}, ...]} of finite values on a full
-        grid, at least 2 x 2, of any spacing, whose points span rect.  A and
-        B are tensor products of Floater-Hormann barycentric rational
-        interpolants of blending degree BLEND_DEGREE (clipped to the grid
-        size) in x0 and in r: smooth, free of real poles, exact for
-        polynomials of that degree in each variable, and equal to the
-        tabulated values at the grid's nodes.
+        grid, at least 2 x 2, of any spacing, whose points span rect; a bool
+        or a string is no number here, as in JSON.  A and B are tensor
+        products of Floater-Hormann barycentric rational interpolants of
+        blending degree BLEND_DEGREE (clipped to the grid size) in x0 and in
+        r: smooth, free of real poles, exact for polynomials of that degree
+        in each variable, and equal to the tabulated values at the grid's
+        nodes.  They share each pair of bases through forward.paired, so A
+        then B at the same points computes the bases once.
         """
         if isinstance(data, str):
             data = json.loads(data)
         meta = data.get("meta") if isinstance(data, dict) else None
         if not isinstance(meta, dict) or not isinstance(data.get("points"), list):
             raise ValueError('grid JSON must be an object with a "meta" object and a "points" list')
-        if not all(isinstance(meta.get(key), numbers.Integral) for key in ("m", "k", "nx0", "nr")):
+        if not all(isinstance(v, numbers.Integral) and _is_number(v) for v in map(meta.get, ("m", "k", "nx0", "nr"))):
             raise ValueError(f"grid meta needs integers m, k, nx0 and nr, got {meta!r}")
-        try:
-            rect = Rectangle(*map(float, meta.get("rect")))
-        except TypeError:  # not four numbers
-            raise ValueError(f"grid meta.rect must be four numbers a, b, c, d, got {meta.get('rect')!r}") from None
+        edges = meta.get("rect")
+        if not (isinstance(edges, (list, tuple)) and len(edges) == 4 and all(map(_is_number, edges))):
+            raise ValueError(f"grid meta.rect must be four numbers a, b, c, d, got {edges!r}")
+        rect = Rectangle(*map(float, edges))
         nx0, nr = int(meta["nx0"]), int(meta["nr"])
         if nx0 < 2 or nr < 2:
             raise ValueError(f"need at least a 2 x 2 grid, got {nx0} x {nr}")
         pts = data["points"]
         if len(pts) != nx0 * nr:
             raise ValueError(f"expected {nx0 * nr} grid points, got {len(pts)}")
-        table = np.fromiter((v for p in pts for v in _grid_row(p)), np.float64, count=4 * len(pts)).reshape(-1, 4)
+        try:  # one flat list, checked for JSON's number types at once; other inputs go point by point
+            flat = [v for p in pts for x0, r, (a, b) in [(p["x0"], p["r"], p["value"])] for v in (x0, r, a, b)]
+        except (KeyError, TypeError, ValueError):
+            flat = None
+        if flat is None or not {*map(type, flat)} <= {int, float}:
+            flat = [v for p in pts for v in _grid_row(p)]
+        table = np.array(flat, dtype=np.float64).reshape(-1, 4)
         # a set, not np.unique, whose first call adds about 1 MB of resident memory
         xs, rs = (np.array(sorted(set(table[:, i].tolist()))) for i in (0, 1))
         if xs.size != nx0 or rs.size != nr or not np.all(np.isfinite(table[:, :2])):
@@ -239,16 +257,15 @@ class AxialFunction:
             )
         wx, wr = _fh_weights(xs, BLEND_DEGREE), _fh_weights(rs, BLEND_DEGREE)
 
-        def component(v: np.ndarray):
-            def eval_field(x0, r):
-                # the x0 basis contracts the table to one row of r values per x0
-                rows = _fh_basis(_snap(np.asarray(x0, dtype=np.float64), xs, "x0"), xs, wx) @ v
-                out = (rows * _fh_basis(_snap(np.asarray(r, dtype=np.float64), rs, "r"), rs, wr)).sum(axis=-1)
-                return out if out.ndim else float(out)
+        def interpolate(x0, r):
+            # one pair of bases serves both tables; the x0 basis contracts each to rows of r values
+            bx = _fh_basis(_snap(np.asarray(x0, dtype=np.float64), xs, "x0"), xs, wx)
+            br = _fh_basis(_snap(np.asarray(r, dtype=np.float64), rs, "r"), rs, wr)
+            out = [((bx @ v) * br).sum(axis=-1) for v in vals]
+            return out if out[0].ndim else [float(o) for o in out]
 
-            return eval_field
-
-        return cls(component(vals[0]), component(vals[1]), int(meta["m"]), int(meta["k"]), rect, name="tabulated-grid")
+        A, B = paired(interpolate)
+        return cls(A, B, int(meta["m"]), int(meta["k"]), rect, name="tabulated-grid")
 
     def __repr__(self) -> str:
         return (

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,11 +24,22 @@ def run(capsys, *argv):
     return code, out
 
 
+def grid_points(xs, rs, values) -> list[dict]:
+    """The "points" list json.dumps would be handed for the grid xs, rs and value rows."""
+    columns = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in (xs, rs, *values)))
+    return [{"x0": x0, "r": r, "value": value} for x0, r, *value in columns]
+
+
 @pytest.fixture
 def payloads(monkeypatch):
-    """The payloads the CLI renders as JSON, in order."""
-    seen, real = [], cli._dumps
-    monkeypatch.setattr(cli, "_dumps", lambda payload: seen.append(payload) or real(payload))
+    """The payloads the CLI writes, in order; a grid's points spelled out as the stdlib's dicts."""
+    seen, real = [], cli._emit
+
+    def emit(opts, payload, csv_rows=None, grid=None):
+        seen.append(payload if grid is None else {**payload, "points": grid_points(*grid[1:])})
+        return real(opts, payload, csv_rows, grid)
+
+    monkeypatch.setattr(cli, "_emit", emit)
     return seen
 
 
@@ -318,6 +330,37 @@ class TestPipeline:
         assert code == 2
         assert "reaches past the tabulated [0.2, 1] x [0.5, 1.5]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rect_selects_a_sub_rectangle_of_the_grid(self, capsys, tmp_path, source):
+        # --rect (or a config rect) replaces meta.rect: the primitive lives on the
+        # sub-rectangle and is arctan up to a real linear gauge there
+        from fueter.verify import polynomial_fit_residual
+
+        field_file = tmp_path / "profiles.json"
+        code, _ = run(capsys, "forward", "--h", "arctan", "--m", "3", "--profiles",
+                      "--rect", "0.2,1.0,0.5,1.5", "--grid", "40,40", "--out", str(field_file))
+        assert code == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rect": [0.4, 0.6, 0.6, 0.9]}))
+        extra = ("--rect", "0.4,0.6,0.6,0.9") if source == "flag" else ("--config", str(config))
+        code, out = run(capsys, "invert", "--field-json", str(field_file), "--grid", "3,3", *extra)
+        assert code == 0
+        data = json.loads(out)
+        assert data["meta"]["rect"] == data["trajectories"]["rect"] == [0.4, 0.6, 0.6, 0.9]
+        zs = [complex(pt["x0"], pt["r"]) for pt in data["points"]]
+        assert {z.real for z in zs} == {0.4, 0.5, 0.6} and {z.imag for z in zs} == {0.6, 0.75, 0.9}
+        samples = [(z, complex(*pt["value"]) - complex(np.arctan(z))) for z, pt in zip(zs, data["points"])]
+        assert polynomial_fit_residual(samples, 1) <= 1e-8
+
+    def test_rect_flag_past_the_tabulated_points_is_config_error(self, capsys, tmp_path):
+        field_file = tmp_path / "field.json"
+        code, _ = run(capsys, "forward", "--h", "z^3", "--m", "3", "--profiles",
+                      "--rect", "0.2,1.0,0.5,1.5", "--grid", "6,6", "--out", str(field_file))
+        assert code == 0
+        code = main(["invert", "--field-json", str(field_file), "--rect", "0.1,0.6,0.6,0.9", "--grid", "2,2"])
+        assert code == 2
+        assert "[0.1, 0.6] x [0.6, 0.9] reaches past the tabulated [0.2, 1] x [0.5, 1.5]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("malformed, message", [
         (lambda g: {"points": []}, 'grid JSON must be an object with a "meta" object and a "points" list'),
         (lambda g: [1, 2], 'grid JSON must be an object with a "meta" object and a "points" list'),
@@ -330,8 +373,12 @@ class TestPipeline:
         (lambda g: _second_point(g, {"x0": None, "r": 1.5, "value": [1.0, 2.0]}), "grid point {'x0': None,"),
         (lambda g: _second_point(g, {"x0": 0.0, "r": 1.5, "value": 3.0}), "'value': 3.0} is not {x0, r, value"),
         (lambda g: _second_point(g, {"x0": 0.0, "r": 1.5, "value": [1]}), "'value': [1]} is not {x0, r, value"),
+        (lambda g: _second_point(g, {"x0": 0.0, "r": 1.5, "value": [True, 2.0]}), "'value': [True, 2.0]} is not"),
+        (lambda g: _second_point(g, {"x0": 0.0, "r": "1.5", "value": [1.0, 2.0]}), "{'x0': 0.0, 'r': '1.5', "),
+        (lambda g: {**g, "meta": {**g["meta"], "m": True}},
+         "grid meta needs integers m, k, nx0 and nr, got {'m': True, "),
     ], ids=["no-meta", "not-an-object", "meta-without-m", "three-number-rect", "points-not-a-list",
-            "point-without-x0", "null-x0", "scalar-value", "one-number-value"])
+            "point-without-x0", "null-x0", "scalar-value", "one-number-value", "bool-sample", "string-r", "bool-m"])
     def test_malformed_grid_is_config_error(self, capsys, tmp_path, malformed, message):
         grid = {"meta": {"m": 3, "k": 0, "rect": [0.0, 1.0, 0.5, 1.5], "nx0": 2, "nr": 2},
                 "points": [{"x0": x, "r": r, "value": [1.0, 2.0]} for x in (0.0, 1.0) for r in (0.5, 1.5)]}
@@ -685,46 +732,64 @@ class TestJsonOutput:
         run(capsys, "forward", "--h", "recip", "--m", "3", "--rect", RECT, "--grid", "2,2")
         assert encoded == [0, 0, 4]
 
+    # each grid is (x0s, rs, value rows); None is the CLI's default 20 x 20 grid
     @pytest.mark.parametrize(
         "points",
         [
-            [{"x0": 0.5, "r": -0.0, "value": [-0.0, 1e-300]}, {"x0": 1e22, "r": 2.5e-8, "value": [0.1, -7.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [float("nan"), 1.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [float("inf"), 1.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [1.0, float("-inf")]}],
-            [{"x0": 1.7e308, "r": 1.7e308, "value": [1.7e308]}],
-            [{"x0": 0, "r": 1.0, "value": [1.0, 2.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [True, 2.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [1.0, 2]}],
-            [{"x0": 0.5, "r": 1.0, "value": [1.0]}, {"x0": 0.5, "r": 1.0, "value": [1.0, 2.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [1.0, 2.0]}, {"x0": 0.5, "r": 1.0, "value": [1.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": v} for v in ([1.0, 2.0], [1.0], [1.0, 2.0, 3.0])],
-            [{"x0": 0.5, "r": 1.0, "value": []}],
-            [{"x0": 0.5, "r": 1.0, "value": (1.0, 2.0)}],
-            [{"x0": 0.5, "r": 1.0, "value": {1.0: 2.0}}],
-            [{"x0": 0.5, "r": 1.0, "value": [["", 1.0], ["1", 2.0]]}],
-            [{"r": 1.0, "x0": 0.5, "value": [1.0, 2.0]}],
-            [{"x0": 0.5, "r": 1.0, "value": [1.0, 2.0], "w": 1.0}],
-            [{"x0": 0.5, "r": 1.0}],
-            [[0.5, 1.0, [1.0, 2.0]]],
-            [],
+            ([0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0], [[-0.0, 1e-300, 0.0, 2.5e-8], [1e22, -0.0, -7.0, 0.1]]),
+            ([0.5, 1e22], [2.5e-8, 1e-300], [[-0.0, 1e-300], [0.1, -7.0]]),
+            ([0.5], [1.0], [[math.nan], [1.0]]),
+            ([0.5], [1.0], [[math.inf], [1.0]]),
+            ([0.5], [1.0], [[1.0], [-math.inf]]),
+            ([0.5, math.nan], [1.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),
+            ([0.5, 0.5], [math.inf, 1.0], [[1.0, 2.0], [3.0, 4.0]]),
+            ([0.5, 0.7], [1.0, -math.inf], [[1.0, 2.0]]),
+            ([1.7e308], [1.7e308], [[1.7e308]]),
+            ([0.5, 0.5, 0.5], [1.0, 1.25, 1.5], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [-0.0, 1e-300, 1e22]]),
+            ([5e-324, -5e-324], [2.2250738585072014e-308, 1.0], [[5e-324, -5e-324], [1.0, 2.0]]),
+            ([1e15, 1e16], [1e17, 0.1], [[1e16, 123456789012345680.0], [9007199254740993.0, 1e-5]]),
+            ([-0.5, -1.5], [0.5, 1.5], [[-0.25, -2.5e-8], [-1e22, -1e-300]]),
+            ([0.1], [0.2], [[0.30000000000000004], [1 / 3]]),
+            (np.float32([0.1, 0.7]).tolist(), np.float32([1.1, 2.3]).tolist(), [[0.1, 0.2]]),
+            ([0.0, 0.0, -0.0, -0.0], [0.5, -0.0, 0.5, 0.0], [[0.0, -0.0, 0.0, -0.0], [1.0, 2.0, 3.0, 4.0]]),
+            ([0.25, 0.75], [0.5, 0.5], [[1.0, 2.0], [3.0, 4.0], [5.0, math.nan]]),
+            ([0.25] * 3, [0.5, 1.0, 1.5], [[2.5e-8] * 3, [1e22] * 3]),
+            ([0.25, 0.75], [0.5, 0.5], [[1.0, 2.0]]),
+            ([], [], [[], []]),
             None,
         ],
     )
-    @pytest.mark.parametrize("last", [True, False])
-    def test_helper_equals_stdlib_rendering(self, points, last):
+    @pytest.mark.parametrize("trajectories", [True, False])
+    def test_helper_equals_stdlib_rendering(self, points, trajectories):
+        # the grid follows meta alone (forward --profiles) or meta and trajectories (invert)
+        if points is None:
+            xs, rs = Rectangle(*cli.DEFAULT_RECT).grid(*cli.DEFAULT_GRID)
+            points = xs, rs, [np.cos(xs * rs), np.sin(xs - rs), xs - rs]
+        xs, rs, values = (np.array(c, dtype=np.float64) for c in points)
         meta = {"n": 3, "flag": True, "off": False, "gap": None, "x": -0.0, "bad": [float("nan"), float("-inf")]}
-        payload = {"meta": meta, "points": points} if last else {"points": points, "meta": meta}
-        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+        payload = {"meta": meta, "trajectories": {"init": [0.0, -0.0]}} if trajectories else {"meta": meta}
+        want = json.dumps({**payload, "points": grid_points(xs, rs, values)}, indent=2)
+        assert cli._grid_json(payload, xs, rs, list(values)) == want
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.fixed_dictionaries({
-        "x0": st.floats(), "r": st.floats(width=32),
-        "value": st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=3),
-    }), max_size=4))
-    def test_helper_equals_stdlib_on_random_points(self, points):
-        payload = {"meta": {"n": len(points)}, "points": points}
-        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+    @given(st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.tuples(st.floats(), st.floats(width=32), *[st.floats()] * width), max_size=4,
+    ).map(lambda rows: (width, rows))))
+    def test_helper_equals_stdlib_on_random_points(self, grid):
+        width, rows = grid
+        columns = np.array(rows, dtype=np.float64).reshape(-1, width + 2).T
+        payload = {"meta": {"n": len(rows)}}
+        want = json.dumps({**payload, "points": grid_points(columns[0], columns[1], columns[2:])}, indent=2)
+        assert cli._grid_json(payload, columns[0], columns[1], list(columns[2:])) == want
+
+    def test_grid_coordinates_are_formatted_once_each(self, monkeypatch):
+        # 0.0 and -0.0 are two coordinates; equal floats share one repr
+        xs, rs = np.array([0.0, -0.0, 0.0, 0.5, 0.5]), np.array([-0.0, 1.0, 1.0, 1.0, -0.0])
+        formatted, real = [], repr
+        monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x) or real(x), raising=False)
+        text = cli._grid_json({"meta": {}}, xs, rs, [xs + rs])
+        assert sorted(map(str, formatted[:-1])) == sorted(["0.0", "-0.0", "0.5", "-0.0", "1.0"])
+        assert text == json.dumps({"meta": {}, "points": grid_points(xs, rs, [xs + rs])}, indent=2)
 
     def test_csv_rows_match_json_values(self, capsys):
         argv = ("forward", "--h", "arctan", "--m", "3", "--rect", RECT, "--grid", "3,2")

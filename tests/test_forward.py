@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from fueter import jets
 from fueter.clifford import Multivector, Paravector
-from fueter.forward import FueterConfig, fueter_fields, fueter_map, fueter_profile, laplacian_oracle
+from fueter.forward import FueterConfig, fueter_fields, fueter_map, fueter_profile, laplacian_oracle, paired
+from fueter.inverse import AxialFunction
+from fueter.oracles import axial_field
 from fueter.polynomials import builtin_pk
 from fueter.radial import coeff_row
 
@@ -176,17 +178,7 @@ class TestFieldViews:
                 if a.tolist() != want[0].tolist() or b.tolist() != want[1].tolist():
                     wrong.append(x0)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(0.1 * (i + 1),)) for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(worker, [0.1 * (i + 1) for i in range(6)])
         assert wrong == []
 
     def test_real_axis_rejected(self):
@@ -202,6 +194,96 @@ class TestFieldViews:
     def test_mismatched_point_rejected(self):
         with pytest.raises(ValueError):
             fueter_map(jets.power(2), builtin_pk(3, 0), cfg3(), Paravector(1.0, np.array([0.0, 1.0])))
+
+
+
+def run_threads(worker, args) -> None:
+    """Run worker(arg) for each arg on its own thread, switching threads as often as possible."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(arg,)) for arg in args]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestPaired:
+    """forward.paired: the one pairing of A and B, shared by fueter_fields and tabulated fields."""
+
+    @staticmethod
+    def counting():
+        """A pair function of arrays, and a list that records the shape of r at every call."""
+        calls = []
+
+        def pair(x0, r):
+            calls.append(np.shape(r))
+            x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
+            return x0 * r + 1.0, x0 - r * r
+
+        return pair, calls
+
+    def test_a_then_b_share_one_call(self):
+        pair, calls = self.counting()
+        A, B = paired(pair)
+        x0s, rs = np.linspace(0.2, 1.0, 4), np.linspace(0.5, 1.5, 4)
+        a, b = A(x0s, rs), B(x0s.copy(), rs.copy())  # equal values, other objects
+        assert calls == [(4,)]
+        assert a.tolist() == pair(x0s, rs)[0].tolist() and b.tolist() == pair(x0s, rs)[1].tolist()
+        del calls[:]
+        assert (B(x0s, rs).tolist(), A(x0s, rs).tolist()) == (b.tolist(), a.tolist())
+        assert calls == [(4,)]
+
+    def test_other_points_recompute(self):
+        pair, calls = self.counting()
+        A, B = paired(pair)
+        rs = np.array([0.5, 1.0, 1.5])
+        for first, then in [((0.8, rs), (0.9, rs)), ((0.0, rs), (-0.0, rs)), ((1, 2), (1, 2))]:
+            want = pair(*then)[1]
+            del calls[:]
+            A(*first)
+            assert np.array_equal(B(*then), want)
+            assert len(calls) == 2
+
+    def test_each_call_returns_a_fresh_value(self):
+        pair, calls = self.counting()
+        A, B = paired(pair)
+        rs = np.array([0.5, 1.0, 1.5])
+        a1, a2 = A(0.8, rs), A(0.8, rs)
+        b1, b2 = B(0.8, rs), B(0.8, rs)  # the kept B is handed out once
+        assert a1 is not a2 and b1 is not b2 and len(calls) == 3
+        a1[:] = 0.0
+        assert b1.tolist() == b2.tolist() and a2.tolist() == pair(0.8, rs)[0].tolist()
+
+    @pytest.mark.parametrize("source", ["pair", "tabulated"])
+    def test_threads_sharing_the_evaluators_get_their_own_values(self, source):
+        # each thread's B follows its own A at its own points; a kept component
+        # another thread took or replaced must be recomputed, never mixed up
+        if source == "pair":
+            pair, _ = self.counting()
+        else:  # a tabulated field's interpolant, example1 on a 7 x 6 grid
+            H = axial_field("example1")
+            xs, rs = H.rect.grid(7, 6)
+            points = [{"x0": x, "r": r, "value": [H.A(x, r), H.B(x, r)]} for x, r in zip(xs.tolist(), rs.tolist())]
+            meta = {"m": H.m, "k": H.k, "rect": list(H.rect.as_tuple()), "nx0": 7, "nr": 6}
+            G = AxialFunction.from_grid({"meta": meta, "points": points})
+            pair = lambda x0, r: (G.A(x0, r), G.B(x0, r))  # noqa: E731
+        A, B = paired(pair) if source == "pair" else (G.A, G.B)
+        rs = np.array([0.5, 1.0, 1.5])
+        wants = {x0: [c.tolist() for c in pair(x0, rs)] for x0 in (0.1 * (i + 1) for i in range(6))}
+        wrong = []
+
+        def worker(x0):
+            for _ in range(100):
+                if [A(x0, rs).tolist(), B(x0, rs).tolist()] != wants[x0]:
+                    wrong.append(x0)
+
+        run_threads(worker, list(wants))
+        assert wrong == []
 
 
 class TestLaplacianOracle:

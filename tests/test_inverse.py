@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 
 import fueter
-from fueter import jets, quadrature
+from fueter import inverse, jets, quadrature
 from fueter.errors import NumericalError, QuadratureError
 from fueter.forward import FueterConfig, fueter_fields
 from fueter.inverse import (
+    BLEND_DEGREE,
+    EDGE_TOL,
     AxialFunction,
     Rectangle,
+    _fh_basis,
     _fh_weights,
+    _snap,
     _radial_rule,
     invert,
     radial_integrals,
@@ -433,6 +437,123 @@ class TestTabulatedFields:
         z = complex(0.5, 1.0)
         assert abs(prim(z) - (z**3 + H.rect.c**2 * z)) <= 1e-10
 
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda d: d["points"][3]["value"].__setitem__(0, True), r"grid point .*'value': \[True, "),
+        (lambda d: d["points"][3]["value"].__setitem__(1, "1.5"), r"grid point .*'value': \[.*, '1\.5'\]\} is not"),
+        (lambda d: d["points"][3].__setitem__("x0", "0.125"), r"grid point \{'x0': '0\.125'"),
+        (lambda d: d["points"][3].__setitem__("r", False), r"grid point .*'r': False"),
+        (lambda d: (d["points"][3]["value"].append(1.0), d["points"][4]["value"].pop()),
+         r"grid point .*'value': \[[^]]*, 1\.0\]\} is not"),
+        (lambda d: d["meta"].__setitem__("m", True), "grid meta needs integers m, k, nx0 and nr"),
+        (lambda d: d["meta"].__setitem__("nx0", True), "grid meta needs integers m, k, nx0 and nr"),
+        (lambda d: d["meta"].__setitem__("k", 0.0), "grid meta needs integers m, k, nx0 and nr"),
+        (lambda d: d["meta"]["rect"].__setitem__(0, False), r"grid meta\.rect must be four numbers a, b, c, d"),
+        (lambda d: d["meta"]["rect"].__setitem__(1, "1.0"), r"grid meta\.rect must be four numbers a, b, c, d"),
+    ], ids=["bool-sample", "string-sample", "string-x0", "bool-r", "three-then-one-values",
+            "bool-m", "bool-nx0", "float-k", "bool-rect-edge", "string-rect-edge"])
+    def test_only_json_numbers_are_read(self, spoil, message):
+        # JSON's true is not 1.0 and "1.5" is not 1.5; the message names the point or the key
+        data = self.grid_json(axial_field("cubic"), nx0=3, nr=3)
+        spoil(data)
+        with pytest.raises(ValueError, match=message):
+            AxialFunction.from_grid(json.dumps(data))
+
+    def test_integers_and_numpy_numbers_are_read_as_floats(self):
+        # an integer sample (JSON's 2) is a number; so are numpy scalars from a Python caller
+        data = self.grid_json(axial_field("cubic", Rectangle(0.0, 2.0, 1.0, 2.0)), nx0=3, nr=3)
+        want = AxialFunction.from_grid(data)
+        for p in data["points"]:
+            p["x0"], p["r"] = (int(t) if t == int(t) else np.float64(t) for t in (p["x0"], p["r"]))
+            p["value"] = [np.float64(v) for v in p["value"]]
+        got = AxialFunction.from_grid(data)
+        assert type(data["points"][0]["x0"]) is int
+        x0, r = np.array([0.3, 1.7]), np.array([1.2, 1.9])
+        assert (got.A(x0, r).tolist(), got.B(x0, r).tolist()) == (want.A(x0, r).tolist(), want.B(x0, r).tolist())
+
+
+class TestPairedInterpolation:
+    """A tabulated field's A and B share each evaluation's pair of Floater-Hormann bases."""
+
+    @staticmethod
+    def field(nx0=9, nr=7):
+        data = TestTabulatedFields().grid_json(axial_field("example1"), nx0, nr)
+        return data, AxialFunction.from_grid(data)
+
+    @staticmethod
+    def unpaired(data, x0, r):
+        """(A, B) at (x0, r) from the table of data rebuilt here, each component contracted on its own."""
+        table = {(p["x0"], p["r"]): p["value"] for p in data["points"]}
+        xs, rs = (np.array(sorted({key[i] for key in table})) for i in (0, 1))
+        vals = np.array([[[table[x, t][i] for t in rs.tolist()] for x in xs.tolist()] for i in (0, 1)])
+        bx = _fh_basis(np.asarray(x0, dtype=np.float64), xs, _fh_weights(xs, BLEND_DEGREE))
+        br = _fh_basis(np.asarray(r, dtype=np.float64), rs, _fh_weights(rs, BLEND_DEGREE))
+        return [((bx @ v) * br).sum(axis=-1) for v in vals]
+
+    POINTS = [
+        (0.37, 0.81),
+        (0.37, np.linspace(0.6, 1.4, 48)),
+        (np.array([[0.1], [0.5], [0.9]]), np.array([0.6, 0.9, 1.2, 1.4])),
+        (np.array([0.125, 0.25, 0.875]), np.array([1.125, 0.5, 1.5])),
+    ]
+
+    @pytest.mark.parametrize("first", ["A", "B"])
+    def test_values_equal_unpaired_evaluation_bit_for_bit(self, first):
+        data, G = self.field()
+        for x0, r in self.POINTS:
+            want = [np.asarray(w).tolist() for w in self.unpaired(data, x0, r)]
+            if first == "A":
+                got = [np.asarray(G.A(x0, r)).tolist(), np.asarray(G.B(x0, r)).tolist()]
+            else:
+                got = [np.asarray(G.B(x0, r)).tolist(), np.asarray(G.A(x0, r)).tolist()][::-1]
+            assert got == want
+        assert type(G.A(0.37, 0.81)) is float and type(G.B(0.37, 0.81)) is float
+
+    def test_a_then_b_make_one_basis_pass_per_axis(self, monkeypatch):
+        _, G = self.field()
+        axes = []
+        monkeypatch.setattr(inverse, "_fh_basis", lambda t, grid, w: axes.append(grid.size) or _fh_basis(t, grid, w))
+        x0, r = 0.37, np.linspace(0.6, 1.4, 48)
+        G.A(x0, r)
+        G.B(x0, r)
+        assert axes == [9, 7]
+        G.B(x0, r)  # the kept B was handed out: a second B recomputes both bases
+        G.A(x0, r)
+        assert axes == [9, 7] * 2
+
+    def test_each_call_returns_a_fresh_array(self):
+        _, G = self.field()
+        x0, r = 0.37, np.linspace(0.6, 1.4, 5)
+        a1, b1 = G.A(x0, r), G.B(x0, r)
+        a2, b2 = G.A(x0, r), G.B(x0, r)
+        assert len({id(a) for a in (a1, b1, a2, b2)}) == 4
+        a1[:] = b1[:] = np.nan
+        assert np.isfinite(a2).all() and np.isfinite(b2).all()
+        assert G.B(x0, r).tolist() == b2.tolist()
+
+
+class TestSnap:
+    GRID = np.linspace(0.2, 0.7, 6)
+
+    @pytest.mark.parametrize("end", [0.2, 0.7])
+    @pytest.mark.parametrize("offset", [-0.9 * EDGE_TOL, -1e-16, 1e-16, 0.9 * EDGE_TOL])
+    def test_points_within_edge_tol_snap_onto_each_end(self, end, offset):
+        # inside and outside each end, alone, as a scalar and next to interior points
+        t = end + offset
+        assert _snap(np.array(t), self.GRID, "x0") == end
+        assert _snap(np.array([0.45, t, 0.5]), self.GRID, "x0").tolist() == [0.45, end, 0.5]
+
+    def test_interior_points_pass_through_untouched(self):
+        t = np.array([0.2 + 2 * EDGE_TOL, 0.45, 0.7 - 2 * EDGE_TOL])
+        assert _snap(t, self.GRID, "r") is t
+
+    @pytest.mark.parametrize("t", [0.2 - 2 * EDGE_TOL, 0.7 + 2 * EDGE_TOL, math.nan])
+    def test_points_past_edge_tol_raise(self, t):
+        with pytest.raises(ValueError, match=r"r outside the tabulated \[0\.2, 0\.7\]"):
+            _snap(np.array([0.45, t]), self.GRID, "r")
+
+    def test_no_points(self):
+        assert _snap(np.empty(0), self.GRID, "x0").size == 0
 
 def test_import_pulls_in_no_scipy():
     src = os.path.dirname(os.path.dirname(fueter.__file__))
