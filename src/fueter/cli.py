@@ -259,7 +259,7 @@ def _resolve_field(opts: _Options, rect: Rectangle | None) -> AxialFunction:
         with open(grid_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if rect is not None and isinstance(data, dict) and isinstance(data.get("meta"), dict):
-            data["meta"]["rect"] = list(rect.as_tuple())  # checked against the tabulated points as meta.rect
+            data["meta"]["rect"] = list(rect.as_tuple())  # checked against the tabulated points
         return AxialFunction.from_grid(data)
     name = opts.string("field")
     if not name:

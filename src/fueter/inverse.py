@@ -56,7 +56,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE, LAYOUT_CACHE, PANEL_ORDER, QuadratureConfig, _layout, _weigh, integrate, quadrature,
 )
 
-# Points this close outside a rectangle (or a tabulated grid) count as on
+# Points this close outside a rectangle (or a tabulated grid) are moved onto
 # its edge: upstream arithmetic lands an ulp or two past it.
 EDGE_TOL = 1e-12
 # Blending degree of the Floater-Hormann interpolant of tabulated fields:
@@ -90,12 +90,15 @@ class Rectangle:
             self.a - EDGE_TOL <= x0 <= self.b + EDGE_TOL and self.c - EDGE_TOL <= r <= self.d + EDGE_TOL
         )
 
-    def require(self, x0: float, r: float) -> None:
+    def require(self, x0: float, r: float) -> tuple[float, float]:
+        """(x0, r) itself on the rectangle, its nearest edge point up to EDGE_TOL outside; farther out raises."""
         if not self.contains(x0, r):
             raise ValueError(
                 f"point (x0={x0:g}, r={r:g}) outside rectangle "
                 f"[{self.a:g}, {self.b:g}] x [{self.c:g}, {self.d:g}]"
             )
+        return (self.a if x0 < self.a else self.b if x0 > self.b else x0,
+                self.c if r < self.c else self.d if r > self.d else r)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -119,11 +122,12 @@ def _fh_weights(grid: np.ndarray, d: int) -> np.ndarray:
     """
     x = (grid - grid[0]) / (grid[-1] - grid[0])
     d = min(d, x.size - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(x, d + 1)  # window i holds x[i..i+d]
+    diff = windows[:, :, None] - windows[:, None, :] + np.eye(d + 1)  # 1 on the diagonal, exact elsewhere
+    terms = (-1.0) ** np.arange(len(windows))[:, None] / diff.prod(axis=2)
     w = np.zeros(x.size)
-    for i in range(x.size - d):
-        diff = x[i:i + d + 1, None] - x[i:i + d + 1]
-        np.fill_diagonal(diff, 1.0)
-        w[i:i + d + 1] += (-1.0) ** i / diff.prod(axis=1)
+    for j in range(d, -1, -1):  # node i + j takes window i's term j; every node sums in increasing i
+        w[j:j + len(windows)] += terms[:, j]
     return w
 
 
@@ -142,8 +146,8 @@ def _fh_basis(t: np.ndarray, grid: np.ndarray, weights: np.ndarray) -> np.ndarra
 
 
 def _snap(t: np.ndarray, grid: np.ndarray, axis: str) -> np.ndarray:
-    """t with what Rectangle.contains lets past the grid's ends snapped onto them; exterior points
-    raise.  t itself when every point lies more than EDGE_TOL inside both ends."""
+    """t with points within EDGE_TOL of the grid's ends snapped onto them, as Rectangle.require moves eval's
+    points; exterior points raise.  t itself when every point lies more than EDGE_TOL inside both ends."""
     if t.size and t.min() - grid[0] > EDGE_TOL and grid[-1] - t.max() > EDGE_TOL:
         return t
     t = np.where(np.abs(t - grid[0]) <= EDGE_TOL, grid[0], t)
@@ -252,7 +256,7 @@ class AxialFunction:
         if not (xs[0] - EDGE_TOL <= rect.a and rect.b <= xs[-1] + EDGE_TOL
                 and rs[0] - EDGE_TOL <= rect.c and rect.d <= rs[-1] + EDGE_TOL):
             raise ValueError(
-                f"meta.rect [{rect.a:g}, {rect.b:g}] x [{rect.c:g}, {rect.d:g}] reaches past the tabulated "
+                f"rectangle [{rect.a:g}, {rect.b:g}] x [{rect.c:g}, {rect.d:g}] reaches past the tabulated "
                 f"[{xs[0]:g}, {xs[-1]:g}] x [{rs[0]:g}, {rs[-1]:g}]"
             )
         wx, wr = _fh_weights(xs, BLEND_DEGREE), _fh_weights(rs, BLEND_DEGREE)
@@ -275,17 +279,15 @@ class AxialFunction:
 
 
 @lru_cache(maxsize=LAYOUT_CACHE)
-def _radial_rule(lo: float, hi: float, sign: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first level of the weighted radial integrals on [lo, hi]: (x, kernels, halves), all read-only.
+def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first level of the weighted radial integrals on [c, r], c < r: (x, kernels, halves), all read-only.
 
-    x holds integrate's cached nodes; r is the integrals' upper end, lo
-    when sign is -1.0.  kernels holds the kernel at x, t (r^2 - t^2)^(N-1)
-    for I1 and (r^2 - t^2)^(N-1) for I2 / r, and halves the panel
-    half-widths once per row.  A times the first row and B times the second
-    are the integrand values integrate would see, bit for bit.
+    x holds integrate's cached nodes.  kernels holds the kernel at x,
+    t (r^2 - t^2)^(N-1) for I1 and (r^2 - t^2)^(N-1) for I2 / r, and halves
+    the panel half-widths once per row.  A times the first row and B times
+    the second are the integrand values integrate would see, bit for bit.
     """
-    half, x = _layout(lo, hi, PANEL_ORDER)
-    r = hi if sign > 0 else lo
+    half, x = _layout(c, r, PANEL_ORDER)
     kernel = (r * r - x * x) ** (N - 1)
     kernels, halves = np.stack([x * kernel, kernel]), np.stack([half, half])
     kernels.flags.writeable = halves.flags.writeable = False  # every point on this interval shares them
@@ -293,7 +295,7 @@ def _radial_rule(lo: float, hi: float, sign: float, N: int) -> tuple[np.ndarray,
 
 
 def _radial(A, B, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> tuple[float, float]:
-    """(I1, I2) from c to r at x0.
+    """(I1, I2) from c to r >= c at x0; Rectangle.require puts every point there.
 
     The first level takes one A and one B call at the rule's nodes, one
     product with the cached kernels and one batched Gauss product;
@@ -301,8 +303,7 @@ def _radial(A, B, x0: float, r: float, c: float, N: int, quad: QuadratureConfig)
     """
     if r == c:
         return 0.0, 0.0
-    lo, hi, sign = (c, r, 1.0) if c < r else (r, c, -1.0)
-    x, kernels, halves = _radial_rule(lo, hi, sign, N)
+    x, kernels, halves = _radial_rule(c, r, N)
     values = np.empty((2, x.size))
     values[0] = A(x0, x)
     values[1] = B(x0, x)
@@ -314,14 +315,14 @@ def _radial(A, B, x0: float, r: float, c: float, N: int, quad: QuadratureConfig)
         k = (r * r - t * t) ** (N - 1)
         return np.array([(t * k) * A(x0, t), k * B(x0, t)])
 
-    i1, i2 = quadrature(integrands, table, lo, hi, quad.abs_tol, sign)
+    i1, i2 = quadrature(integrands, table, c, r, quad.abs_tol)
     return i1, r * i2
 
 
 def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
-    """The weighted radial integrals (I1, I2) at a point of H's rectangle: eval's pair, bit for bit."""
-    H.rect.require(x0, r)
-    return _radial(H.A, H.B, float(x0), float(r), H.rect.c, H.N, quad)
+    """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit."""
+    x0, r = H.rect.require(float(x0), float(r))
+    return _radial(H.A, H.B, x0, r, H.rect.c, H.N, quad)
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +407,7 @@ class FueterPrimitive:
 
     def _solve_at(self, x0: float) -> tuple[float, ...]:
         """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0, as Python floats."""
-        self.rect.require(x0, self.rect.c)
+        x0, _ = self.rect.require(x0, self.rect.c)
         a, N, H = self.rect.a, self.N, self.field
 
         def drive(t):
@@ -430,7 +431,7 @@ class FueterPrimitive:
         return self._family(self.N + range(self.N)[j], x0)
 
     def eval(self, x0, r) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-        """(u, v) at rectangle points.
+        """(u, v) at rectangle points, each moved onto the rectangle by Rectangle.require.
 
         x0 and r broadcast against each other; scalars give a pair of
         floats, arrays a pair of float64 arrays of the broadcast shape.
@@ -441,14 +442,11 @@ class FueterPrimitive:
             x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
             if x0.ndim or r.ndim:
                 xx, rr = np.broadcast_arrays(x0, r)
-                points = list(zip(xx.ravel().tolist(), rr.ravel().tolist()))
-                for x, t in points:
-                    self.rect.require(x, t)
+                points = [self.rect.require(x, t) for x, t in zip(xx.ravel().tolist(), rr.ravel().tolist())]
                 coeffs = [self._coefficients(x) for x, _ in points]
                 uv = np.array([self._eval_at(x, t, c) for (x, t), c in zip(points, coeffs)]).reshape(-1, 2)
                 return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
-        x0, r = float(x0), float(r)
-        self.rect.require(x0, r)
+        x0, r = self.rect.require(float(x0), float(r))
         return self._eval_at(x0, r, self._coefficients(x0))
 
     def _eval_at(self, x0: float, r: float, coeffs: tuple[float, ...]) -> tuple[float, float]:

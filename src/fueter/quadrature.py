@@ -119,25 +119,26 @@ def integrate(
 
     Returns a float for an integrand of shape (n,) and an array of shape
     (p,) for one of shape (p, n); an empty interval returns 0.0 without
-    calling f.  The first level's nodes are cached per interval and handed
-    to f read-only, so f must not write into its argument.  Raises
-    QuadratureError on a non-finite panel sum or when a subinterval still
-    disagrees at depth MAX_DEPTH.
+    calling f, and b < a the integral over [b, a] negated, whose bits
+    differ only in the sign.  The first level's nodes are cached per
+    interval and handed to f read-only, so f must not write into its
+    argument.  Raises QuadratureError on a non-finite panel sum or when a
+    subinterval still disagrees at depth MAX_DEPTH.
     """
     a, b = float(a), float(b)
     if a == b:
         return 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    half, x = _layout(a, b, PANEL_ORDER)
+    lo, hi = min(a, b), max(a, b)
+    half, x = _layout(lo, hi, PANEL_ORDER)
     first = _sums(f, half, x, PANEL_ORDER)
-    totals = quadrature(f, first.reshape(-1, 3), a, b, cfg.abs_tol, sign)
+    totals = quadrature(f, first.reshape(-1, 3), lo, hi, cfg.abs_tol)
+    if b < a:
+        totals = [-t for t in totals]
     return totals[0] if first.ndim == 1 else np.array(totals)
 
 
-def quadrature(f: Callable, table: np.ndarray, a: float, b: float, tol: float, sign: float) -> list[float]:
-    """The integrals over [a, b], a < b, times sign, from a first-level table of panel sums.
+def quadrature(f: Callable, table: np.ndarray, a: float, b: float, tol: float) -> list[float]:
+    """The integrals over [a, b], a < b, from a first-level table of panel sums.
 
     table[row] holds the whole-panel, left-half and right-half sums of
     component row.  The interval is accepted in Python floats when every
@@ -149,7 +150,7 @@ def quadrature(f: Callable, table: np.ndarray, a: float, b: float, tol: float, s
     values = [left + right for _, left, right in rows]
     if not all(abs(s - row[0]) <= tol and math.isfinite(s) for s, row in zip(values, rows)):
         values = _refine(f, a, b, *table.T, tol, 0).tolist()
-    return [sign * s for s in values]
+    return values
 
 
 def _refine(f, lo, hi, whole, left, right, tol, depth, active=True):

@@ -361,6 +361,21 @@ class TestPipeline:
         assert code == 2
         assert "[0.1, 0.6] x [0.6, 0.9] reaches past the tabulated [0.2, 1] x [0.5, 1.5]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rect_past_the_grid_is_named_as_the_rectangle(self, capsys, tmp_path, source):
+        # the rectangle came from --rect or the config, not from the file's meta.rect
+        field_file = tmp_path / "field.json"
+        code, _ = run(capsys, "forward", "--h", "z^3", "--m", "3", "--profiles",
+                      "--rect", "0.2,1.0,0.5,1.5", "--grid", "6,6", "--out", str(field_file))
+        assert code == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rect": [0.1, 0.9, 0.6, 1.4]}))
+        extra = ["--rect", "0.1,0.9,0.6,1.4"] if source == "flag" else ["--config", str(config)]
+        assert main(["invert", "--field-json", str(field_file), "--grid", "2,2", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "rectangle [0.1, 0.9] x [0.6, 1.4] reaches past the tabulated [0.2, 1] x [0.5, 1.5]" in err
+        assert "meta.rect" not in err
+
     @pytest.mark.parametrize("malformed, message", [
         (lambda g: {"points": []}, 'grid JSON must be an object with a "meta" object and a "points" list'),
         (lambda g: [1, 2], 'grid JSON must be an object with a "meta" object and a "points" list'),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,6 +59,12 @@ class TestGeometry:
         assert not RECT.contains(1.1, 1.0)
         with pytest.raises(ValueError, match="outside"):
             RECT.require(0.5, 0.4)
+        # up to EDGE_TOL outside moves onto the edge; on or inside keeps its exact value
+        assert RECT.require(-0.9 * EDGE_TOL, 1.5 + 0.9 * EDGE_TOL) == (0.0, 1.5)
+        assert RECT.require(1.0 + 0.9 * EDGE_TOL, 0.5 - 0.9 * EDGE_TOL) == (1.0, 0.5)
+        assert RECT.require(0.25, 0.75) == (0.25, 0.75)
+        x0, _ = RECT.require(-0.0, 0.5)
+        assert math.copysign(1.0, x0) == -1.0
 
 
 class TestRectangleGrid:
@@ -337,7 +344,9 @@ class TestTabulatedFields:
         # a 6 x 6 grid on [0.2, 1] x [0.5, 1.5]; its meta.rect reaches 0.2 past one side
         data = self.grid_json(axial_field("cubic", Rectangle(0.2, 1.0, 0.5, 1.5)), 6, 6)
         data["meta"]["rect"][edge] += 0.2 if edge % 2 else -0.2
-        with pytest.raises(ValueError, match=r"meta\.rect .* reaches past the tabulated \[0\.2, 1\] x \[0\.5, 1\.5\]"):
+        a, b, c, d = data["meta"]["rect"]
+        rect = re.escape(f"rectangle [{a:g}, {b:g}] x [{c:g}, {d:g}]")
+        with pytest.raises(ValueError, match=rect + r" reaches past the tabulated \[0\.2, 1\] x \[0\.5, 1\.5\]"):
             AxialFunction.from_grid(data)
 
     def test_rect_inside_the_tabulated_points_accepted(self):
@@ -400,6 +409,26 @@ class TestTabulatedFields:
             assert G.B(x0, r).tolist() == want[:, 1].tolist()
             assert [G.A(float(x), float(t)) for x, t in zip(x0, r)] == want[:, 0].tolist()
         assert G.A(xs[5], np.array(rs)).tolist() == [table[xs[5], t][0] for t in rs]
+
+    @staticmethod
+    def _loop_weights(grid, d):
+        """The weights window by window in a Python loop: the reference for _fh_weights' bits."""
+        x = (grid - grid[0]) / (grid[-1] - grid[0])
+        d = min(d, x.size - 1)
+        w = np.zeros(x.size)
+        for i in range(x.size - d):
+            diff = x[i:i + d + 1, None] - x[i:i + d + 1]
+            np.fill_diagonal(diff, 1.0)
+            w[i:i + d + 1] += (-1.0) ** i / diff.prod(axis=1)
+        return w
+
+    @pytest.mark.parametrize("d", [0, 1, 3, 6, 9])
+    def test_weights_equal_the_window_loop_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        grids = [np.linspace(0.3, 1.7, n) for n in range(2, 61)]
+        grids += [np.sort(rng.uniform(-2.0, 3.0, n)) for n in rng.integers(2, 61, 60)]
+        for grid in grids:
+            assert _fh_weights(grid, d).tobytes() == self._loop_weights(grid, d).tobytes(), (grid.size, d)
 
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_weights_match_the_equispaced_closed_form(self, d):
@@ -797,19 +826,19 @@ class TestRadialRule:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1][0] == 48 and len(outcomes[0][1]) > 1
 
-    def test_reversed_interval_below_c(self):
-        # r up to EDGE_TOL below c integrates from c down to r
-        H = axial_field("example1")
-        r = H.rect.c - 5e-13
-        i1, i2 = _explicit_integrals(H, 0.3, r).tolist()
-        got = radial_integrals(H, 0.3, r)
-        assert got == (i1, r * i2) and 0.0 not in got
+    def test_r_within_edge_tol_below_c_reads_c(self):
+        # r up to EDGE_TOL below c is moved onto c: an empty radial interval, no field call
+        G, calls = _counting(axial_field("example1"))
+        r = G.rect.c - 5e-13
+        assert radial_integrals(G, 0.3, r) == radial_integrals(G, 0.3, G.rect.c) == (0.0, 0.0)
+        assert calls["A"] == calls["B"] == []
+        assert invert(G).eval(0.3, r) == invert(G).eval(0.3, G.rect.c)
 
     def test_rule_arrays_are_read_only(self):
         H = _tabulated_40()
         prim = invert(H)
         prim.eval(0.77, 1.234)
-        x, kernels, halves = _radial_rule(H.rect.c, 1.234, 1.0, H.N)
+        x, kernels, halves = _radial_rule(H.rect.c, 1.234, H.N)
         assert _radial_rule.cache_info().hits >= 1
         assert x.size == 3 * PANEL_ORDER
         assert (kernels.shape, halves.shape) == ((2, 48), (2, 3))
@@ -817,6 +846,75 @@ class TestRadialRule:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestEdgeRule:
+    """A point up to EDGE_TOL outside the rectangle is evaluated on its edge; one farther out raises."""
+
+    FIELDS = ["example1", "tabulated"]
+
+    @staticmethod
+    def _field(name):
+        return _tabulated_40() if name == "tabulated" else axial_field(name)
+
+    @staticmethod
+    def _edge_point(rect, edge, outside):
+        """A point outside the edge-th edge (a, b, c, d) by outside, and its point on that edge."""
+        a, b, c, d = rect.as_tuple()
+        x_mid, r_mid = 0.5 * (a + b), 0.5 * (c + d)
+        on = [(a, r_mid), (b, r_mid), (x_mid, c), (x_mid, d)][edge]
+        step = [(-outside, 0.0), (outside, 0.0), (0.0, -outside), (0.0, outside)][edge]
+        return (on[0] + step[0], on[1] + step[1]), on
+
+    @pytest.mark.parametrize("edge", range(4))
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_points_within_edge_tol_read_the_edge_bit_for_bit(self, name, edge):
+        H = self._field(name)
+        (x0, r), (x_on, r_on) = self._edge_point(H.rect, edge, 0.9 * EDGE_TOL)
+        assert (x0, r) != (x_on, r_on)
+        # a fresh primitive per side, so no coefficient comes from the other side's cache
+        out, on = invert(H), invert(H)
+        assert _bits(*out.eval(x0, r)) == _bits(*on.eval(x_on, r_on))
+        mid = 0.5 * (H.rect.a + H.rect.b), 0.5 * (H.rect.c + H.rect.d)
+        got = invert(H).eval(np.array([x0, mid[0]]), np.array([r, mid[1]]))
+        want = on.eval(np.array([x_on, mid[0]]), np.array([r_on, mid[1]]))
+        assert _bits(*got) == _bits(*want)
+        for j in range(H.N):
+            assert _bits(out.alpha(j, x0), out.beta(j, x0)) == _bits(on.alpha(j, x_on), on.beta(j, x_on))
+        assert _bits(*radial_integrals(H, x0, r)) == _bits(*radial_integrals(H, x_on, r_on))
+
+    @pytest.mark.parametrize("edge", range(4))
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_points_farther_out_raise(self, name, edge):
+        H = self._field(name)
+        (x0, r), _ = self._edge_point(H.rect, edge, 1e-9)
+        prim = invert(H)
+        calls = [lambda: prim.eval(x0, r), lambda: prim.eval(np.array([x0]), np.array([r])),
+                 lambda: radial_integrals(H, x0, r)]
+        if edge < 2:  # the coefficients read x0 alone
+            calls += [lambda: prim.alpha(0, x0), lambda: prim.beta(0, x0)]
+        for call in calls:
+            with pytest.raises(ValueError, match="outside rectangle"):
+                call()
+
+    def test_grid_whose_rect_starts_just_before_its_points(self, tmp_path):
+        # meta.rect starts 0.9e-12 before the grid's first x0; a point 0.9e-12 before
+        # meta.rect lies 1.8e-12 before the grid, and used to send the chain's forcing
+        # integral backwards onto nodes the interpolant refused
+        from fueter.cli import main
+
+        path = tmp_path / "p.json"
+        assert main(["forward", "--h", "arctan", "--m", "3", "--profiles", "--rect", "0.3,1.3,0.5,1.5",
+                     "--grid", "8,8", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data["meta"]["rect"][0] -= 0.9e-12
+        H = AxialFunction.from_grid(data)
+        got = invert(H).eval(H.rect.a - 0.9e-12, 1.0)
+        assert _bits(*got) == _bits(*invert(H).eval(H.rect.a, 1.0))
 
 
 class TestArrayEval:
