@@ -24,9 +24,10 @@ for j = 0..N-1, reading alpha_N = 0 in the last line.
 
 The pair (I1, I2) of radial_integrals and eval is adaptive Gauss-Legendre
 with a kernel-weighted first level: for a fixed r the kernel (r^2 - t^2)^(N-1),
-the nodes and the panel half-widths are constants, so a cached rule holds
-them, and a point's first level is one A and one B call, one product with
-the kernels and one batched Gauss product, in integrate's arithmetic and bits.
+the nodes and the panel half-widths are constants, so a rule cached per r
+holds them (the package's one cache of first-level nodes), and a point's
+first level is one A and one B call, one product with the kernels and one
+batched Gauss product, in integrate's arithmetic and bits.
 An interval that fails the acceptance refines on the kernel-times-field
 integrands through quadrature's shared engine.
 
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import NumericalError
 from .forward import FueterConfig, paired
 from .quadrature import (
-    DEFAULT_QUADRATURE, LAYOUT_CACHE, PANEL_ORDER, QuadratureConfig, _layout, _weigh, integrate, quadrature,
+    DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _layout, _weigh, integrate, quadrature,
 )
 
 # Points this close outside a rectangle (or a tabulated grid) are moved onto
@@ -65,6 +66,8 @@ EDGE_TOL = 1e-12
 BLEND_DEGREE = 6
 # Distinct x0 whose coefficient vector one primitive remembers.
 COEFF_CACHE = 1024
+# Radial intervals [c, r] whose first-level rule the package remembers.
+LAYOUT_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -282,15 +285,18 @@ class AxialFunction:
 def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first level of the weighted radial integrals on [c, r], c < r: (x, kernels, halves), all read-only.
 
-    x holds integrate's cached nodes.  kernels holds the kernel at x,
-    t (r^2 - t^2)^(N-1) for I1 and (r^2 - t^2)^(N-1) for I2 / r, and halves
-    the panel half-widths once per row.  A times the first row and B times
-    the second are the integrand values integrate would see, bit for bit.
+    x holds the nodes integrate lays out on [c, r].  kernels holds the
+    kernel at x, t (r^2 - t^2)^(N-1) for I1 and (r^2 - t^2)^(N-1) for
+    I2 / r, and halves the panel half-widths once per row.  A times the
+    first row and B times the second are the integrand values integrate
+    would see, bit for bit.  This is the one cache of first-level nodes:
+    integrate lays out its own on every call.
     """
     half, x = _layout(c, r, PANEL_ORDER)
     kernel = (r * r - x * x) ** (N - 1)
     kernels, halves = np.stack([x * kernel, kernel]), np.stack([half, half])
-    kernels.flags.writeable = halves.flags.writeable = False  # every point on this interval shares them
+    # every point on this interval shares them
+    x.flags.writeable = kernels.flags.writeable = halves.flags.writeable = False
     return x, kernels, halves
 
 
@@ -436,7 +442,9 @@ class FueterPrimitive:
         x0 and r broadcast against each other; scalars give a pair of
         floats, arrays a pair of float64 arrays of the broadcast shape.
         Every point's coefficients are solved before any radial integral
-        runs, so a non-finite trace on r = c is reported as such.
+        runs, so a non-finite trace on r = c is reported as such; the
+        points then run in order of r, so each distinct r builds its radial
+        rule once, and a failing integral is reported at the least such r.
         """
         if not (isinstance(x0, float) and isinstance(r, float)):  # floats skip numpy
             x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
@@ -444,7 +452,9 @@ class FueterPrimitive:
                 xx, rr = np.broadcast_arrays(x0, r)
                 points = [self.rect.require(x, t) for x, t in zip(xx.ravel().tolist(), rr.ravel().tolist())]
                 coeffs = [self._coefficients(x) for x, _ in points]
-                uv = np.array([self._eval_at(x, t, c) for (x, t), c in zip(points, coeffs)]).reshape(-1, 2)
+                uv = np.empty((len(points), 2))
+                for i in sorted(range(len(points)), key=lambda i: points[i][1]):
+                    uv[i] = self._eval_at(*points[i], coeffs[i])
                 return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
         x0, r = self.rect.require(float(x0), float(r))
         return self._eval_at(x0, r, self._coefficients(x0))

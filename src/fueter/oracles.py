@@ -66,6 +66,22 @@ def _example1_b(x0, r):
     return -r / (x0 * x0 + r * r) ** 3
 
 
+_EXAMPLE1 = {
+    "A": (("x0", "r"), _example1_a),
+    "B": (("x0", "r"), _example1_b),
+    "I1": (("x0", "r", "c"),
+           lambda x0, r, c: (r * r - c * c) ** 2 * x0 / (4 * (x0 * x0 + r * r) * (x0 * x0 + c * c) ** 2)),
+    "I2": (("x0", "r", "c"),
+           lambda x0, r, c: -((r * r - c * c) ** 2) * r / (4 * (x0 * x0 + r * r) * (x0 * x0 + c * c) ** 2)),
+    "beta0": (("x0", "c"), lambda x0, c: -(x0 * x0 + 2 * c * c) / (64 * (x0 * x0 + c * c) ** 2)),
+    "alpha0": (("x0", "c"), lambda x0, c: x0 * (x0 * x0 + 2 * c * c) / (64 * (x0 * x0 + c * c) ** 2)),
+    "beta1": (("x0", "c"), lambda x0, c: 1.0 / (64 * (x0 * x0 + c * c) ** 2)),
+    "alpha1": (("x0", "c"), lambda x0, c: -x0 / (64 * (x0 * x0 + c * c) ** 2)),
+    "u": (("x0", "r"), lambda x0, r: x0 / (64 * (x0 * x0 + r * r))),
+    "v": (("x0", "r"), lambda x0, r: -r / (64 * (x0 * x0 + r * r))),
+}
+
+
 def example1_oracle(
     field: str,
     x0: Optional[float] = None,
@@ -77,42 +93,14 @@ def example1_oracle(
     Fields "A", "B", "u", "v" need (x0, r); "I1", "I2" need (x0, r, c);
     "alpha0", "alpha1", "beta0", "beta1" need (x0, c).
     """
-    def need(**vals):
-        for name, val in vals.items():
-            if val is None:
-                raise ValueError(f"field {field!r} needs argument {name}")
-
-    if field == "A":
-        need(x0=x0, r=r)
-        return _example1_a(x0, r)
-    if field == "B":
-        need(x0=x0, r=r)
-        return _example1_b(x0, r)
-    if field == "I1":
-        need(x0=x0, r=r, c=c)
-        return (r * r - c * c) ** 2 * x0 / (4 * (x0 * x0 + r * r) * (x0 * x0 + c * c) ** 2)
-    if field == "I2":
-        need(x0=x0, r=r, c=c)
-        return -((r * r - c * c) ** 2) * r / (4 * (x0 * x0 + r * r) * (x0 * x0 + c * c) ** 2)
-    if field == "beta0":
-        need(x0=x0, c=c)
-        return -(x0 * x0 + 2 * c * c) / (64 * (x0 * x0 + c * c) ** 2)
-    if field == "alpha0":
-        need(x0=x0, c=c)
-        return x0 * (x0 * x0 + 2 * c * c) / (64 * (x0 * x0 + c * c) ** 2)
-    if field == "beta1":
-        need(x0=x0, c=c)
-        return 1.0 / (64 * (x0 * x0 + c * c) ** 2)
-    if field == "alpha1":
-        need(x0=x0, c=c)
-        return -x0 / (64 * (x0 * x0 + c * c) ** 2)
-    if field == "u":
-        need(x0=x0, r=r)
-        return x0 / (64 * (x0 * x0 + r * r))
-    if field == "v":
-        need(x0=x0, r=r)
-        return -r / (64 * (x0 * x0 + r * r))
-    raise ValueError(f"unknown example1 field {field!r}")
+    if not isinstance(field, str) or field not in _EXAMPLE1:
+        raise ValueError(f"unknown example1 field {field!r}")
+    names, form = _EXAMPLE1[field]
+    given = {"x0": x0, "r": r, "c": c}
+    for name in names:
+        if given[name] is None:
+            raise ValueError(f"field {field!r} needs argument {name}")
+    return form(*(given[name] for name in names))
 
 
 # -- example 2: m = 3, k = 0 --------------------------------------------------

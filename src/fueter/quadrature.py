@@ -15,14 +15,12 @@ depth-first, each step evaluating the two halves of one subinterval in one
 call, so a non-converging integral fails after as few evaluations as a
 panel-at-a-time recursion.
 
-The first level's nodes and panel half-widths depend only on the interval
-and PANEL_ORDER, so they are cached for the last LAYOUT_CACHE intervals,
-and integrands receive read-only nodes.  One acceptance and refinement
-engine, ``quadrature``, takes a first-level table of panel sums, however
-it was computed: it accepts the table in Python floats, whose IEEE
-arithmetic gives numpy's bits, and only a failing interval refines in
-numpy.  ``integrate`` fills the table from one integrand call on the
-cached nodes; the radial rule of ``inverse`` fills it from field values
+One acceptance and refinement engine, ``quadrature``, takes a first-level
+table of panel sums, however it was computed: it accepts the table in
+Python floats, whose IEEE arithmetic gives numpy's bits, and only a
+failing interval refines in numpy.  ``integrate`` lays out the first
+level's nodes afresh on each call and fills the table from one integrand
+call on them; the radial rule of ``inverse`` fills it from field values
 times kernels it caches on the same nodes, with the same arithmetic, and
 hands the engine the kernel-times-field integrand to refine.
 """
@@ -53,8 +51,6 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 MAX_DEPTH = 40
 # Gauss-Legendre nodes per panel.
 PANEL_ORDER = 16
-# Intervals whose first-level layout integrate remembers.
-LAYOUT_CACHE = 64
 
 
 @lru_cache(maxsize=None)
@@ -95,18 +91,10 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarr
     return _sums(f, *_nodes(lo, hi, order), order)
 
 
-@lru_cache(maxsize=LAYOUT_CACHE)
 def _layout(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first level on [a, b], a < b: (half, x), read-only, for the whole panel, then its left and right halves.
-
-    No value depends on the sign of a zero end, so ends that hash alike
-    (0.0 and -0.0) may share a layout.
-    """
+    """The first level on [a, b], a < b: (half, x) for the whole panel, then its left and right halves."""
     mid = 0.5 * (a + b)
-    half, x = _nodes(np.array([a, a, mid]), np.array([b, mid, b]), order)
-    half.flags.writeable = False
-    x.flags.writeable = False  # every call on this interval shares them
-    return half, x
+    return _nodes(np.array([a, a, mid]), np.array([b, mid, b]), order)
 
 
 def integrate(
@@ -120,10 +108,8 @@ def integrate(
     Returns a float for an integrand of shape (n,) and an array of shape
     (p,) for one of shape (p, n); an empty interval returns 0.0 without
     calling f, and b < a the integral over [b, a] negated, whose bits
-    differ only in the sign.  The first level's nodes are cached per
-    interval and handed to f read-only, so f must not write into its
-    argument.  Raises QuadratureError on a non-finite panel sum or when a
-    subinterval still disagrees at depth MAX_DEPTH.
+    differ only in the sign.  Raises QuadratureError on a non-finite panel
+    sum or when a subinterval still disagrees at depth MAX_DEPTH.
     """
     a, b = float(a), float(b)
     if a == b:

@@ -847,6 +847,17 @@ class TestRadialRule:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
 
+    def test_array_eval_builds_each_rule_once(self):
+        # 96 distinct r, more than the rule cache holds; r = c needs no rule
+        H = axial_field("example1")
+        prim = invert(H)
+        xs, rs = H.rect.grid(96, 96)
+        _radial_rule.cache_clear()
+        u, v = prim.eval(xs, rs)
+        assert _radial_rule.cache_info().misses == len(set(rs.tolist()) - {H.rect.c}) == 95
+        scalar = [prim.eval(x0, r) for x0, r in zip(xs.tolist(), rs.tolist())]
+        assert np.array(scalar).tobytes() == np.stack([u, v], axis=1).tobytes()
+
 
 def _bits(*values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
