@@ -315,7 +315,7 @@ def _cmd_roundtrip(args) -> int:
 
     xs, rs = rect.grid(nx0, nr)
     z = xs + 1j * rs
-    w = np.array([complex(u, v) for u, v in zip(*prim.eval(xs, rs))]) - h(z)
+    w = prim(z) - h(z)
     fit = polynomial_fit_residual(list(zip(z.tolist(), w.tolist())), cfg.kernel_degree)
 
     # field and Cauchy-Riemann residuals from one FFT of the primitive's samples on circles

@@ -15,14 +15,16 @@ depth-first, each step evaluating the two halves of one subinterval in one
 call, so a non-converging integral fails after as few evaluations as a
 panel-at-a-time recursion.
 
-One acceptance and refinement engine, ``quadrature``, takes a first-level
-table of panel sums, however it was computed: it accepts the table in
-Python floats, whose IEEE arithmetic gives numpy's bits, and only a
-failing interval refines in numpy.  ``integrate`` lays out the first
-level's nodes afresh on each call and fills the table from one integrand
-call on them; the radial rule of ``inverse`` fills it from field values
-times kernels it caches on the same nodes, with the same arithmetic, and
-hands the engine the kernel-times-field integrand to refine.
+One engine, ``quadrature``, takes a first-level table of panel sums,
+however it was computed.  Its one acceptance rule, ``_refine``, tests and
+refines every level in one recursion over Python floats, whose IEEE
+arithmetic gives numpy's bits: a non-finite value raises first, and an
+accepted component is settled, keeping its value while the others refine.
+``integrate`` lays out the first level's nodes afresh on each call and
+fills the table from one integrand call on them; the radial rule of
+``inverse`` fills it from field values times kernels it caches on the same
+nodes, with the same arithmetic, and hands the engine the
+kernel-times-field integrand to refine.
 """
 
 from __future__ import annotations
@@ -124,46 +126,42 @@ def integrate(
 
 
 def quadrature(f: Callable, table: np.ndarray, a: float, b: float, tol: float) -> list[float]:
-    """The integrals over [a, b], a < b, from a first-level table of panel sums.
+    """The integrals over [a, b], a < b, one per row (whole-panel, left-half, right-half sums) of table."""
+    return _refine(f, a, b, table.tolist(), tol, 0)
 
-    table[row] holds the whole-panel, left-half and right-half sums of
-    component row.  The interval is accepted in Python floats when every
-    component's halves are finite and agree with its whole to tol; else it
-    refines depth-first through f, where a non-finite value raises first.
-    Returns one value per row.
+
+def _refine(f, lo, hi, rows, tol, depth, settled=()):
+    """left + right for each row (whole, left, right) of panel sums on [lo, hi], refined where it disagrees.
+
+    A row not settled above is accepted when its halves are finite and
+    agree with its whole to tol.  A non-finite row raises before one that
+    still disagrees at MAX_DEPTH; the disagreeing rows refine depth-first,
+    and the accepted ones are settled below, keeping their values.
     """
-    rows = table.tolist()  # IEEE doubles: numpy's bits
-    values = [left + right for _, left, right in rows]
-    if not all(abs(s - row[0]) <= tol and math.isfinite(s) for s, row in zip(values, rows)):
-        values = _refine(f, a, b, *table.T, tol, 0).tolist()
+    values, pending = [], []
+    for i, (whole, left, right) in enumerate(rows):
+        s = left + right
+        values.append(s)
+        if i in settled:
+            continue
+        if not math.isfinite(s):
+            raise QuadratureError(f"non-finite panel value on [{lo:g}, {hi:g}]")
+        if not abs(s - whole) <= tol:
+            pending.append(i)
+    if pending:
+        if depth >= MAX_DEPTH:
+            raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] at depth {depth} (tol {tol:g})")
+        settled = tuple(i for i in range(len(rows)) if i not in pending)
+        mid = 0.5 * (lo + hi)
+        lefts = _split(f, lo, mid, [row[1] for row in rows], tol / 2, depth + 1, settled)
+        rights = _split(f, mid, hi, [row[2] for row in rows], tol / 2, depth + 1, settled)
+        for i in pending:
+            values[i] = lefts[i] + rights[i]
     return values
 
 
-def _refine(f, lo, hi, whole, left, right, tol, depth, active=True):
-    """left + right, refined below [lo, hi] in the active components that disagree with whole.
-
-    A component that agrees keeps its value here, as a scalar integral
-    would, even while the others refine further.
-    """
-    halves = left + right
-    if np.any(active & ~np.isfinite(halves)):
-        raise QuadratureError(f"non-finite panel value on [{lo:g}, {hi:g}]")
-    pending = active & ~(np.abs(halves - whole) <= tol)
-    if not np.any(pending):
-        return halves
-    if depth >= MAX_DEPTH:
-        raise QuadratureError(
-            f"no convergence on [{lo:g}, {hi:g}] at depth {depth} (tol {tol:g})"
-        )
+def _split(f, lo, hi, wholes, tol, depth, settled):
+    """Refine [lo, hi], whose panel sums are wholes, after evaluating its halves in one call."""
     mid = 0.5 * (lo + hi)
-    refined = _split(f, lo, mid, left, tol / 2, depth + 1, pending) + _split(
-        f, mid, hi, right, tol / 2, depth + 1, pending
-    )
-    return np.where(pending, refined, halves)
-
-
-def _split(f, lo, hi, whole, tol, depth, active):
-    """Refine [lo, hi], whose panel sum is whole, after evaluating its halves in one call."""
-    mid = 0.5 * (lo + hi)
-    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), PANEL_ORDER)
-    return _refine(f, lo, hi, whole, halves[..., 0], halves[..., 1], tol, depth, active)
+    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), PANEL_ORDER).reshape(-1, 2).tolist()
+    return _refine(f, lo, hi, [(whole, *pair) for whole, pair in zip(wholes, halves)], tol, depth, settled)

@@ -8,7 +8,7 @@ import pytest
 from fueter import quadrature
 from fueter.errors import QuadratureError
 from fueter.quadrature import PANEL_ORDER as PANEL
-from fueter.quadrature import QuadratureConfig, _panels, _refine, integrate
+from fueter.quadrature import QuadratureConfig, _panels, integrate
 
 FIRST = 3 * PANEL  # a piece's whole panel and its two halves
 
@@ -120,7 +120,9 @@ def outcome(fn, a, b, cfg=QuadratureConfig()):
 
 
 def reference_integrate(f, a, b, cfg=QuadratureConfig()):
-    """integrate with the first level laid out afresh and accepted in numpy arrays."""
+    """integrate through an independent engine in numpy arrays: the first level is accepted
+    when every component's halves are finite and agree with its whole, else it refines
+    through reference_refine."""
     a, b = float(a), float(b)
     if a == b:
         return 0.0
@@ -128,15 +130,37 @@ def reference_integrate(f, a, b, cfg=QuadratureConfig()):
     if b < a:
         a, b, sign = b, a, -1.0
     mid = 0.5 * (a + b)
-    whole, left, right = np.moveaxis(_panels(f, np.array([a, a, mid]), np.array([b, mid, b]), PANEL), -1, 0)
+    first = _panels(f, np.array([a, a, mid]), np.array([b, mid, b]), PANEL)
+    whole, left, right = first.reshape(-1, 3).T
     values = left + right
-    settled = np.isfinite(values)
-    if settled.all():
-        settled = np.abs(values - whole) <= cfg.abs_tol
-    if not settled.all():
-        values = _refine(f, a, b, np.atleast_1d(whole), np.atleast_1d(left), np.atleast_1d(right), cfg.abs_tol, 0)
-    totals = [sign * value for value in np.atleast_1d(values).tolist()]
-    return totals[0] if np.ndim(whole) == 0 else np.array(totals)
+    if not (np.isfinite(values).all() and (np.abs(values - whole) <= cfg.abs_tol).all()):
+        values = reference_refine(f, a, b, whole, left, right, cfg.abs_tol, 0)
+    totals = [sign * value for value in values.tolist()]
+    return totals[0] if first.ndim == 1 else np.array(totals)
+
+
+def reference_refine(f, lo, hi, whole, left, right, tol, depth, active=True):
+    """left + right, refined below [lo, hi] in the active components that disagree with whole,
+    with numpy masks; a component that agrees keeps its value."""
+    halves = left + right
+    if np.any(active & ~np.isfinite(halves)):
+        raise QuadratureError(f"non-finite panel value on [{lo:g}, {hi:g}]")
+    pending = active & ~(np.abs(halves - whole) <= tol)
+    if not np.any(pending):
+        return halves
+    if depth >= quadrature.MAX_DEPTH:
+        raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] at depth {depth} (tol {tol:g})")
+    mid = 0.5 * (lo + hi)
+    refined = reference_split(f, lo, mid, left, tol / 2, depth + 1, pending) + reference_split(
+        f, mid, hi, right, tol / 2, depth + 1, pending
+    )
+    return np.where(pending, refined, halves)
+
+
+def reference_split(f, lo, hi, whole, tol, depth, active):
+    mid = 0.5 * (lo + hi)
+    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), PANEL)
+    return reference_refine(f, lo, hi, whole, halves[..., 0], halves[..., 1], tol, depth, active)
 
 
 class TestAgainstNumpyAcceptance:
@@ -151,6 +175,7 @@ class TestAgainstNumpyAcceptance:
         lambda t: np.stack([np.abs(t - 0.3), np.where(t > 0.8, np.inf, t)]),
         lambda t: 1e8 / (t * t + 0.3) ** 3,
         lambda t: np.where(np.abs(t - 0.5) < 0.004, np.inf, 1.0),
+        lambda t: np.stack([np.abs(t - 0.1) ** 0.5, np.cos(3 * t), 1 / (t + 0.02), np.abs(t - 0.77)]),
     )
     # (abs_tol, MAX_DEPTH)
     CFGS = ((1e-11, 40), (1e-14, 3), (1e-11, 0), (np.inf, 40))
@@ -261,6 +286,28 @@ class TestVectorIntegrand:
             scalar_calls += len(c)
         assert got.tolist() == [integrate(fn, 0.0, 1.0) for fn in fs]
         assert len(calls) < scalar_calls
+
+    def test_settled_row_ignores_later_non_finite_values(self):
+        # row 0 is accepted at the first level, whose nodes all lie past 1e-4;
+        # row 1 refines towards 0, where a deeper call's nodes reach row 0's
+        # infinity, which a settled row no longer tests
+        def spike(t):
+            return np.where(t < 1e-4, np.inf, 1.0)
+
+        def pole(t):
+            return 1.0 / (t + 0.01)
+
+        spikes = []
+
+        def f(t):
+            values = np.stack([spike(t), pole(t)])
+            spikes.append(np.isinf(values[0]).any())
+            return values
+
+        got = integrate(f, 0.0, 1.0)
+        assert got.tolist() == [integrate(spike, 0.0, 1.0), integrate(pole, 0.0, 1.0)]
+        assert got.tolist() == [0.9999999999999999, 4.615120516841259]
+        assert len(spikes) == 11 and sum(spikes) == 1
 
     def test_scalar_integrand_returns_float(self):
         assert isinstance(integrate(np.cos, 0.0, 1.0), float)
