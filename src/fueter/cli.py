@@ -309,8 +309,9 @@ def _cmd_roundtrip(args) -> int:
     opts.string("format", "json", ("json",))  # a config file's csv is refused before the inversion
     rect = opts.rect(default=(0.2, 1.0, 0.5, 1.5))
     nx0, nr = opts.grid(default=(8, 8))
-    A, B = fueter_fields(h, cfg)
-    H = AxialFunction(A, B, m, k, rect, name=f"forward:{h.name}")
+    # one fueter_profile call per field evaluation; A and B are its components
+    H = AxialFunction(*fueter_fields(h, cfg), m, k, rect, name=f"forward:{h.name}",
+                      pair=lambda x0, r: fueter_profile(h, cfg, x0, r))
     prim = invert(H, quad=opts.quad())
 
     xs, rs = rect.grid(nx0, nr)
@@ -326,7 +327,7 @@ def _cmd_roundtrip(args) -> int:
     centres = xv + 1j * rv
     coeffs = jets.circle_coefficients(prim, centres, radius)
     image = fueter_profile(jets.HolomorphicFn.from_circle_coefficients(centres, coeffs, radius), cfg, xv, rv)
-    worst = float(np.max(np.abs(np.stack(image) - np.stack([A(xv, rv), B(xv, rv)]))))
+    worst = float(np.max(np.abs(np.stack(image) - np.stack(H.pair(xv, rv)))))
     cr = cr_residual(coeffs, radius)
     payload = {
         "meta": {"command": "roundtrip", "m": m, "k": k, "h": h.name,

@@ -22,14 +22,15 @@ chain in x0 forced by the field's trace on the r = c edge:
 
 for j = 0..N-1, reading alpha_N = 0 in the last line.
 
+Every field evaluation is one call of the field's pair(x0, r) -> (A, B).
 The pair (I1, I2) of radial_integrals and eval is adaptive Gauss-Legendre
 with a kernel-weighted first level: for a fixed r the kernel (r^2 - t^2)^(N-1),
-the nodes and the panel half-widths are constants, so a rule cached per r
-holds them (the package's one cache of first-level nodes), and a point's
-first level is one A and one B call, one product with the kernels and one
-batched Gauss product, in integrate's arithmetic and bits.
-An interval that fails the acceptance refines on the kernel-times-field
-integrands through quadrature's shared engine.
+the nodes, the Gauss weights and the panel half-widths are constants, so a
+rule cached per r folds them into two matrices (the package's one cache of
+first-level nodes), and a point's first level is one pair call and two dot
+products, on integrate's nodes and weights with the products associated
+differently.  An interval that fails the acceptance refines on the
+kernel-times-field integrands through quadrature's shared engine.
 
 The chain y' = M y + F is nilpotent (M^(2N) = 0), so with the matrix
 polynomial E(s) = exp(M s) = sum_{p<2N} M^p s^p / p! its solution is one
@@ -53,9 +54,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .forward import FueterConfig, paired
-from .quadrature import (
-    DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _layout, _weigh, integrate, quadrature,
-)
+from .quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _layout, _rule, integrate, quadrature
 
 # Points this close outside a rectangle (or a tabulated grid) are moved onto
 # its edge: upstream arithmetic lands an ulp or two past it.
@@ -179,16 +178,21 @@ def _grid_row(p) -> tuple:
 class AxialFunction:
     """An axial field on a rectangle: scalar profiles (A, B) plus (m, k).
 
-    A and B must accept (x0, r) as two scalars, as a scalar x0 with an
-    ndarray r (the radial quadrature feeds r nodes at fixed x0), or as two
-    ndarrays of equal shape (the coefficient chain feeds x0 nodes along
-    r = c), and return float values of r's shape.  The integrals assume A
-    and B smooth on the rectangle.  Nothing here checks that (A, B) solves
-    the Vekua system; verify.cr_residual measures how far a computed
-    primitive is from holomorphic.
+    The inversion calls the field only through pair(x0, r) -> (A, B), once
+    per quadrature level.  pair, A and B must accept (x0, r) as two
+    scalars, as a scalar x0 with an ndarray r (the radial quadrature feeds r
+    nodes at fixed x0), or as two ndarrays of equal shape (the coefficient
+    chain feeds x0 nodes along r = c), and return float values of r's
+    shape.  A native pair, given as the pair keyword, computes both from
+    one evaluation, and A and B must be its components; without one, pair
+    calls the A and then the B the field holds at the time, so rebinding
+    either takes effect.  The integrals assume A and B smooth on the
+    rectangle.  Nothing here checks that (A, B) solves the Vekua system;
+    verify.cr_residual measures how far a computed primitive is from
+    holomorphic.
     """
 
-    __slots__ = ("A", "B", "m", "k", "N", "rect", "name")
+    __slots__ = ("pair", "A", "B", "m", "k", "N", "rect", "name")
 
     def __init__(
         self,
@@ -198,15 +202,20 @@ class AxialFunction:
         k: int,
         rect: Rectangle,
         name: str = "axial-field",
+        pair: Callable | None = None,
     ):
         if not isinstance(rect, Rectangle):
             raise TypeError("rect must be a Rectangle")
         self.A = A
         self.B = B
+        self.pair = self._components if pair is None else pair
         cfg = FueterConfig(m, k)
         self.m, self.k, self.N = cfg.m, cfg.k, cfg.N
         self.rect = rect
         self.name = str(name)
+
+    def _components(self, x0, r) -> tuple:
+        return self.A(x0, r), self.B(x0, r)
 
     @classmethod
     def from_grid(cls, data: dict | str) -> "AxialFunction":
@@ -220,8 +229,9 @@ class AxialFunction:
         blending degree BLEND_DEGREE (clipped to the grid size) in x0 and in
         r: smooth, free of real poles, exact for polynomials of that degree
         in each variable, and equal to the tabulated values at the grid's
-        nodes.  They share each pair of bases through forward.paired, so A
-        then B at the same points computes the bases once.
+        nodes.  The interpolant is the field's pair, so one pair of bases
+        serves both tables, and A and B share its calls through
+        forward.paired.
         """
         if isinstance(data, str):
             data = json.loads(data)
@@ -271,8 +281,7 @@ class AxialFunction:
             out = [((bx @ v) * br).sum(axis=-1) for v in vals]
             return out if out[0].ndim else [float(o) for o in out]
 
-        A, B = paired(interpolate)
-        return cls(A, B, int(meta["m"]), int(meta["k"]), rect, name="tabulated-grid")
+        return cls(*paired(interpolate), int(meta["m"]), int(meta["k"]), rect, "tabulated-grid", pair=interpolate)
 
     def __repr__(self) -> str:
         return (
@@ -283,52 +292,50 @@ class AxialFunction:
 
 @lru_cache(maxsize=LAYOUT_CACHE)
 def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first level of the weighted radial integrals on [c, r], c < r: (x, kernels, halves), all read-only.
+    """The first level of the weighted radial integrals on [c, r], c < r: (x, W1, W2), all read-only.
 
-    x holds the nodes integrate lays out on [c, r].  kernels holds the
-    kernel at x, t (r^2 - t^2)^(N-1) for I1 and (r^2 - t^2)^(N-1) for
-    I2 / r, and halves the panel half-widths once per row.  A times the
-    first row and B times the second are the integrand values integrate
-    would see, bit for bit.  This is the one cache of first-level nodes:
-    integrate lays out its own on every call.
+    x holds the 48 nodes integrate lays out on [c, r]: the whole panel's,
+    then its left and right halves'.  Row p of the (3, 48) matrices W1 and
+    W2 holds, on panel p's nodes, the kernel times the Gauss weight times
+    the half-width, with the kernel t (r^2 - t^2)^(N-1) for I1 in W1 and
+    (r^2 - t^2)^(N-1) for I2 / r in W2, so W1 @ A(x0, x) and W2 @ B(x0, x)
+    are the panel sums (whole, left, right).  This is the one cache of
+    first-level nodes: integrate lays out its own on every call.
     """
     half, x = _layout(c, r, PANEL_ORDER)
     kernel = (r * r - x * x) ** (N - 1)
-    kernels, halves = np.stack([x * kernel, kernel]), np.stack([half, half])
+    gauss = np.kron(np.diag(half), _rule(PANEL_ORDER)[1])  # row p: weight x half-width on panel p's nodes
+    W1, W2 = gauss * (x * kernel), gauss * kernel
     # every point on this interval shares them
-    x.flags.writeable = kernels.flags.writeable = halves.flags.writeable = False
-    return x, kernels, halves
+    x.flags.writeable = W1.flags.writeable = W2.flags.writeable = False
+    return x, W1, W2
 
 
-def _radial(A, B, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> tuple[float, float]:
+def _radial(pair: Callable, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> tuple[float, float]:
     """(I1, I2) from c to r >= c at x0; Rectangle.require puts every point there.
 
-    The first level takes one A and one B call at the rule's nodes, one
-    product with the cached kernels and one batched Gauss product;
-    quadrature accepts it or refines on the kernel-times-field integrands.
+    The first level is one pair call at the rule's nodes and one product
+    with each cached matrix; quadrature accepts it or refines on the
+    kernel-times-field integrands, one pair call per level.
     """
     if r == c:
         return 0.0, 0.0
-    x, kernels, halves = _radial_rule(c, r, N)
-    values = np.empty((2, x.size))
-    values[0] = A(x0, x)
-    values[1] = B(x0, x)
-    values *= kernels
-    table = _weigh(values, halves, PANEL_ORDER)
+    x, W1, W2 = _radial_rule(c, r, N)
+    a, b = pair(x0, x)
 
     def integrands(t):
-        # the integrals share their nodes and kernel: one A and one B call
         k = (r * r - t * t) ** (N - 1)
-        return np.array([(t * k) * A(x0, t), k * B(x0, t)])
+        a, b = pair(x0, t)
+        return np.array([(t * k) * a, k * b])
 
-    i1, i2 = quadrature(integrands, table, c, r, quad.abs_tol)
+    i1, i2 = quadrature(integrands, [(W1 @ a).tolist(), (W2 @ b).tolist()], c, r, quad.abs_tol)
     return i1, r * i2
 
 
 def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
     """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit."""
     x0, r = H.rect.require(float(x0), float(r))
-    return _radial(H.A, H.B, x0, r, H.rect.c, H.N, quad)
+    return _radial(H.pair, x0, r, H.rect.c, H.N, quad)
 
 
 @lru_cache(maxsize=None)
@@ -347,44 +354,44 @@ def _propagator_terms(N: int) -> np.ndarray:
     return terms
 
 
-def _propagator(N: int, s) -> np.ndarray:
-    """E(s) = exp(M s) as a matrix polynomial; shape s.shape + (2N, 2N)."""
-    s = np.asarray(s, dtype=np.float64)
-    powers = s[..., None] ** np.arange(2 * N)
-    return np.tensordot(powers, _propagator_terms(N), axes=1)
+def _propagator(N: int, s: float) -> np.ndarray:
+    """E(s) = exp(M s) as a matrix polynomial: one matmul of the powers of s with the terms, shape (2N, 2N)."""
+    n2 = 2 * N
+    return (s ** np.arange(n2) @ _propagator_terms(N).reshape(n2, n2 * n2)).reshape(n2, n2)
 
 
 @lru_cache(maxsize=64)
-def _forcing_weights(k: int, m: int, c: float) -> np.ndarray:
-    """The forcing of the r = c edge per unit (B, A) trace: a read-only (2, 2N) matrix.
+def _forcing_terms(k: int, m: int, c: float) -> np.ndarray:
+    """E(s) F per unit trace on the r = c edge, as a polynomial in s: a read-only (2N, 4N) matrix [U V].
 
-    With w_j = (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) for j < N, the trace of
-    B drives alpha_j with weight -c w_j (row 0) and the trace of A drives
-    beta_j with weight w_j (row 1).
+    With w_j = (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) for j < N, a unit
+    trace of B drives alpha_j with weight -c w_j and a unit trace of A
+    drives beta_j with weight w_j.  Column p of U (of V) is M^p / p! times
+    the forcing of a unit B (A) trace, so the forcing F of traces A, B
+    propagates as E(s) F = sum_p s^p (U[:, p] B + V[:, p] A).
     """
     cfg = FueterConfig(m, k)
     N = cfg.N
     j = np.arange(N)
     w = float(cfg.K_N) * np.array([math.comb(N - 1, i) for i in j])
     w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
-    weights = np.zeros((2, 2 * N))
-    weights[0, :N] = -c * w
-    weights[1, N:] = w
-    weights.flags.writeable = False
-    return weights
+    unit = np.zeros((2 * N, 2))  # the forcing of a unit B trace, then of a unit A trace
+    unit[:N, 0] = -c * w
+    unit[N:, 1] = w
+    forced = _propagator_terms(N) @ unit  # [p, :, i]: M^p / p! times column i
+    terms = np.concatenate([forced[:, :, 0].T, forced[:, :, 1].T], axis=1)
+    terms.flags.writeable = False
+    return terms
 
 
-def _edge_forcing(H: AxialFunction, t: np.ndarray) -> np.ndarray:
-    """The forcing F at x0 nodes t (one A and one B call on r = c), shape (len(t), 2N)."""
+def _edge_traces(H: AxialFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) on the r = c edge at x0 nodes t, from one pair call; a non-finite value raises."""
     c = H.rect.c
-    r = np.full_like(t, c)
-    traces = np.empty((2, t.size))
-    traces[1] = H.A(t, r)
-    traces[0] = H.B(t, r)
-    finite = np.isfinite(traces)
+    a, b = H.pair(t, np.full_like(t, c))
+    finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
-        raise NumericalError(f"non-finite edge trace at x0={t[~finite.all(axis=0)][0]:g} (r={c:g})")
-    return traces.T @ _forcing_weights(H.k, H.m, c)
+        raise NumericalError(f"non-finite edge trace at x0={t[~finite][0]:g} (r={c:g})")
+    return a, b
 
 
 class FueterPrimitive:
@@ -415,10 +422,13 @@ class FueterPrimitive:
         """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0, as Python floats."""
         x0, _ = self.rect.require(x0, self.rect.c)
         a, N, H = self.rect.a, self.N, self.field
+        forcing, exponents = _forcing_terms(H.k, H.m, self.rect.c), np.arange(2 * N)[:, None]
 
         def drive(t):
-            # E(x0 - t) F(t), one row per coefficient
-            return np.einsum("qrc,qc->rq", _propagator(N, x0 - t), _edge_forcing(H, t))
+            # E(x0 - t) F(t) = sum_p (x0 - t)^p (U[:, p] B + V[:, p] A), one row per coefficient
+            A, B = _edge_traces(H, t)
+            powers = (x0 - t) ** exponents
+            return forcing @ np.concatenate((powers * B, powers * A))
 
         y = _propagator(N, x0 - a) @ self.init + integrate(drive, a, x0, self.quad)
         if not np.all(np.isfinite(y)):
@@ -461,7 +471,7 @@ class FueterPrimitive:
 
     def _eval_at(self, x0: float, r: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
         N, H = self.N, self.field
-        i1, i2 = _radial(H.A, H.B, x0, r, self.rect.c, N, self.quad)
+        i1, i2 = _radial(H.pair, x0, r, self.rect.c, N, self.quad)
         r2 = r * r
         u, v = coeffs[N - 1], coeffs[-1]
         for j in range(N - 2, -1, -1):  # the correction polynomials, Horner in r^2

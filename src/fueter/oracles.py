@@ -55,20 +55,29 @@ def cauchy_kernel(m: int, p: Paravector) -> Multivector:
     return p.embed().conjugate() * scale
 
 
+def _component(pair, i: int):
+    """Component i of a closed-form pair(x0, r) -> (A, B), as a function of (x0, r)."""
+    return lambda x0, r: pair(x0, r)[i]
+
+
+def _closed_form(pair, m: int, rect: Rectangle, name: str) -> AxialFunction:
+    """The k = 0 field of a closed-form pair, with its components as A and B."""
+    return AxialFunction(_component(pair, 0), _component(pair, 1), m, 0, rect, name, pair=pair)
+
+
 # -- example 1: m = 5, k = 0 --------------------------------------------------
 
 
-def _example1_a(x0, r):
-    return x0 / (x0 * x0 + r * r) ** 3
-
-
-def _example1_b(x0, r):
-    return -r / (x0 * x0 + r * r) ** 3
+def _example1(x0, r):
+    """(A, B) of example1: (x0, -r) / (x0^2 + r^2)^3."""
+    s = x0 * x0 + r * r
+    cube = s * s * s
+    return x0 / cube, -r / cube
 
 
 _EXAMPLE1 = {
-    "A": (("x0", "r"), _example1_a),
-    "B": (("x0", "r"), _example1_b),
+    "A": (("x0", "r"), _component(_example1, 0)),
+    "B": (("x0", "r"), _component(_example1, 1)),
     "I1": (("x0", "r", "c"),
            lambda x0, r, c: (r * r - c * c) ** 2 * x0 / (4 * (x0 * x0 + r * r) * (x0 * x0 + c * c) ** 2)),
     "I2": (("x0", "r", "c"),
@@ -106,31 +115,34 @@ def example1_oracle(
 # -- example 2: m = 3, k = 0 --------------------------------------------------
 
 
-def _denom(x0: float, r: float):
-    return (1 + x0 * x0 - r * r) ** 2 + 4 * x0 * x0 * r * r
+def _example2_terms(x0, r):
+    """(x0^2, r^2, 2 / (P Q), log(P / Q) / (2r)) with P = x0^2 + (r+1)^2 and Q = x0^2 + (r-1)^2.
+
+    P Q is the denominator (1 + x0^2 - r^2)^2 + 4 x0^2 r^2 of the spherical means.
+    """
+    x2 = x0 * x0
+    above, below = r + 1, r - 1
+    P, Q = x2 + above * above, x2 + below * below
+    return x2, r * r, 2 / (P * Q), np.log1p(4 * r / Q) / (2 * r)  # P / Q = 1 + 4r / Q
 
 
-def _log_ratio(x0: float, r: float):
-    return np.log((x0 * x0 + (r + 1) ** 2) / (x0 * x0 + (r - 1) ** 2))
+def _nplus(x0, r):
+    """(A, B) of example2-nplus, the spherical mean of the Cauchy kernel."""
+    x2, r2, twice_inv, q = _example2_terms(x0, r)
+    return (x0 / math.pi) * twice_inv, (((1 + x2) - r2) * twice_inv - q) / (2 * math.pi * r)
 
 
-def _nplus_a(x0, r):
-    return (1 / math.pi) * 2 * x0 / _denom(x0, r)
+def _nminus(x0, r):
+    """(A, B) of example2-nminus, the spherical mean of the Cauchy kernel times omega."""
+    x2, r2, twice_inv, q = _example2_terms(x0, r)
+    a = (((x2 - 1) + r2) * twice_inv - q) / (2 * math.pi)
+    return a, x0 * (((1 + x2) + r2) * twice_inv - q) / (2 * math.pi * r)
 
 
-def _nplus_b(x0, r):
-    return (1 / (2 * math.pi * r)) * (2 * (1 + x0 * x0 - r * r) / _denom(x0, r) - _log_ratio(x0, r) / (2 * r))
-
-
-def _nminus_a(x0, r):
-    return (1 / (2 * math.pi)) * (-_log_ratio(x0, r) / (2 * r) + 2 * (x0 * x0 + r * r - 1) / _denom(x0, r))
-
-
-def _nminus_b(x0, r):
-    return (x0 / (2 * math.pi * r)) * (-_log_ratio(x0, r) / (2 * r) + 2 * (1 + x0 * x0 + r * r) / _denom(x0, r))
-
-
-_EXAMPLE2 = {"Nplus_A": _nplus_a, "Nplus_B": _nplus_b, "Nminus_A": _nminus_a, "Nminus_B": _nminus_b}
+_EXAMPLE2 = {
+    "Nplus_A": _component(_nplus, 0), "Nplus_B": _component(_nplus, 1),
+    "Nminus_A": _component(_nminus, 0), "Nminus_B": _component(_nminus, 1),
+}
 
 
 def example2_oracle(field: str, x0: float, r: float):
@@ -211,6 +223,12 @@ def sphere_cauchy_integral(
 AXIAL_NAMES = ("example1", "example2-nplus", "example2-nminus", "cauchy-kernel", "cubic")
 
 
+def _cubic(x0, r):
+    """(A, B) of cubic, the image of z^3 for m = 3: (-12 x0, -4 r)."""
+    r = np.asarray(r, dtype=np.float64)
+    return -12.0 * x0 * np.ones_like(r), -4.0 * r
+
+
 def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) -> AxialFunction:
     """Built-in axial fields by name.
 
@@ -221,28 +239,23 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
     """
     name = name.strip()
     if name == "example1":
-        return AxialFunction(_example1_a, _example1_b, m=5, k=0, rect=rect or Rectangle(0.0, 1.0, 0.5, 1.5), name=name)
+        return _closed_form(_example1, 5, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
     if name in ("example2-nplus", "example2-nminus"):
-        A, B = (_nplus_a, _nplus_b) if name == "example2-nplus" else (_nminus_a, _nminus_b)
-        return AxialFunction(A, B, m=3, k=0, rect=rect or Rectangle(0.3, 1.2, 0.3, 0.8), name=name)
+        pair = _nplus if name == "example2-nplus" else _nminus
+        return _closed_form(pair, 3, rect or Rectangle(0.3, 1.2, 0.3, 0.8), name)
     if name == "cubic":
-        rect = rect or Rectangle(0.0, 1.0, 0.5, 1.5)
-        return AxialFunction(
-            lambda x0, r: -12.0 * x0 * np.ones_like(np.asarray(r, dtype=np.float64)),
-            lambda x0, r: -4.0 * np.asarray(r, dtype=np.float64),
-            m=3, k=0, rect=rect, name="cubic",
-        )
+        return _closed_form(_cubic, 3, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
     if name == "cauchy-kernel":
         mm = FueterConfig(3 if m is None else m, 0).m
-        rect = rect or Rectangle(0.0, 1.0, 0.5, 1.5)
         area = unit_sphere_area(mm + 1)
-        power = (mm + 1) / 2
+        power = (mm + 1) // 2  # m is odd
 
-        def a_field(x0, r):
-            return x0 / (area * (x0 * x0 + r * r) ** power)
+        def pair(x0, r):
+            s = x0 * x0 + r * r
+            denominator = area * s
+            for _ in range(power - 1):  # area s^power by products, cheaper than numpy's power
+                denominator = denominator * s
+            return x0 / denominator, -r / denominator
 
-        def b_field(x0, r):
-            return -r / (area * (x0 * x0 + r * r) ** power)
-
-        return AxialFunction(a_field, b_field, m=mm, k=0, rect=rect, name="cauchy-kernel")
+        return _closed_form(pair, mm, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
     raise ValueError(f"unknown axial field {name!r}; known: {', '.join(AXIAL_NAMES)}")

@@ -15,16 +15,18 @@ depth-first, each step evaluating the two halves of one subinterval in one
 call, so a non-converging integral fails after as few evaluations as a
 panel-at-a-time recursion.
 
-One engine, ``quadrature``, takes a first-level table of panel sums,
-however it was computed.  Its one acceptance rule, ``_refine``, tests and
-refines every level in one recursion over Python floats, whose IEEE
-arithmetic gives numpy's bits: a non-finite value raises first, and an
-accepted component is settled, keeping its value while the others refine.
+One engine, ``quadrature``, takes the first level as one row of Python
+floats (whole-panel, left-half, right-half sums) per component, however it
+was computed.  Its one acceptance rule, ``_refine``, tests and refines
+every level in one recursion over Python floats, whose IEEE arithmetic
+gives numpy's bits: a non-finite value raises first, and an accepted
+component is settled, keeping its value while the others refine.
 ``integrate`` lays out the first level's nodes afresh on each call and
-fills the table from one integrand call on them; the radial rule of
-``inverse`` fills it from field values times kernels it caches on the same
-nodes, with the same arithmetic, and hands the engine the
-kernel-times-field integrand to refine.
+fills the rows from one integrand call on them; the radial rule of
+``inverse`` fills them with two dot products of field values and matrices
+it caches on the same nodes, the kernels with the Gauss weights and
+half-widths folded in, and hands the engine the kernel-times-field
+integrand to refine.
 """
 
 from __future__ import annotations
@@ -73,18 +75,9 @@ def _sums(f: Callable, half: np.ndarray, x: np.ndarray, order: int) -> np.ndarra
     y = np.asarray(f(x), dtype=np.float64)
     if y.shape != x.shape and (y.ndim != 2 or y.shape[1] != x.size):
         raise ValueError("integrand must map n nodes to values of shape (n,) or (p, n)")
-    return _weigh(y, half, order)
-
-
-def _weigh(y: np.ndarray, half: np.ndarray, order: int) -> np.ndarray:
-    """The Gauss panel sums of integrand values y, shape (n,) or (p, n), at the nodes of panels of half-widths half.
-
-    half has one entry per panel, shape (panels,), or one row of them per
-    row of y (a same-shape product is numpy's cheapest).
-    """
     # a (1, order) @ (order,) product is one dot per panel, the same sum
     # whatever the number of panels or rows in the call
-    sums = (y.reshape(*y.shape[:-1], half.shape[-1], 1, order) @ _rule(order)[1])[..., 0]
+    sums = (y.reshape(*y.shape[:-1], half.size, 1, order) @ _rule(order)[1])[..., 0]
     return half * sums
 
 
@@ -119,15 +112,15 @@ def integrate(
     lo, hi = min(a, b), max(a, b)
     half, x = _layout(lo, hi, PANEL_ORDER)
     first = _sums(f, half, x, PANEL_ORDER)
-    totals = quadrature(f, first.reshape(-1, 3), lo, hi, cfg.abs_tol)
+    totals = quadrature(f, first.reshape(-1, 3).tolist(), lo, hi, cfg.abs_tol)
     if b < a:
         totals = [-t for t in totals]
     return totals[0] if first.ndim == 1 else np.array(totals)
 
 
-def quadrature(f: Callable, table: np.ndarray, a: float, b: float, tol: float) -> list[float]:
-    """The integrals over [a, b], a < b, one per row (whole-panel, left-half, right-half sums) of table."""
-    return _refine(f, a, b, table.tolist(), tol, 0)
+def quadrature(f: Callable, rows: list, a: float, b: float, tol: float) -> list[float]:
+    """The integrals over [a, b], a < b, one per row of Python floats (whole-panel, left-half, right-half sums)."""
+    return _refine(f, a, b, rows, tol, 0)
 
 
 def _refine(f, lo, hi, rows, tol, depth, settled=()):

@@ -238,11 +238,12 @@ class TestInvert:
         assert code == 2
 
     def test_quadrature_failure_exits_3(self, capsys):
-        code, _ = run(
-            capsys, "invert", "--field", "example1", "--grid", "2,2",
-            "--quad-tol", "1e-300",
-        )
-        assert code == 3
+        # near r = 0.05 the m = 9 Cauchy kernel's integrals need a per-leaf
+        # absolute tolerance below one ulp (ROADMAP item 1)
+        code = main(["invert", "--field", "cauchy-kernel", "--m", "9", "--rect", "0.1,1.5,0.05,1", "--grid", "2,2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "no convergence on [" in captured.err and "at depth 40" in captured.err, captured.err
 
     def test_non_finite_edge_trace_exits_3(self, capsys, monkeypatch):
         from fueter import cli

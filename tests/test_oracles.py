@@ -212,3 +212,47 @@ class TestNamedFields:
         rect = Rectangle(0.1, 0.9, 0.2, 0.7)
         H = axial_field("cubic", rect=rect)
         assert H.rect == rect
+
+
+CLOSED_FORMS = [("example1", None), ("example2-nplus", None), ("example2-nminus", None), ("cubic", None)]
+CLOSED_FORMS += [("cauchy-kernel", m) for m in (3, 5, 7, 9)]
+
+
+class TestClosedFormPairs:
+    """Each built-in closed form is written once, as a pair (A, B); A, B and the oracles' components
+    are its projections."""
+
+    @pytest.mark.parametrize("name,m", CLOSED_FORMS)
+    def test_pair_equals_components_bit_for_bit(self, name, m):
+        H = axial_field(name, m=m)
+        rng = np.random.default_rng(11)
+        a, b, c, d = H.rect.as_tuple()
+        inputs = [
+            (0.37 * a + 0.63 * b, 0.81 * c + 0.19 * d),  # two scalars
+            (0.5 * (a + b), rng.uniform(c, d, 48)),  # a scalar x0 and radial nodes
+            (rng.uniform(a, b, (3, 4)), rng.uniform(c, d, (3, 4))),  # chain-style arrays
+        ]
+        for x0, r in inputs:
+            pair = H.pair(x0, r)
+            for got, want in zip(pair, (H.A(x0, r), H.B(x0, r))):
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape == np.shape(r)
+                assert got.tobytes() == want.tobytes(), (name, m)
+
+    def test_oracle_components_are_the_field_pairs(self):
+        x0, r = 0.41, 0.67
+        a, b = axial_field("example1").pair(x0, r)
+        assert (example1_oracle("A", x0=x0, r=r), example1_oracle("B", x0=x0, r=r)) == (a, b)
+        for name, tag in (("example2-nplus", "Nplus"), ("example2-nminus", "Nminus")):
+            a, b = axial_field(name).pair(x0, r)
+            assert (example2_oracle(f"{tag}_A", x0, r), example2_oracle(f"{tag}_B", x0, r)) == (a, b)
+
+    @pytest.mark.parametrize("with_omega", [False, True], ids=["Nplus", "Nminus"])
+    def test_example2_matches_the_sphere_mean(self, with_omega):
+        # the closed forms against the product quadrature over the sphere, off
+        # the sphere's trace (0, 1): near the axis, inside, outside and far out
+        tag = "Nminus" if with_omega else "Nplus"
+        for x0, r in [(0.0, 0.3), (0.3, 0.5), (0.7, 1.2), (1.2, 0.8), (-0.4, 2.5), (0.5, 0.05)]:
+            val = sphere_cauchy_integral(Paravector(x0, r * E1_3), with_omega, SphereQuadrature(32, 64))
+            want = (example2_oracle(f"{tag}_A", x0, r), example2_oracle(f"{tag}_B", x0, r))
+            assert val.coeffs[:2].tolist() == pytest.approx(want, abs=1e-13), (x0, r)
