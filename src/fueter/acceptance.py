@@ -52,12 +52,10 @@ def criterion_1() -> CriterionResult:
     h = polynomial([0.0, 0.25, 0.0, 1.0])
     cfg = FueterConfig(3, 0)
     x0s, r0s = H.rect.grid(20, 20)
-    uv_err = 0.0
-    for x0, r in zip(x0s.tolist(), r0s.tolist()):
-        u, v = prim.eval(x0, r)
-        z = complex(x0, r)
-        want = z**3 + 0.25 * z
-        uv_err = max(uv_err, abs(u - want.real), abs(v - want.imag))
+    u, v = prim.eval(x0s, r0s)
+    z = x0s + 1j * r0s
+    want = z**3 + 0.25 * z
+    uv_err = float(max(np.max(np.abs(u - want.real)), np.max(np.abs(v - want.imag))))
     a, b = fueter_profile(h, cfg, x0s, r0s)
     ab_err = float(max(np.max(np.abs(a - (-12.0 * x0s))), np.max(np.abs(b - (-4.0 * r0s)))))
     elapsed = time.perf_counter() - t0
@@ -99,14 +97,11 @@ def criterion_2() -> CriterionResult:
         example1_oracle("beta1", x0=rect.a, c=c),
     ]
     prim = invert(H, init=init)
-    uv_err = 0.0
-    for x0, r in points:
-        u, v = prim.eval(x0, r)
-        uv_err = max(
-            uv_err,
-            abs(u - example1_oracle("u", x0=x0, r=r)),
-            abs(v - example1_oracle("v", x0=x0, r=r)),
-        )
+    u, v = prim.eval(xs, rs)
+    uv_err = float(max(
+        np.max(np.abs(u - example1_oracle("u", x0=xs, r=rs))),
+        np.max(np.abs(v - example1_oracle("v", x0=xs, r=rs))),
+    ))
     ok = i_err <= EX1_TOL_I and uv_err <= EX1_TOL_UV
     detail = (
         f"max integral error = {i_err:.2e} (tol {EX1_TOL_I:g}); "
@@ -129,12 +124,10 @@ def criterion_3() -> CriterionResult:
     for name, w_field in (("example2-nplus", "Wplus"), ("example2-nminus", "Wminus")):
         H = axial_field(name)
         prim = invert(H)
-        samples = []
-        for _ in range(EX2_SAMPLES):
-            x0 = rng.uniform(H.rect.a, H.rect.b)
-            r = rng.uniform(H.rect.c, H.rect.d)
-            z = complex(x0, r)
-            samples.append((z, prim(z) - example2_oracle(w_field, x0, r)))
+        # each sample draws its x0, then its r
+        x0s, rs = rng.uniform((H.rect.a, H.rect.c), (H.rect.b, H.rect.d), (EX2_SAMPLES, 2)).T
+        zs = (x0s + 1j * rs).tolist()
+        samples = [(z, w - example2_oracle(w_field, z.real, z.imag)) for z, w in zip(zs, prim(zs).tolist())]
         fits[name] = polynomial_fit_residual(samples, 1)
     ok = all(v <= EX2_TOL_FIT for v in fits.values())
     detail = (

@@ -87,14 +87,9 @@ class Rectangle:
         if not 0 < self.c < self.d:
             raise ValueError(f"need 0 < c < d, got c={self.c}, d={self.d}")
 
-    def contains(self, x0: float, r: float) -> bool:
-        return (
-            self.a - EDGE_TOL <= x0 <= self.b + EDGE_TOL and self.c - EDGE_TOL <= r <= self.d + EDGE_TOL
-        )
-
     def require(self, x0: float, r: float) -> tuple[float, float]:
         """(x0, r) itself on the rectangle, its nearest edge point up to EDGE_TOL outside; farther out raises."""
-        if not self.contains(x0, r):
+        if not (self.a - EDGE_TOL <= x0 <= self.b + EDGE_TOL and self.c - EDGE_TOL <= r <= self.d + EDGE_TOL):
             raise ValueError(
                 f"point (x0={x0:g}, r={r:g}) outside rectangle "
                 f"[{self.a:g}, {self.b:g}] x [{self.c:g}, {self.d:g}]"
@@ -481,6 +476,8 @@ class FueterPrimitive:
 
     def __call__(self, z):
         """u + iv at z = x0 + i r: a complex for a scalar z, a complex128 array otherwise."""
+        if not isinstance(z, complex):  # complex scalars skip numpy
+            z = np.asarray(z)
         u, v = self.eval(z.real, z.imag)
         return complex(u, v) if np.ndim(u) == 0 else u + 1j * v
 

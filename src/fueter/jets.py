@@ -208,7 +208,7 @@ class HolomorphicFn:
                 _both(self._domain, other._domain),
             )
         if isinstance(other, (int, float, np.floating, np.integer)):
-            c = float(other)
+            c = _finite(other, "scalar factor")
             return HolomorphicFn(
                 f"({c:g} * {self.name})",
                 lambda z, d: c * self._jet_fn(z, d),
@@ -259,7 +259,15 @@ def _both(f: Callable | None, g: Callable | None) -> Callable | None:
     return lambda z: f(z) & g(z)
 
 
+def _finite(value, what: str) -> float:
+    """value as a float; a non-finite one raises, since every jet built on it would be NaN."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
 def constant(value: float) -> HolomorphicFn:
+    value = _finite(value, "const: value")
     return HolomorphicFn(f"const:{value:g}", lambda z, d: _laurent(z, 0, (complex(value),), d))
 
 def identity() -> HolomorphicFn:
@@ -287,7 +295,7 @@ def z_arctan() -> HolomorphicFn:
     return f
 
 def polynomial(real_coeffs: Sequence[float]) -> HolomorphicFn:
-    coeffs = tuple(float(c) for c in real_coeffs)
+    coeffs = tuple(_finite(c, f"poly: coefficient c{i}") for i, c in enumerate(real_coeffs))
     name = "poly:" + ",".join(f"{c:g}" for c in coeffs)
     return HolomorphicFn(name, lambda z, d: _laurent(z, 0, coeffs, d))
 

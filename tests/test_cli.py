@@ -90,6 +90,13 @@ class TestForward:
         code, _ = run(capsys, "forward", "--h", "nosuch", "--m", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("h, coefficient", [("poly:1,nan", "c1 must be finite, got nan"),
+                                                ("const:1e400", "value must be finite, got inf")])
+    def test_non_finite_coefficient_is_config_error(self, capsys, h, coefficient):
+        code = main(["forward", "--h", h, "--m", "3", "--grid", "1,1", "--profiles"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and coefficient in captured.err
+
     def test_even_dimension_is_config_error(self, capsys):
         code, _ = run(capsys, "forward", "--h", "recip", "--m", "4")
         assert code == 2

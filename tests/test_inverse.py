@@ -53,12 +53,13 @@ class TestGeometry:
         with pytest.raises(ValueError, match=f"rectangle edge {name} must be finite"):
             Rectangle(*edges)
 
-    def test_contains_and_require(self):
-        assert RECT.contains(0.0, 0.5)
-        assert RECT.contains(1.0, 1.5)
-        assert not RECT.contains(1.1, 1.0)
-        with pytest.raises(ValueError, match="outside"):
-            RECT.require(0.5, 0.4)
+    def test_require(self):
+        # corners are on the rectangle and keep their values
+        assert RECT.require(0.0, 0.5) == (0.0, 0.5)
+        assert RECT.require(1.0, 1.5) == (1.0, 1.5)
+        for x0, r in ((1.1, 1.0), (0.5, 0.4), (math.nan, 1.0), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="outside"):
+                RECT.require(x0, r)
         # up to EDGE_TOL outside moves onto the edge; on or inside keeps its exact value
         assert RECT.require(-0.9 * EDGE_TOL, 1.5 + 0.9 * EDGE_TOL) == (0.0, 1.5)
         assert RECT.require(1.0 + 0.9 * EDGE_TOL, 0.5 - 0.9 * EDGE_TOL) == (1.0, 0.5)
@@ -74,7 +75,7 @@ class TestRectangleGrid:
         xs, rs = self.RECT.grid(5, 4)
         assert xs.dtype == rs.dtype == np.float64 and xs.shape == rs.shape == (20,)
         assert (xs.min(), xs.max(), rs.min(), rs.max()) == self.RECT.as_tuple()
-        assert all(self.RECT.contains(x0, r) for x0, r in zip(xs, rs))
+        assert all(self.RECT.require(x0, r) == (x0, r) for x0, r in zip(xs.tolist(), rs.tolist()))
 
     def test_x0_major_order(self):
         xs, rs = self.RECT.grid(3, 4)
@@ -979,6 +980,16 @@ class TestArrayEval:
         prim = invert(axial_field("cubic"))
         with pytest.raises(ValueError, match="outside"):
             prim.eval(np.array([0.5, 2.0]), 1.0)
+
+    def test_call_takes_any_array_like(self):
+        # a list, a tuple and an ndarray of z give a complex128 array of the scalar calls' bits
+        prim = invert(axial_field("example1"))
+        zs = [0.5 + 1j, 0.6 + 1.1j, 0.25 + 0.5j]
+        want = [prim(z) for z in zs]
+        assert all(type(w) is complex for w in want)
+        for z in (zs, tuple(zs), np.array(zs)):
+            got = prim(z)
+            assert got.dtype == np.complex128 and got.tolist() == want
 
 
 def _field_cases():

@@ -1,6 +1,8 @@
 """Jet arithmetic and the named holomorphic function registry."""
 
 import cmath
+import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +276,24 @@ class TestByName:
     def test_bad_power(self):
         with pytest.raises(ValueError):
             jets.by_name("z^-1")
+
+    @pytest.mark.parametrize("name, message", [
+        ("poly:1,nan", "poly: coefficient c1 must be finite, got nan"),
+        ("poly:inf", "poly: coefficient c0 must be finite, got inf"),
+        ("const:1e400", "const: value must be finite, got inf"),
+        ("const:-inf", "const: value must be finite, got -inf"),
+    ])
+    def test_non_finite_coefficient_rejected(self, name, message):
+        # every jet built on it would be NaN: refused at construction, not written out
+        with pytest.raises(ValueError, match=re.escape(message)):
+            jets.by_name(name)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, np.float64(-np.inf)])
+    def test_non_finite_scalar_factor_rejected(self, c):
+        with pytest.raises(ValueError, match="scalar factor must be finite"):
+            jets.recip() * c
+        with pytest.raises(ValueError, match="scalar factor must be finite"):
+            c * jets.recip()
 
 
 class TestRadialDerivatives:
