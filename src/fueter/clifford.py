@@ -21,6 +21,7 @@ the blade labels single-digit and therefore unambiguous as strings).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -48,6 +49,19 @@ def _tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     for table in (perm, signs, conj_signs, grades):
         table.setflags(write=False)
     return perm, signs, conj_signs, grades
+
+
+# the blade of each generator e_1, ..., e_MAX_DIM
+_GENERATORS = 1 << np.arange(MAX_DIM)
+
+
+def _paravector(x0: float, vec: np.ndarray) -> np.ndarray:
+    """The coefficients of x0 + vec in R_{0,m}, m = vec.size: x0 on the scalar blade and
+    vec on the generators."""
+    c = np.zeros(1 << vec.size)
+    c[0] = x0
+    c[_GENERATORS[: vec.size]] = vec
+    return c
 
 
 def _check_m(m: int) -> int:
@@ -97,9 +111,7 @@ class Multivector:
         v = np.asarray(vec, dtype=np.float64)
         if v.shape != (m,):
             raise ValueError(f"expected a vector of length {m}, got shape {v.shape}")
-        c = np.zeros(1 << m)
-        c[[1 << j for j in range(m)]] = v
-        return cls(m, c)
+        return cls(m, _paravector(0.0, v))
 
     # -- structure ---------------------------------------------------------
 
@@ -253,8 +265,9 @@ class Paravector:
 
     @property
     def r(self) -> float:
-        """Length of the vector part."""
-        return float(np.linalg.norm(self._vec))
+        """Length of the vector part: sqrt(v . v), the formula np.linalg.norm uses for
+        a 1-D float64 vector, so the bits are its bits."""
+        return math.sqrt(self._vec.dot(self._vec))
 
     @property
     def omega(self) -> np.ndarray:
@@ -266,10 +279,7 @@ class Paravector:
 
     def embed(self) -> Multivector:
         """x0 + x_ as a multivector (grade 0 plus grade 1)."""
-        mv = Multivector.from_vector(self.m, self._vec)
-        c = mv.coeffs.copy()
-        c[0] = self._x0
-        return Multivector(self.m, c)
+        return Multivector(self.m, _paravector(self._x0, self._vec))
 
     def __repr__(self) -> str:
         return f"Paravector(x0={self._x0:g}, vec={self._vec.tolist()})"

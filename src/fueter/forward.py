@@ -16,12 +16,15 @@ kept as an independent oracle (N <= 2) for tests.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .clifford import Multivector, Paravector
+from .clifford import Multivector, Paravector, _paravector
+from .errors import NumericalError
 from .jets import HolomorphicFn, radial_derivatives
 from .polynomials import MonogenicPolynomial
 from .radial import double_factorial, radial_op
@@ -70,12 +73,38 @@ def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0, r):
 
     x0 and r broadcast against each other.  A and B are float64 arrays of
     the broadcast shape, or Python floats when x0 and r are both scalars.
-    One jet of h and one table of powers of r serve both.
+    One jet of h and one table of powers of r serve both.  A profile that
+    overflows float64 raises NumericalError, naming its first such point.
     """
     u, v = radial_derivatives(h, x0, r, cfg.N)
-    const = float(cfg.leading_constant)
-    a, b = radial_op(u, v, r, cfg.N)
-    return const * a, const * b
+    const = _leading_constant(cfg.m, cfg.k)
+    try:
+        with np.errstate(over="raise"):
+            a, b = radial_op(u, v, r, cfg.N)
+            a, b = const * a, const * b
+    except FloatingPointError:
+        raise _overflow(h, cfg, x0, r, u, v) from None
+    # a 0-d float() and a product of Python floats overflow to inf without a warning
+    if isinstance(a, float) and (math.isinf(a) or math.isinf(b)):
+        raise _overflow(h, cfg, x0, r, u, v)
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def _leading_constant(m: int, k: int) -> float:
+    """(2k + m - 1)!! rounded to float64."""
+    return float(double_factorial(2 * k + m - 1))
+
+
+def _overflow(h: HolomorphicFn, cfg: FueterConfig, x0, r, u, v) -> NumericalError:
+    """The error for a profile of h that overflows float64, at its first non-finite point."""
+    with np.errstate(all="ignore"):
+        a, b = radial_op(u, v, r, cfg.N)
+        const = _leading_constant(cfg.m, cfg.k)
+        finite = np.isfinite(const * np.asarray(a)) & np.isfinite(const * np.asarray(b))
+    x0, r = (np.ravel(x) for x in np.broadcast_arrays(x0, r))
+    i = int(np.argmin(finite.ravel()))
+    return NumericalError(f"the profile of {h.name} overflows float64 at x0={x0[i]:g}, r={r[i]:g}")
 
 
 def fueter_fields(h: HolomorphicFn, cfg: FueterConfig) -> tuple[Callable, Callable]:
@@ -146,7 +175,7 @@ def e1_point(m: int, x0: float, r: float) -> Paravector:
 
 def axial_image(P: MonogenicPolynomial, p: Paravector, a: float, b: float) -> Multivector:
     """Ft[h, P_k] at p from the profile (a, b) of h at (p.x0, p.r): (a + omega b) P_k(x_)."""
-    return Paravector(a, b * p.omega).embed() * P(p.vec)
+    return _image(P, p, p.r, a, b)
 
 
 def fueter_map(
@@ -156,8 +185,17 @@ def fueter_map(
     _check_pair(P, cfg)
     if p.m != cfg.m:
         raise ValueError(f"point lives in R^{p.m + 1}, config has m={cfg.m}")
-    a, b = fueter_profile(h, cfg, p.x0, p.r)  # raises for r = 0, a point on the real axis
-    return axial_image(P, p, a, b)
+    r = p.r
+    a, b = fueter_profile(h, cfg, p.x0, r)  # raises for r = 0, a point on the real axis
+    return _image(P, p, r, a, b)
+
+
+def _image(P: MonogenicPolynomial, p: Paravector, r: float, a: float, b: float) -> Multivector:
+    """(a + b omega) P_k(x_) at p with r = p.r: one product of P_k(x_) with the
+    multivector that holds a on the scalar blade and b x_ / r on the generators."""
+    if r == 0.0:
+        raise ValueError("omega is undefined at r = 0 (point on the real axis)")
+    return Multivector(p.m, _paravector(a, b * (p.vec / r))) * P(p.vec)
 
 
 def laplacian_oracle(

@@ -425,7 +425,10 @@ class FueterPrimitive:
             powers = (x0 - t) ** exponents
             return forcing @ np.concatenate((powers * B, powers * A))
 
-        y = _propagator(N, x0 - a) @ self.init + integrate(drive, a, x0, self.quad)
+        forced = integrate(drive, a, x0, self.quad)
+        # an overflow here is reported below; the field's own calls, inside integrate, warn as usual
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _propagator(N, x0 - a) @ self.init + forced
         if not np.all(np.isfinite(y)):
             raise NumericalError(f"coefficient chain overflowed on [{a:g}, {x0:g}]")
         return tuple(y.tolist())

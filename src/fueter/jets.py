@@ -338,13 +338,16 @@ def radial_derivatives(h: HolomorphicFn, x0, r, d: int) -> tuple[np.ndarray, np.
     Requires r > 0 at every point.
     """
     x0, r = np.asarray(x0, dtype=np.longdouble), np.asarray(r, dtype=np.longdouble)
-    if x0.shape != r.shape:
-        x0, r = np.broadcast_arrays(x0, r)
-    bad = _violation(r > 0, r)
+    z = np.empty(r.shape if x0.shape == r.shape else np.broadcast(x0, r).shape, dtype=np.clongdouble)
+    z.real, z.imag = x0, r  # each assignment broadcasts its part
+    bad = _violation(z.imag > 0, z.imag)
     if bad is not None:
         raise ValueError(f"radial derivatives need r > 0, got r={bad.real}")
-    z = np.empty(r.shape, dtype=np.clongdouble)
-    z.real, z.imag = x0, r
-    rotation = np.power(np.clongdouble(1j), np.arange(d + 1)).reshape((d + 1,) + (1,) * r.ndim)
-    rotated = h.jet(z, d) * rotation
+    rotated = h.jet(z, d) * _rotation(d, z.ndim)
     return rotated.real, rotated.imag
+
+
+@lru_cache(maxsize=None)
+def _rotation(d: int, ndim: int) -> np.ndarray:
+    """i^0, ..., i^d as np.power gives them, shaped to scale a jet of ndim-dimensional points."""
+    return _frozen(np.power(np.clongdouble(1j), np.arange(d + 1)).reshape((d + 1,) + (1,) * ndim))

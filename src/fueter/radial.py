@@ -73,14 +73,25 @@ def coeff_row(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _signed_coeffs(n: int, first: int) -> np.ndarray:
-    """The signed coefficients (-1)^(n+j) a of the minus (first = 1) or the
-    plus (first = 0) expansion's terms, j = first..n, as a read-only column."""
+def _expansion(n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed coefficients (-1)^(n+j) a of the minus (first = 1) or the plus
+    (first = 0) expansion's terms, j = first..n, as a read-only column, and the
+    read-only row of ones whose matrix product sums the terms."""
     row = coeff_row(n + 1 - first)
     coeffs = np.array([(-1) ** (n + j) * a for j, a in enumerate(row, first)], dtype=np.longdouble)
     coeffs = coeffs.reshape(-1, 1)
-    coeffs.setflags(write=False)
-    return coeffs
+    ones = np.ones(len(row), dtype=np.longdouble)
+    for table in (coeffs, ones):
+        table.setflags(write=False)
+    return coeffs, ones
+
+
+@lru_cache(maxsize=None)
+def _exponents(n: int) -> np.ndarray:
+    """The read-only column of exponents j - 2n, j = 0..n, of the power table."""
+    exps = np.arange(-2 * n, 1 - n).reshape(-1, 1)
+    exps.setflags(write=False)
+    return exps
 
 
 def radial_op(u, v, x, n: int):
@@ -114,13 +125,14 @@ def radial_op(u, v, x, n: int):
         xs = xs.reshape(-1)
         if np.count_nonzero(xs) < xs.size:
             raise ValueError("radial operators are singular at x = 0")
-        table = np.power(xs, np.arange(-2 * n, 1 - n).reshape(-1, 1))
+        table = np.power(xs, _exponents(n))
         pair = []
         for g, first in ((u, 1), (v, 0)):
-            terms = _signed_coeffs(n, first) * table[first:]
+            coeffs, ones = _expansion(n, first)
+            terms = coeffs * table[first:]
             terms *= g[first : n + 1].reshape(n + 1 - first, -1)
             # a matrix product sums in a fixed order, whatever the batch shape
-            pair.append((np.ones(n + 1 - first, dtype=np.longdouble) @ terms).reshape(batch))
+            pair.append((ones @ terms).reshape(batch))
     return tuple(float(out) if not batch else out.astype(np.float64) for out in pair)
 
 

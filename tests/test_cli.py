@@ -97,6 +97,14 @@ class TestForward:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and coefficient in captured.err
 
+    @pytest.mark.parametrize("profiles", [["--profiles"], []])
+    def test_overflowing_image_is_numerical_failure(self, capsys, profiles):
+        # finite coefficients whose image overflows float64: exit 3, not -Infinity
+        code = main(["forward", "--h", "poly:0,0,1e308", "--m", "3", "--grid", "2,2", *profiles])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "the profile of poly:0,0,1e+308 overflows float64 at x0=0, r=0.5" in captured.err
+
     def test_even_dimension_is_config_error(self, capsys):
         code, _ = run(capsys, "forward", "--h", "recip", "--m", "4")
         assert code == 2
@@ -251,6 +259,12 @@ class TestInvert:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert "no convergence on [" in captured.err and "at depth 40" in captured.err, captured.err
+
+    def test_overflowing_chain_exits_3(self, capsys):
+        code = main(["invert", "--field", "cubic", "--init", "1e308,1e308", "--grid", "2,2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: numerical failure: coefficient chain overflowed on [0, 1]\n"
 
     def test_non_finite_edge_trace_exits_3(self, capsys, monkeypatch):
         from fueter import cli

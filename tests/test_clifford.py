@@ -162,6 +162,16 @@ class TestParavector:
         assert p.r == pytest.approx(5.0)
         assert np.allclose(p.omega, [0.6, 0.8])
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+    def test_r_has_the_bits_of_linalg_norm(self, scale):
+        rng = np.random.default_rng(7)
+        for size in range(1, MAX_DIM + 1):
+            for _ in range(20):
+                vec = scale * rng.normal(size=size)
+                r = Paravector(0.0, vec).r
+                assert type(r) is float and r == float(np.linalg.norm(vec))
+        assert Paravector(0.0, [3.0, -4.0]).r == 5.0
+
     def test_omega_undefined_on_axis(self):
         with pytest.raises(ValueError):
             Paravector(1.0, [0.0, 0.0]).omega

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from fueter import jets
 from fueter.clifford import Multivector, Paravector
-from fueter.forward import FueterConfig, fueter_fields, fueter_map, fueter_profile, laplacian_oracle, paired
+from fueter.errors import NumericalError
+from fueter.forward import (
+    FueterConfig,
+    axial_image,
+    fueter_fields,
+    fueter_map,
+    fueter_profile,
+    laplacian_oracle,
+    paired,
+)
 from fueter.inverse import AxialFunction
 from fueter.oracles import axial_field
 from fueter.polynomials import builtin_pk
@@ -77,6 +86,74 @@ class TestPinnedValues:
         val = fueter_map(h, builtin_pk(3, 0), c, Paravector(x0, r * direction))
         omega = Multivector.from_vector(3, direction)
         assert (val - (Multivector.scalar(3, a) + b * omega)).norm() <= 1e-12 * max(1.0, val.norm())
+
+
+def composed_image(h, P, cfg, p) -> Multivector:
+    """Ft[h, P_k] at p composed from a Paravector, its embedding and a product, as
+    fueter_map once did: the reference its bits are pinned to."""
+    a, b = fueter_profile(h, cfg, p.x0, p.r)
+    return Paravector(a, b * p.omega).embed() * P(p.vec)
+
+
+class TestImageBits:
+    """fueter_map puts (a, b omega) straight on the blades: the bits of the composition."""
+
+    @pytest.mark.parametrize("name", ["recip", "arctan", "z*arctan"])
+    @pytest.mark.parametrize("m,k,sign", [(3, 0, 1), (5, 0, 1), (7, 0, 1), (9, 0, 1),
+                                          (3, 1, 1), (3, 1, -1), (5, 1, 1), (5, 1, -1),
+                                          (7, 1, 1), (7, 1, -1), (9, 1, 1), (9, 1, -1)])
+    def test_map_equals_composition(self, name, m, k, sign):
+        h, cfg = jets.by_name(name), FueterConfig(m, k)
+        P = builtin_pk(m, k, 1, m, sign) if k else builtin_pk(m, 0)
+        rng = np.random.default_rng(1000 * m + 10 * k + sign)
+        omegas = [rng.normal(size=m) for _ in range(4)]
+        omegas[0][m // 2] = 0.0  # a zero component of omega lands b * 0 on its blade
+        for omega in omegas:
+            p = Paravector(float(rng.uniform(-1.0, 1.0)), rng.uniform(0.2, 1.5) * omega / np.linalg.norm(omega))
+            got, want = fueter_map(h, P, cfg, p), composed_image(h, P, cfg, p)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            a, b = fueter_profile(h, cfg, p.x0, p.r)
+            assert axial_image(P, p, a, b).coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_zero_b_on_the_imaginary_axis(self):
+        # z^4 at x0 = 0 gives b = 0: the generator blades get b * omega = +-0 and drop out
+        h, cfg, P = jets.power(4), FueterConfig(3, 0), builtin_pk(3, 0)
+        p = Paravector(0.0, [0.6, 0.0, -0.8])
+        got = fueter_map(h, P, cfg, p)
+        assert got.coeffs.tobytes() == composed_image(h, P, cfg, p).coeffs.tobytes()
+        assert [label for label, _ in got.to_pairs()] == [""]
+
+    def test_image_on_the_axis_rejected(self):
+        with pytest.raises(ValueError, match="omega is undefined at r = 0"):
+            axial_image(builtin_pk(3, 0), Paravector(1.0, np.zeros(3)), 1.0, 1.0)
+
+
+class TestOverflow:
+    """A profile that overflows float64 raises NumericalError at its first such point,
+    with no RuntimeWarning first (pytest turns one into an error)."""
+
+    # Ft[1e307 z^3] for (m, k) = (3, 0): A = -1.2e308 x0, which overflows for |x0| > 1.5
+    H = "poly:0,0,0,1e307"
+
+    def test_scalar_profile(self):
+        with pytest.raises(NumericalError, match=r"poly:0,0,0,1e\+307 overflows float64 at x0=2, r=1$"):
+            fueter_profile(jets.by_name(self.H), cfg3(), 2.0, 1.0)
+        assert fueter_profile(jets.by_name(self.H), cfg3(), 1.0, 1.0)[0] == pytest.approx(-1.2e308)
+
+    @pytest.mark.parametrize("x0, r, where", [
+        (np.array([0.5, 1.0, 2.0, 3.0]), 1.0, "x0=2, r=1"),
+        (np.array([[0.5], [1.75]]), np.array([[0.5, 2.0]]), "x0=1.75, r=0.5"),
+    ])
+    def test_array_profile_names_first_point(self, x0, r, where):
+        with pytest.raises(NumericalError, match=f"overflows float64 at {where}$"):
+            fueter_profile(jets.by_name(self.H), cfg3(), x0, r)
+        A, _ = fueter_fields(jets.by_name(self.H), cfg3())
+        with pytest.raises(NumericalError, match=f"overflows float64 at {where}$"):
+            A(x0, r)
+
+    def test_map(self):
+        with pytest.raises(NumericalError, match="overflows float64 at x0=2, r=1$"):
+            fueter_map(jets.by_name(self.H), builtin_pk(3, 0), cfg3(), Paravector(2.0, [0.0, 0.6, 0.8]))
 
 
 class TestLinearity:

@@ -210,6 +210,12 @@ class TestGaugeFreedom:
         with pytest.raises(ValueError, match=r"init must be finite, but entry 1 is"):
             invert(axial_field("cubic"), [0.0, bad])
 
+    def test_overflowing_chain_raises_numerical_error(self):
+        # E(x0 - a) init overflows float64; the library's own error comes with no RuntimeWarning first
+        prim = invert(axial_field("cubic"), init=[1e308, 1e308])
+        with pytest.raises(NumericalError, match=r"coefficient chain overflowed on \[0, 1\]"):
+            prim.eval(1.0, 1.0)
+
     def test_coefficient_trajectories_shape(self):
         # alpha_j and beta_j along [a, b]: one finite value per x0, from init at a
         H = axial_field("example1")

@@ -313,6 +313,38 @@ class TestRadialDerivatives:
         u_minus, _ = radial_derivatives(h, x0 - eps, r, 0)
         assert v[1] == pytest.approx((u_plus[0] - u_minus[0]) / (2 * eps), rel=1e-6)
 
+    @pytest.mark.parametrize("x0, r", [
+        (0.7, np.array([0.5, 1.0, 1.5])),
+        (np.array([-0.4, 0.3, 1.2]), 0.9),
+        (np.array([[-0.4], [0.3]]), np.array([[0.5, 1.0, 1.5]])),
+        (np.array([[0.3, 1.2]]), np.array([[0.25], [1.75]])),
+    ])
+    def test_broadcast_gives_per_point_bits(self, x0, r):
+        x0s, rs = np.broadcast_arrays(x0, r)
+        for name in ("recip", "arctan", "z*arctan"):
+            u, v = radial_derivatives(jets.by_name(name), x0, r, 3)
+            assert u.shape == v.shape == (4,) + x0s.shape
+            assert u.dtype == v.dtype == np.longdouble
+            for idx in np.ndindex(x0s.shape):
+                u1, v1 = radial_derivatives(jets.by_name(name), float(x0s[idx]), float(rs[idx]), 3)
+                assert np.array_equal(u[(slice(None),) + idx], u1)
+                assert np.array_equal(v[(slice(None),) + idx], v1)
+
+    @pytest.mark.parametrize("x0, r, first", [
+        (0.7, np.array([0.5, -0.25, 0.0]), "-0.25"),
+        (np.array([0.1, 0.2]), -0.5, "-0.5"),
+        (np.array([[0.1], [0.2]]), np.array([[0.5, 0.0, -1.0]]), "0.0"),
+        (np.array([[0.1, 0.2]]), np.array([[0.5], [np.nan], [-1.0]]), "nan"),
+    ])
+    def test_nonpositive_r_named_at_the_broadcast_shape(self, x0, r, first):
+        # the first point, in the broadcast shape's order, whose r is not positive
+        with pytest.raises(ValueError, match=f"radial derivatives need r > 0, got r={first}$"):
+            radial_derivatives(jets.recip(), x0, r, 2)
+
+    def test_unbroadcastable_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            radial_derivatives(jets.recip(), np.array([0.1, 0.2]), np.array([0.5, 1.0, 1.5]), 2)
+
     def test_order_zero(self):
         u, v = radial_derivatives(jets.recip(), 1.0, 1.0, 0)
         assert u.shape == (1,) and v.shape == (1,)
