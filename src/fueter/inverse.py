@@ -299,7 +299,8 @@ def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np
     """
     half, x = _layout(c, r, PANEL_ORDER)
     kernel = (r * r - x * x) ** (N - 1)
-    gauss = np.kron(np.diag(half), _rule(PANEL_ORDER)[1])  # row p: weight x half-width on panel p's nodes
+    gauss = np.zeros((3, 3 * PANEL_ORDER))  # row p: weight x half-width on panel p's nodes, exact zeros elsewhere
+    gauss.reshape(9, PANEL_ORDER)[::4] = half[:, None] * _rule(PANEL_ORDER)[1]
     W1, W2 = gauss * (x * kernel), gauss * kernel
     # every point on this interval shares them
     x.flags.writeable = W1.flags.writeable = W2.flags.writeable = False
@@ -309,9 +310,9 @@ def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np
 def _radial(pair: Callable, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> tuple[float, float]:
     """(I1, I2) from c to r >= c at x0; Rectangle.require puts every point there.
 
-    The first level is one pair call at the rule's nodes and one product
-    with each cached matrix; quadrature accepts it or refines on the
-    kernel-times-field integrands, one pair call per level.
+    The first level is one pair call at the rule's nodes and one .dot (@'s BLAS
+    product, without matmul's dispatch) per cached matrix; quadrature accepts
+    it or refines on the kernel-times-field integrands, one pair call per level.
     """
     if r == c:
         return 0.0, 0.0
@@ -323,7 +324,7 @@ def _radial(pair: Callable, x0: float, r: float, c: float, N: int, quad: Quadrat
         a, b = pair(x0, t)
         return np.array([(t * k) * a, k * b])
 
-    i1, i2 = quadrature(integrands, [(W1 @ a).tolist(), (W2 @ b).tolist()], c, r, quad.abs_tol)
+    i1, i2 = quadrature(integrands, [W1.dot(a).tolist(), W2.dot(b).tolist()], c, r, quad.abs_tol)
     return i1, r * i2
 
 
@@ -331,6 +332,14 @@ def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConf
     """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit."""
     x0, r = H.rect.require(float(x0), float(r))
     return _radial(H.pair, x0, r, H.rect.c, H.N, quad)
+
+
+@lru_cache(maxsize=None)
+def _exponents(n: int) -> np.ndarray:
+    """The read-only column 0..n-1 of powers in the chain's polynomials."""
+    exps = np.arange(n)[:, None]
+    exps.flags.writeable = False
+    return exps
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +361,7 @@ def _propagator_terms(N: int) -> np.ndarray:
 def _propagator(N: int, s: float) -> np.ndarray:
     """E(s) = exp(M s) as a matrix polynomial: one matmul of the powers of s with the terms, shape (2N, 2N)."""
     n2 = 2 * N
-    return (s ** np.arange(n2) @ _propagator_terms(N).reshape(n2, n2 * n2)).reshape(n2, n2)
+    return (s ** _exponents(n2)[:, 0] @ _propagator_terms(N).reshape(n2, n2 * n2)).reshape(n2, n2)
 
 
 @lru_cache(maxsize=64)
@@ -415,9 +424,11 @@ class FueterPrimitive:
 
     def _solve_at(self, x0: float) -> tuple[float, ...]:
         """(alpha_0..alpha_(N-1), beta_0..beta_(N-1)) at x0, as Python floats."""
+        a, b, N, H = self.rect.a, self.rect.b, self.N, self.field
+        if not a - EDGE_TOL <= x0 <= b + EDGE_TOL:  # alpha and beta pass x0 alone
+            raise ValueError(f"x0={x0:g} outside rectangle x0 range [{a:g}, {b:g}]")
         x0, _ = self.rect.require(x0, self.rect.c)
-        a, N, H = self.rect.a, self.N, self.field
-        forcing, exponents = _forcing_terms(H.k, H.m, self.rect.c), np.arange(2 * N)[:, None]
+        forcing, exponents = _forcing_terms(H.k, H.m, self.rect.c), _exponents(2 * N)
 
         def drive(t):
             # E(x0 - t) F(t) = sum_p (x0 - t)^p (U[:, p] B + V[:, p] A), one row per coefficient
@@ -428,21 +439,23 @@ class FueterPrimitive:
         forced = integrate(drive, a, x0, self.quad)
         # an overflow here is reported below; the field's own calls, inside integrate, warn as usual
         with np.errstate(over="ignore", invalid="ignore"):
-            y = _propagator(N, x0 - a) @ self.init + forced
-        if not np.all(np.isfinite(y)):
+            y = (_propagator(N, x0 - a) @ self.init + forced).tolist()
+        if not all(map(math.isfinite, y)):
             raise NumericalError(f"coefficient chain overflowed on [{a:g}, {x0:g}]")
-        return tuple(y.tolist())
+        return tuple(y)
 
-    def _family(self, index: int, x0) -> float | np.ndarray:
+    def _family(self, j: int, x0, offset: int) -> float | np.ndarray:
+        if not (isinstance(j, numbers.Integral) and _is_number(j) and 0 <= j < self.N):
+            raise ValueError(f"j must be an integer in 0..{self.N - 1}, got {j!r}")
         x = np.asarray(x0, dtype=np.float64)
-        vals = [self._coefficients(float(t))[index] for t in x.ravel()]
+        vals = [self._coefficients(float(t))[offset + j] for t in x.ravel()]
         return float(vals[0]) if x.ndim == 0 else np.array(vals).reshape(x.shape)
 
     def alpha(self, j: int, x0) -> float | np.ndarray:
-        return self._family(range(self.N)[j], x0)
+        return self._family(j, x0, 0)
 
     def beta(self, j: int, x0) -> float | np.ndarray:
-        return self._family(self.N + range(self.N)[j], x0)
+        return self._family(j, x0, self.N)
 
     def eval(self, x0, r) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
         """(u, v) at rectangle points, each moved onto the rectangle by Rectangle.require.
@@ -454,7 +467,7 @@ class FueterPrimitive:
         points then run in order of r, so each distinct r builds its radial
         rule once, and a failing integral is reported at the least such r.
         """
-        if not (isinstance(x0, float) and isinstance(r, float)):  # floats skip numpy
+        if type(x0) is not float or type(r) is not float:  # Python floats skip numpy
             x0, r = np.asarray(x0, dtype=np.float64), np.asarray(r, dtype=np.float64)
             if x0.ndim or r.ndim:
                 xx, rr = np.broadcast_arrays(x0, r)
@@ -464,7 +477,8 @@ class FueterPrimitive:
                 for i in sorted(range(len(points)), key=lambda i: points[i][1]):
                     uv[i] = self._eval_at(*points[i], coeffs[i])
                 return uv[:, 0].reshape(xx.shape), uv[:, 1].reshape(xx.shape)
-        x0, r = self.rect.require(float(x0), float(r))
+            x0, r = float(x0), float(r)
+        x0, r = self.rect.require(x0, r)
         return self._eval_at(x0, r, self._coefficients(x0))
 
     def _eval_at(self, x0: float, r: float, coeffs: tuple[float, ...]) -> tuple[float, float]:

@@ -89,7 +89,10 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarr
 def _layout(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The first level on [a, b], a < b: (half, x) for the whole panel, then its left and right halves."""
     mid = 0.5 * (a + b)
-    return _nodes(np.array([a, a, mid]), np.array([b, mid, b]), order)
+    # _nodes' arithmetic on the three panels, in Python floats, then one broadcast
+    half = np.array((0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)))
+    centre = np.array(((0.5 * (b + a),), (0.5 * (mid + a),), (0.5 * (b + mid),)))
+    return half, (centre + half[:, None] * _rule(order)[0]).ravel()
 
 
 def integrate(
@@ -103,10 +106,13 @@ def integrate(
     Returns a float for an integrand of shape (n,) and an array of shape
     (p,) for one of shape (p, n); an empty interval returns 0.0 without
     calling f, and b < a the integral over [b, a] negated, whose bits
-    differ only in the sign.  Raises QuadratureError on a non-finite panel
-    sum or when a subinterval still disagrees at depth MAX_DEPTH.
+    differ only in the sign.  A non-finite bound raises ValueError before
+    any call; QuadratureError is raised on a non-finite panel sum or when a
+    subinterval still disagrees at depth MAX_DEPTH.
     """
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bound {'b' if math.isfinite(a) else 'a'} must be finite, got a={a}, b={b}")
     if a == b:
         return 0.0
     lo, hi = min(a, b), max(a, b)

@@ -675,6 +675,29 @@ class TestExactChain:
         assert [prim.alpha(0, a), prim.alpha(1, a), prim.beta(0, a), prim.beta(1, a)] == init
         assert calls == {"A": [], "B": [], "pair": []}
 
+    @pytest.mark.parametrize("j", [-1, 2, True, False, 1.0, np.float64(0.0), "0", None])
+    def test_index_outside_0_to_n_minus_1_raises(self, j):
+        # j used to index range(N): -1 read alpha_(N-1), True alpha_1, and N an IndexError
+        prim = invert(axial_field("example1"))  # N = 2
+        for family in (prim.alpha, prim.beta):
+            with pytest.raises(ValueError, match=re.escape(f"j must be an integer in 0..1, got {j!r}")):
+                family(j, 0.3)
+
+    def test_numpy_integers_are_indices(self):
+        prim = invert(axial_field("example1"))
+        assert prim.alpha(np.int64(1), 0.3) == prim.alpha(1, 0.3)
+        assert prim.beta(np.int32(0), 0.3) == prim.beta(0, 0.3)
+
+    @pytest.mark.parametrize("x0", [5.0, -0.5, float("nan"), np.array([0.2, 5.0])])
+    def test_x0_outside_names_x0_and_its_range(self, x0):
+        # the chain used to report the point (x0, r = c), naming an r the caller never passed
+        prim = invert(axial_field("example1"))  # [0, 1] x [0.5, 1.5]
+        bad = np.ravel(x0)[-1]
+        for family in (prim.alpha, prim.beta):
+            with pytest.raises(ValueError, match=re.escape(f"x0={bad:g} outside rectangle x0 range [0, 1]")) as info:
+                family(0, x0)
+            assert "r=" not in str(info.value)
+
     def test_non_finite_edge_trace_raises(self):
         def a_field(x0, r):
             return np.where(np.asarray(x0) > 0.6, np.nan, 1.0) * np.ones_like(r)
@@ -751,6 +774,18 @@ class TestFusedEval:
         with pytest.raises(QuadratureError, match="no convergence"):
             prim.eval(0.5, 1.4)
         assert len(calls["A"]) == len(calls["B"]) == len(calls["pair"]) <= 117
+
+    @pytest.mark.parametrize("name,m,calls,nodes", [("example1", None, 63, 3024), ("cauchy-kernel", 9, 65, 3088)])
+    def test_pair_calls_per_invert_and_8x8_scalar_evaluations(self, name, m, calls, nodes):
+        # 8 x0 solve the chain (x0 = a without a call), 7 r lie above c (one pair call each at
+        # 48 nodes); cauchy-kernel m = 9 refines once, two calls at 32 nodes
+        G, counts = _counting(axial_field(name, m=m) if m else axial_field(name))
+        prim = invert(G)
+        xs, rs = G.rect.grid(8, 8)
+        for x0, r in zip(xs.tolist(), rs.tolist()):
+            prim.eval(x0, r)
+        assert (len(counts["pair"]), sum(counts["pair"])) == (calls, nodes)
+        assert counts["A"] == counts["B"] == counts["pair"]
 
     def test_empty_radial_interval(self):
         # r = c integrates over nothing and calls no field
@@ -835,6 +870,37 @@ class TestRadialRule:
             i1, i2 = _explicit_integrals(H, x0, r).tolist()
             for got, want in zip(radial_integrals(H, x0, r), (i1, r * i2)):
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (x0, r)
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_rule_has_the_bits_of_the_kron_construction(self, N):
+        # the reference is the rule as first written: np.kron(np.diag(half), w) on _nodes' layout
+        for c, r in [(0.5, 1.5), (0.5, 0.5 + 1e-9), (0.3, 0.31), (0.45, 1.234), (1e-3, 2.0), (0.7, 0.7000001)]:
+            mid = 0.5 * (c + r)
+            half, x = quadrature._nodes(np.array([c, c, mid]), np.array([r, mid, r]), PANEL_ORDER)
+            kernel = (r * r - x * x) ** (N - 1)
+            gauss = np.kron(np.diag(half), quadrature._rule(PANEL_ORDER)[1])
+            got = _radial_rule.__wrapped__(c, r, N)
+            assert [g.tobytes() for g in got] == [x.tobytes(), (gauss * (x * kernel)).tobytes(),
+                                                  (gauss * kernel).tobytes()], (c, r)
+
+    @pytest.mark.parametrize("name,m", CLOSED_FORM + [("tabulated", None)])
+    def test_first_level_dot_has_the_bits_of_matmul(self, name, m):
+        # the first level used to be W1 @ A and W2 @ B; .dot must give the same rows, so the same integrals
+        H = _tabulated_40() if name == "tabulated" else _closed_form(name, m)
+        c, N = H.rect.c, H.N
+        for x0, r in _seeded_points(H.rect, 24, 41):
+            x, W1, W2 = _radial_rule(c, r, N)
+            a, b = H.pair(x0, x)
+            assert W1.dot(a).tobytes() == (W1 @ a).tobytes() and W2.dot(b).tobytes() == (W2 @ b).tobytes()
+
+            def integrands(t):
+                k = (r * r - t * t) ** (N - 1)
+                a, b = H.pair(x0, t)
+                return np.array([(t * k) * a, k * b])
+
+            i1, i2 = quadrature.quadrature(integrands, [(W1 @ a).tolist(), (W2 @ b).tolist()], c, r,
+                                           DEFAULT_QUADRATURE.abs_tol)
+            assert _bits(*radial_integrals(H, x0, r)) == _bits(i1, r * i2), (x0, r)
 
     def test_failure_matches_integrate_message_and_calls(self):
         # example1 x 1e6 cannot meet the absolute tolerance at (0.5, 1.4); the
@@ -981,6 +1047,15 @@ class TestArrayEval:
             assert pair == got and all(type(t) is float for t in pair)
         assert prim.eval(1, 1) == prim.eval(1.0, 1.0)
         assert all(type(t) is float for t in prim.eval(1, 1))
+
+    @pytest.mark.parametrize("name,m", CLOSED_FORM)
+    def test_grid_has_the_scalar_bits(self, name, m):
+        H = _closed_form(name, m)
+        xs, rs = H.rect.grid(12, 12)
+        u, v = invert(H).eval(xs, rs)
+        prim = invert(H)
+        scalar = [prim.eval(x0, r) for x0, r in zip(xs.tolist(), rs.tolist())]
+        assert np.array(scalar).tobytes() == np.stack([u, v], axis=1).tobytes()
 
     def test_any_point_outside_rejected(self):
         prim = invert(axial_field("cubic"))

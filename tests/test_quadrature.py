@@ -8,7 +8,7 @@ import pytest
 from fueter import quadrature
 from fueter.errors import QuadratureError
 from fueter.quadrature import PANEL_ORDER as PANEL
-from fueter.quadrature import QuadratureConfig, _panels, integrate
+from fueter.quadrature import QuadratureConfig, _layout, _nodes, _panels, integrate
 
 FIRST = 3 * PANEL  # a piece's whole panel and its two halves
 
@@ -318,6 +318,54 @@ class TestVectorIntegrand:
             integrate(lambda t: t[:-1], 0.0, 1.0)
         with pytest.raises(ValueError, match=r"\(p, n\)"):
             integrate(lambda t: np.ones((2, 2, t.size)), 0.0, 1.0)
+
+
+class TestBounds:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "a,b,bad",
+        [(0.0, NAN, "b"), (0.0, INF, "b"), (0.0, -INF, "b"), (NAN, 1.0, "a"), (-INF, 1.0, "a"), (INF, INF, "a"),
+         (NAN, NAN, "a")],
+    )
+    def test_non_finite_bound_raises_before_any_call(self, a, b, bad):
+        # a NaN end used to return 0.0 (min and max both picked the other end),
+        # an infinite one made numpy warn, and a NaN a called f on NaN nodes
+        f, calls = counted(np.cos)
+        with pytest.raises(ValueError, match=f"integration bound {bad} must be finite"):
+            integrate(f, a, b)
+        g, vector_calls = counted(lambda t: np.stack([np.cos(t), t]))
+        with pytest.raises(ValueError, match=f"integration bound {bad} must be finite"):
+            integrate(g, np.float64(a), b)
+        assert calls == vector_calls == []
+
+
+def reference_layout(a, b):
+    """The first level on [a, b] as _nodes lays out any panels: (half, x)."""
+    mid = 0.5 * (a + b)
+    return _nodes(np.array([a, a, mid]), np.array([b, mid, b]), PANEL)
+
+
+class TestLayout:
+    """_layout computes _nodes' half-widths and centres of the first level's three panels in Python floats."""
+
+    ENDS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.2, 1.3), (0.5, 0.5 + 1e-9), (-3e5, 7e-3),
+            (1e-300, 3e-300), (-1e300, 1e300), (0.45, 1.234)]
+
+    def test_bits_equal_nodes_on_any_interval(self):
+        rng = np.random.default_rng(11)
+        ends = self.ENDS + [tuple(sorted(rng.uniform(-2, 2, 2) * 10.0 ** rng.integers(-6, 6))) for _ in range(500)]
+        for a, b in ends:
+            got, want = _layout(float(a), float(b), PANEL), reference_layout(float(a), float(b))
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (a, b)
+
+    @pytest.mark.parametrize("a,b", ENDS[:8])
+    def test_integrate_lays_out_the_sorted_interval_either_way(self, a, b):
+        want = reference_layout(a, b)[1].tobytes()
+        for ends in ((a, b), (b, a)):
+            nodes = []
+            integrate(lambda t: nodes.append(t.copy()) or np.ones_like(t), *ends)
+            assert nodes[0].tobytes() == want, ends
 
 
 class TestConfig:
