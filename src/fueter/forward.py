@@ -31,7 +31,8 @@ from .radial import double_factorial, radial_op
 
 
 class FueterConfig:
-    """Dimension/degree bundle: odd m >= 3, k >= 0."""
+    """Dimension/degree bundle: odd m >= 3, k >= 0 whose order N = k + (m-1)/2 has order_constants.
+    The profile and the inversion read only N; the Clifford image also caps m at clifford.MAX_DIM."""
 
     __slots__ = ("m", "k")
 
@@ -43,6 +44,7 @@ class FueterConfig:
             raise ValueError(f"k must be nonnegative, got k={k}")
         self.m = m
         self.k = k
+        order_constants(self.N)  # an order past float64 raises here
 
     @property
     def N(self) -> int:
@@ -52,12 +54,7 @@ class FueterConfig:
     @property
     def K_N(self) -> Fraction:
         """The inversion's exact normalization 1 / (2N ((2N-2)!!)^2)."""
-        return Fraction(1, 2 * self.N * double_factorial(2 * self.N - 2) ** 2)
-
-    @property
-    def leading_constant(self) -> int:
-        """(2k + m - 1)!! exactly."""
-        return double_factorial(2 * self.k + self.m - 1)
+        return order_constants(self.N)[0]
 
     @property
     def kernel_degree(self) -> int:
@@ -77,7 +74,7 @@ def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0, r):
     overflows float64 raises NumericalError, naming its first such point.
     """
     u, v = radial_derivatives(h, x0, r, cfg.N)
-    const = _leading_constant(cfg.m, cfg.k)
+    const = order_constants(cfg.N)[2]
     try:
         with np.errstate(over="raise"):
             a, b = radial_op(u, v, r, cfg.N)
@@ -91,16 +88,22 @@ def fueter_profile(h: HolomorphicFn, cfg: FueterConfig, x0, r):
 
 
 @lru_cache(maxsize=None)
-def _leading_constant(m: int, k: int) -> float:
-    """(2k + m - 1)!! rounded to float64."""
-    return float(double_factorial(2 * k + m - 1))
+def order_constants(N: int) -> tuple[Fraction, float, float]:
+    """The constants of order N >= 1: the inversion's exact K_N = 1 / (2N ((2N-2)!!)^2), its
+    float, and the forward map's (2k+m-1)!! = (2N)!! as a float.  An order whose K_N or (2N)!!
+    is not a normal float64 raises ValueError naming N (K_N is the first, at N = 86)."""
+    K_N, lead = Fraction(1, 2 * N * double_factorial(2 * N - 2) ** 2), double_factorial(2 * N)
+    f64 = np.finfo(np.float64)
+    if not (float(K_N) >= float(f64.tiny) and lead <= float(f64.max)):
+        raise ValueError(f"order N={N} is out of range: K_N or (2N)!! is not a normal float64")
+    return K_N, float(K_N), float(lead)
 
 
 def _overflow(h: HolomorphicFn, cfg: FueterConfig, x0, r, u, v) -> NumericalError:
     """The error for a profile of h that overflows float64, at its first non-finite point."""
     with np.errstate(all="ignore"):
         a, b = radial_op(u, v, r, cfg.N)
-        const = _leading_constant(cfg.m, cfg.k)
+        const = order_constants(cfg.N)[2]
         finite = np.isfinite(const * np.asarray(a)) & np.isfinite(const * np.asarray(b))
     x0, r = (np.ravel(x) for x in np.broadcast_arrays(x0, r))
     i = int(np.argmin(finite.ravel()))

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .forward import FueterConfig, paired
+from .forward import FueterConfig, order_constants, paired
 from .quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _layout, _rule, integrate, quadrature
 
 # Points this close outside a rectangle (or a tabulated grid) are moved onto
@@ -178,13 +178,14 @@ class AxialFunction:
     scalars, as a scalar x0 with an ndarray r (the radial quadrature feeds r
     nodes at fixed x0), or as two ndarrays of equal shape (the coefficient
     chain feeds x0 nodes along r = c), and return float values of r's
-    shape.  A native pair, given as the pair keyword, computes both from
-    one evaluation, and A and B must be its components; without one, pair
-    calls the A and then the B the field holds at the time, so rebinding
-    either takes effect.  The integrals assume A and B smooth on the
-    rectangle.  Nothing here checks that (A, B) solves the Vekua system;
-    verify.cr_residual measures how far a computed primitive is from
-    holomorphic.
+    shape; the chain's calls and radial_integrals' raise ValueError at an
+    answer of another shape.  A native pair, given as the pair keyword,
+    computes both from one evaluation, and A and B must be its components;
+    without one, pair calls the A and then the B the field holds at the
+    time, so rebinding either takes effect.  The integrals assume A and B
+    smooth on the rectangle.  Nothing here checks that (A, B) solves the
+    Vekua system; verify.cr_residual measures how far a computed primitive
+    is from holomorphic.
     """
 
     __slots__ = ("pair", "A", "B", "m", "k", "N", "rect", "name")
@@ -331,7 +332,7 @@ def _radial(pair: Callable, x0: float, r: float, c: float, N: int, quad: Quadrat
 def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
     """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit."""
     x0, r = H.rect.require(float(x0), float(r))
-    return _radial(H.pair, x0, r, H.rect.c, H.N, quad)
+    return _radial(lambda x0, t: _answer(H, x0, t), x0, r, H.rect.c, H.N, quad)
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +366,7 @@ def _propagator(N: int, s: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _forcing_terms(k: int, m: int, c: float) -> np.ndarray:
+def _forcing_terms(N: int, c: float) -> np.ndarray:
     """E(s) F per unit trace on the r = c edge, as a polynomial in s: a read-only (2N, 4N) matrix [U V].
 
     With w_j = (-1)^(N-j) K_N C(N-1, j) c^(2(N-j-1)) for j < N, a unit
@@ -374,10 +375,8 @@ def _forcing_terms(k: int, m: int, c: float) -> np.ndarray:
     the forcing of a unit B (A) trace, so the forcing F of traces A, B
     propagates as E(s) F = sum_p s^p (U[:, p] B + V[:, p] A).
     """
-    cfg = FueterConfig(m, k)
-    N = cfg.N
     j = np.arange(N)
-    w = float(cfg.K_N) * np.array([math.comb(N - 1, i) for i in j])
+    w = order_constants(N)[1] * np.array([math.comb(N - 1, i) for i in j])
     w *= (-1.0) ** (N - j) * c ** (2.0 * (N - j - 1))
     unit = np.zeros((2 * N, 2))  # the forcing of a unit B trace, then of a unit A trace
     unit[:N, 0] = -c * w
@@ -388,10 +387,19 @@ def _forcing_terms(k: int, m: int, c: float) -> np.ndarray:
     return terms
 
 
+def _answer(H: AxialFunction, x0, r: np.ndarray) -> tuple:
+    """H.pair(x0, r) at an array r, checked against the field's contract: values of r's shape."""
+    a, b = H.pair(x0, r)
+    if np.shape(a) != r.shape or np.shape(b) != r.shape:
+        raise ValueError(f"field {H.name!r} must return values of r's shape {r.shape} for an array r, "
+                         f"got shapes {np.shape(a)} and {np.shape(b)}")
+    return a, b
+
+
 def _edge_traces(H: AxialFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) on the r = c edge at x0 nodes t, from one pair call; a non-finite value raises."""
     c = H.rect.c
-    a, b = H.pair(t, np.full_like(t, c))
+    a, b = _answer(H, t, np.full_like(t, c))
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         raise NumericalError(f"non-finite edge trace at x0={t[~finite][0]:g} (r={c:g})")
@@ -416,8 +424,7 @@ class FueterPrimitive:
         self.m = field.m
         self.k = field.k
         self.N = field.N
-        self.K_N = FueterConfig(field.m, field.k).K_N
-        self._kn = float(self.K_N)
+        self.K_N, self._kn = order_constants(self.N)[:2]
         self.init = np.asarray(init, dtype=np.float64)
         self.quad = quad
         self._coefficients = lru_cache(maxsize=COEFF_CACHE)(self._solve_at)
@@ -428,7 +435,7 @@ class FueterPrimitive:
         if not a - EDGE_TOL <= x0 <= b + EDGE_TOL:  # alpha and beta pass x0 alone
             raise ValueError(f"x0={x0:g} outside rectangle x0 range [{a:g}, {b:g}]")
         x0, _ = self.rect.require(x0, self.rect.c)
-        forcing, exponents = _forcing_terms(H.k, H.m, self.rect.c), _exponents(2 * N)
+        forcing, exponents = _forcing_terms(N, self.rect.c), _exponents(2 * N)
 
         def drive(t):
             # E(x0 - t) F(t) = sum_p (x0 - t)^p (U[:, p] B + V[:, p] A), one row per coefficient

@@ -611,6 +611,56 @@ class TestKernel:
         assert captured.out == ""
 
 
+class TestInputRule:
+    """The profile and inversion paths take any odd m >= 3 and k >= 0 whose order N = k + (m-1)/2
+    has normal float64 constants; the Clifford image keeps m <= 9."""
+
+    def test_profiles_read_only_the_order(self, capsys):
+        outputs = [run(capsys, "forward", "--h", "arctan", "--profiles", "--rect", "0.2,1.0,0.5,1.5",
+                       "--grid", "4,3", *mk) for mk in (["--m", "3", "--k", "1"], ["--m", "5"])]
+        assert [code for code, _ in outputs] == [0, 0]
+        assert json.loads(outputs[0][1])["points"] == json.loads(outputs[1][1])["points"]
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--h", "recip", "--m", "11", "--profiles", "--grid", "2,2"],
+        ["invert", "--field", "cauchy-kernel", "--m", "11", "--grid", "2,2"],
+        ["forward", "--h", "recip", "--m", "3", "--k", "84", "--profiles", "--rect", "0,1,1.5,2.5", "--grid", "2,2"],
+    ])
+    def test_profile_and_inversion_paths_take_m_past_the_clifford_cap(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["points"]) == 4
+
+    @pytest.mark.parametrize("argv", [["forward", "--h", "recip", "--m", "11"], ["kernel", "--m", "11"]])
+    def test_clifford_paths_keep_their_cap(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and "m must be between 1 and 9, got 11" in captured.err
+
+    @pytest.mark.parametrize("argv,N", [
+        (["forward", "--h", "recip", "--m", "3", "--k", "169", "--profiles", "--rect", "0,1,1.5,2.5"], 170),
+        (["forward", "--h", "recip", "--m", "401", "--profiles"], 200),
+        (["forward", "--h", "recip", "--m", "3", "--k", "85"], 86),
+        (["invert", "--field", "cauchy-kernel", "--m", "401"], 200),
+        (["invert", "--field", "cauchy-kernel", "--m", "173"], 86),
+        (["roundtrip", "--h", "recip", "--m", "3", "--k", "85"], 86),
+        (["kernel", "--m", "3", "--k", "169"], 170),
+    ])
+    def test_orders_past_float64_are_config_errors(self, capsys, argv, N):
+        code = main([*argv, "--grid", "2,2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"invalid configuration: order N={N} is out of range" in captured.err
+
+    def test_grid_meta_past_float64_is_config_error(self, capsys, tmp_path):
+        code, out = run(capsys, "forward", "--h", "z^3", "--m", "3", "--profiles", "--grid", "2,2")
+        data = json.loads(out)
+        data["meta"]["m"] = 173
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+        code = main(["invert", "--field-json", str(path), "--grid", "2,2"])
+        assert code == 2 and "order N=86 is out of range" in capsys.readouterr().err
+
+
 class TestSuites:
     def test_selftest_passes(self, capsys):
         code, out = run(capsys, "selftest")

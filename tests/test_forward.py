@@ -18,12 +18,14 @@ from fueter.forward import (
     fueter_map,
     fueter_profile,
     laplacian_oracle,
+    order_constants,
     paired,
 )
 from fueter.inverse import AxialFunction
 from fueter.oracles import axial_field
 from fueter.polynomials import builtin_pk
-from fueter.radial import coeff_row
+from fueter.jets import radial_derivatives
+from fueter.radial import coeff_row, radial_op
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -34,14 +36,14 @@ def cfg3() -> FueterConfig:
 
 class TestConfig:
     def test_derived_quantities(self):
-        c = FueterConfig(3, 1)
-        assert c.N == 2
-        assert c.leading_constant == 8
-        assert c.kernel_degree == 3
-        c = FueterConfig(5, 0)
-        assert c.N == 2
-        assert c.leading_constant == 8
-        assert c.kernel_degree == 3
+        h, x0, r = jets.arctan(), 0.4, np.array([0.6, 1.3])
+        for c in (FueterConfig(3, 1), FueterConfig(5, 0)):
+            assert c.N == 2
+            assert c.kernel_degree == 3
+            # the leading constant (2k + m - 1)!! = (2N)!! = 8: the constants of order N and the profile's bits
+            assert order_constants(c.N)[2] == 8.0
+            bare = radial_op(*radial_derivatives(h, x0, r, c.N), r, c.N)
+            assert all(np.array_equal(p, 8.0 * b) for p, b in zip(fueter_profile(h, c, x0, r), bare))
 
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -518,3 +520,39 @@ class TestLargeOrder:
         a, b = fueter_profile(jets.recip(), cfg, np.array([0.7]), np.array([r]))
         assert a.dtype == b.dtype == np.float64
         assert relative_error(a[0], b[0], exact_recip_profile(3, 25, 0.7, r)) <= 1e-10
+
+
+# (m, k) and (m + 2k, 0) share the order N = k + (m - 1) / 2; m = 11 is past the Clifford layer's cap
+SAME_ORDER = [((3, 1), (5, 0)), ((3, 3), (9, 0)), ((5, 2), (9, 0)), ((3, 4), (11, 0))]
+
+
+class TestOrderKey:
+    """The profile reads (m, k) only through N, and takes every N whose constants are normal floats."""
+
+    @pytest.mark.parametrize("name", ["recip", "arctan", "log"])
+    @pytest.mark.parametrize("mk,mk0", SAME_ORDER)
+    def test_profile_bits_depend_only_on_the_order(self, name, mk, mk0):
+        h = jets.by_name(name)
+        x0s, rs = np.meshgrid(np.linspace(0.2, 1.0, 40), np.linspace(0.5, 1.5, 40), indexing="ij")
+        got, want = (fueter_profile(h, FueterConfig(m, k), x0s, rs) for m, k in (mk, mk0))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_cache_entry_per_order(self):
+        order_constants.cache_clear()
+        assert FueterConfig(3, 1).K_N == FueterConfig(5, 0).K_N == Fraction(1, 16)
+        fueter_profile(jets.recip(), FueterConfig(3, 1), 0.5, 1.0)
+        fueter_profile(jets.recip(), FueterConfig(5, 0), 0.5, 1.0)
+        assert order_constants.cache_info().currsize == 1
+
+    def test_last_order_in_range(self):
+        # N = 85: K_N is the last normal float64 of the sequence; (2N)!! is far from overflowing
+        K_N, kn, lead = order_constants(FueterConfig(3, 84).N)
+        assert kn == float(K_N) >= np.finfo(np.float64).tiny
+        assert lead == float(math.prod(range(170, 0, -2)))
+        a, b = fueter_profile(jets.recip(), FueterConfig(171, 0), 0.5, 2.0)
+        assert math.isfinite(a) and math.isfinite(b)
+
+    @pytest.mark.parametrize("m,k", [(3, 85), (173, 0), (3, 169), (339, 0), (401, 0)])
+    def test_orders_past_float64_raise_naming_n(self, m, k):
+        with pytest.raises(ValueError, match=f"order N={k + (m - 1) // 2} is out of range"):
+            FueterConfig(m, k)

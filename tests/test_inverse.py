@@ -14,7 +14,7 @@ import pytest
 import fueter
 from fueter import inverse, jets, quadrature
 from fueter.errors import NumericalError, QuadratureError
-from fueter.forward import FueterConfig, fueter_fields
+from fueter.forward import FueterConfig, fueter_fields, fueter_profile, order_constants
 from fueter.inverse import (
     BLEND_DEGREE,
     EDGE_TOL,
@@ -117,6 +117,24 @@ class TestNormalization:
         for m, k in ((4, 0), (1, 0), (3, -1)):
             with pytest.raises(ValueError, match="m must be odd|k must be nonnegative"):
                 AxialFunction(lambda x0, r: r, lambda x0, r: r, m, k, RECT)
+
+    @pytest.mark.parametrize("m,k", [(3, 85), (173, 0), (3, 169)])
+    def test_orders_past_float64_raise_through_every_field(self, m, k):
+        # K_N is subnormal from N = 86 on: refused as configuration, before any field is built
+        message = f"order N={k + (m - 1) // 2} is out of range"
+        with pytest.raises(ValueError, match=message):
+            AxialFunction(lambda x0, r: r, lambda x0, r: r, m, k, RECT)
+        data = TestTabulatedFields().grid_json(axial_field("cubic"), nx0=3, nr=3)
+        data["meta"].update(m=m, k=k)
+        with pytest.raises(ValueError, match=message):
+            AxialFunction.from_grid(data)
+        if k == 0:
+            with pytest.raises(ValueError, match=message):
+                axial_field("cauchy-kernel", m=m)
+
+    def test_last_order_in_range_builds_every_field(self):
+        assert AxialFunction(lambda x0, r: r, lambda x0, r: r, 3, 84, RECT).N == 85
+        assert axial_field("cauchy-kernel", m=171).N == 85
 
 
 class TestWeightedIntegrals:
@@ -1104,3 +1122,58 @@ class TestFieldContract:
         G = axial_field("example1")
         G.A = lambda x0, r: 0.0  # a native pair does not read its components
         assert G.pair(0.25, 1.5)[0] == example1_oracle("A", x0=0.25, r=1.5)
+
+    @pytest.mark.parametrize("A,B", [
+        pytest.param(lambda x0, r: 1.0, lambda x0, r: 0.0, id="numbers"),
+        pytest.param(lambda x0, r: x0 + r, lambda x0, r: 0.0, id="a-number-for-b"),
+        pytest.param(lambda x0, r: np.asarray(r)[..., None], lambda x0, r: r, id="an-extra-axis"),
+    ])
+    def test_values_of_the_wrong_shape_name_the_contract(self, A, B):
+        # a field that answers an array r with values of another shape raises at that answer,
+        # where a number used to pass the chain and fail every radial integral with a TypeError
+        H = AxialFunction(A, B, 3, 0, RECT)
+        prim = invert(H)
+        calls = (lambda: prim.alpha(0, 0.5), lambda: prim.beta(0, 0.5), lambda: prim.eval(0.5, 1.0),
+                 lambda: prim.eval(np.array([0.5, 0.7]), 1.0), lambda: radial_integrals(H, 0.5, 1.0))
+        for call in calls:
+            with pytest.raises(ValueError, match="values of r's shape"):
+                call()
+
+
+class TestOrderKey:
+    """The inversion reads (m, k) only through N: (3, 1) and (5, 0) give the same bits."""
+
+    RECT = Rectangle(0.2, 1.0, 0.5, 1.5)
+
+    def profile_fields(self):
+        h = jets.arctan()
+        return [AxialFunction(*fueter_fields(h, cfg), cfg.m, cfg.k, self.RECT, name="arctan",
+                              pair=lambda x0, r, cfg=cfg: fueter_profile(h, cfg, x0, r))
+                for cfg in (FueterConfig(3, 1), FueterConfig(5, 0))]
+
+    def grid_fields(self):
+        data = TestTabulatedFields().grid_json(self.profile_fields()[0], nx0=8, nr=8)
+        fields = []
+        for m, k in ((3, 1), (5, 0)):
+            data["meta"].update(m=m, k=k)
+            fields.append(AxialFunction.from_grid(json.dumps(data)))
+        return fields
+
+    @pytest.mark.parametrize("source", ["profile_fields", "grid_fields"])
+    def test_primitive_bits_depend_only_on_the_order(self, source):
+        xs, rs = self.RECT.grid(6, 6)
+        outputs = []
+        for H in getattr(self, source)():
+            prim = invert(H)
+            values = [*prim.eval(xs, rs)]
+            values += [family(j, xs) for j in range(2) for family in (prim.alpha, prim.beta)]
+            outputs.append((prim.N, prim.K_N, [v.tobytes() for v in values]))
+        assert outputs[0] == outputs[1] and outputs[0][:2] == (2, Fraction(1, 16))
+
+    def test_one_cache_entry_per_order(self):
+        inverse._forcing_terms.cache_clear()
+        order_constants.cache_clear()
+        for H in self.profile_fields():
+            invert(H).alpha(0, 0.6)
+        assert inverse._forcing_terms.cache_info().currsize == 1
+        assert order_constants.cache_info().currsize == 1
