@@ -31,7 +31,7 @@ import numpy as np
 from . import acceptance, jets
 from .clifford import Multivector, _blade_label
 from .errors import NumericalError
-from .forward import FueterConfig, axial_image, e1_point, fueter_fields, fueter_map, fueter_profile
+from .forward import FueterConfig, axial_image, e1_point, fueter_map, fueter_profile
 from .inverse import AxialFunction, Rectangle, invert
 from .oracles import axial_field
 from .polynomials import builtin_pk
@@ -309,9 +309,8 @@ def _cmd_roundtrip(args) -> int:
     opts.string("format", "json", ("json",))  # a config file's csv is refused before the inversion
     rect = opts.rect(default=(0.2, 1.0, 0.5, 1.5))
     nx0, nr = opts.grid(default=(8, 8))
-    # one fueter_profile call per field evaluation; A and B are its components
-    H = AxialFunction(*fueter_fields(h, cfg), m, k, rect, name=f"forward:{h.name}",
-                      pair=lambda x0, r: fueter_profile(h, cfg, x0, r))
+    # one fueter_profile call per field evaluation
+    H = AxialFunction.from_pair(lambda x0, r: fueter_profile(h, cfg, x0, r), m, k, rect, f"forward:{h.name}")
     prim = invert(H, quad=opts.quad())
 
     xs, rs = rect.grid(nx0, nr)

@@ -53,8 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .forward import FueterConfig, order_constants, paired
-from .quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _layout, _rule, integrate, quadrature
+from .forward import FueterConfig, order_constants
+from .quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _nodes, _rule, integrate, quadrature
 
 # Points this close outside a rectangle (or a tabulated grid) are moved onto
 # its edge: upstream arithmetic lands an ulp or two past it.
@@ -178,14 +178,14 @@ class AxialFunction:
     scalars, as a scalar x0 with an ndarray r (the radial quadrature feeds r
     nodes at fixed x0), or as two ndarrays of equal shape (the coefficient
     chain feeds x0 nodes along r = c), and return float values of r's
-    shape; the chain's calls and radial_integrals' raise ValueError at an
-    answer of another shape.  A native pair, given as the pair keyword,
-    computes both from one evaluation, and A and B must be its components;
-    without one, pair calls the A and then the B the field holds at the
-    time, so rebinding either takes effect.  The integrals assume A and B
-    smooth on the rectangle.  Nothing here checks that (A, B) solves the
-    Vekua system; verify.cr_residual measures how far a computed primitive
-    is from holomorphic.
+    shape; an answer of another shape raises ValueError where the chain or
+    a radial integral reads it.  A field built from A and B pairs them by
+    calling the A and then the B it holds at the time, so rebinding either
+    takes effect; one built by from_pair calls its pair, and its A and B
+    are the pair's components.  The integrals assume A and B smooth on the
+    rectangle.  Nothing here checks that (A, B) solves the Vekua system;
+    verify.cr_residual measures how far a computed primitive is from
+    holomorphic.
     """
 
     __slots__ = ("pair", "A", "B", "m", "k", "N", "rect", "name")
@@ -198,13 +198,12 @@ class AxialFunction:
         k: int,
         rect: Rectangle,
         name: str = "axial-field",
-        pair: Callable | None = None,
     ):
         if not isinstance(rect, Rectangle):
             raise TypeError("rect must be a Rectangle")
         self.A = A
         self.B = B
-        self.pair = self._components if pair is None else pair
+        self.pair = self._components
         cfg = FueterConfig(m, k)
         self.m, self.k, self.N = cfg.m, cfg.k, cfg.N
         self.rect = rect
@@ -212,6 +211,13 @@ class AxialFunction:
 
     def _components(self, x0, r) -> tuple:
         return self.A(x0, r), self.B(x0, r)
+
+    @classmethod
+    def from_pair(cls, pair: Callable, m: int, k: int, rect: Rectangle, name: str = "axial-field") -> "AxialFunction":
+        """The field whose pair(x0, r) -> (A, B) computes both from one evaluation; A and B are its components."""
+        H = cls(lambda x0, r: pair(x0, r)[0], lambda x0, r: pair(x0, r)[1], m, k, rect, name)
+        H.pair = pair
+        return H
 
     @classmethod
     def from_grid(cls, data: dict | str) -> "AxialFunction":
@@ -226,8 +232,7 @@ class AxialFunction:
         r: smooth, free of real poles, exact for polynomials of that degree
         in each variable, and equal to the tabulated values at the grid's
         nodes.  The interpolant is the field's pair, so one pair of bases
-        serves both tables, and A and B share its calls through
-        forward.paired.
+        serves both tables.
         """
         if isinstance(data, str):
             data = json.loads(data)
@@ -277,7 +282,7 @@ class AxialFunction:
             out = [((bx @ v) * br).sum(axis=-1) for v in vals]
             return out if out[0].ndim else [float(o) for o in out]
 
-        return cls(*paired(interpolate), int(meta["m"]), int(meta["k"]), rect, "tabulated-grid", pair=interpolate)
+        return cls.from_pair(interpolate, int(meta["m"]), int(meta["k"]), rect, "tabulated-grid")
 
     def __repr__(self) -> str:
         return (
@@ -298,7 +303,8 @@ def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np
     are the panel sums (whole, left, right).  This is the one cache of
     first-level nodes: integrate lays out its own on every call.
     """
-    half, x = _layout(c, r, PANEL_ORDER)
+    mid = 0.5 * (c + r)
+    half, x = _nodes(np.array((c, c, mid)), np.array((r, mid, r)), PANEL_ORDER)
     kernel = (r * r - x * x) ** (N - 1)
     gauss = np.zeros((3, 3 * PANEL_ORDER))  # row p: weight x half-width on panel p's nodes, exact zeros elsewhere
     gauss.reshape(9, PANEL_ORDER)[::4] = half[:, None] * _rule(PANEL_ORDER)[1]
@@ -308,31 +314,37 @@ def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np
     return x, W1, W2
 
 
-def _radial(pair: Callable, x0: float, r: float, c: float, N: int, quad: QuadratureConfig) -> tuple[float, float]:
-    """(I1, I2) from c to r >= c at x0; Rectangle.require puts every point there.
+def _radial(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig) -> tuple[float, float]:
+    """(I1, I2) of H from c to r >= c at x0; Rectangle.require puts every point there.
 
     The first level is one pair call at the rule's nodes and one .dot (@'s BLAS
     product, without matmul's dispatch) per cached matrix; quadrature accepts
     it or refines on the kernel-times-field integrands, one pair call per level.
+    A TypeError or ValueError re-checks the first level's answer against the
+    field's contract, so values not of r's shape raise the contract's error.
     """
+    c, N = H.rect.c, H.N
     if r == c:
         return 0.0, 0.0
     x, W1, W2 = _radial_rule(c, r, N)
-    a, b = pair(x0, x)
+    a, b = H.pair(x0, x)
 
     def integrands(t):
         k = (r * r - t * t) ** (N - 1)
-        a, b = pair(x0, t)
+        a, b = H.pair(x0, t)
         return np.array([(t * k) * a, k * b])
 
-    i1, i2 = quadrature(integrands, [W1.dot(a).tolist(), W2.dot(b).tolist()], c, r, quad.abs_tol)
+    try:
+        i1, i2 = quadrature(integrands, [W1.dot(a).tolist(), W2.dot(b).tolist()], c, r, quad.abs_tol)
+    except (TypeError, ValueError):
+        _answer(H, x, (a, b))
+        raise
     return i1, r * i2
 
 
 def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
     """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit."""
-    x0, r = H.rect.require(float(x0), float(r))
-    return _radial(lambda x0, t: _answer(H, x0, t), x0, r, H.rect.c, H.N, quad)
+    return _radial(H, *H.rect.require(float(x0), float(r)), quad)
 
 
 @lru_cache(maxsize=None)
@@ -387,9 +399,9 @@ def _forcing_terms(N: int, c: float) -> np.ndarray:
     return terms
 
 
-def _answer(H: AxialFunction, x0, r: np.ndarray) -> tuple:
-    """H.pair(x0, r) at an array r, checked against the field's contract: values of r's shape."""
-    a, b = H.pair(x0, r)
+def _answer(H: AxialFunction, r: np.ndarray, answer: tuple) -> tuple:
+    """The answer (a, b) of H.pair at an array r, checked against the field's contract: values of r's shape."""
+    a, b = answer
     if np.shape(a) != r.shape or np.shape(b) != r.shape:
         raise ValueError(f"field {H.name!r} must return values of r's shape {r.shape} for an array r, "
                          f"got shapes {np.shape(a)} and {np.shape(b)}")
@@ -399,7 +411,8 @@ def _answer(H: AxialFunction, x0, r: np.ndarray) -> tuple:
 def _edge_traces(H: AxialFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) on the r = c edge at x0 nodes t, from one pair call; a non-finite value raises."""
     c = H.rect.c
-    a, b = _answer(H, t, np.full_like(t, c))
+    r = np.full_like(t, c)
+    a, b = _answer(H, r, H.pair(t, r))
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         raise NumericalError(f"non-finite edge trace at x0={t[~finite][0]:g} (r={c:g})")
@@ -489,8 +502,8 @@ class FueterPrimitive:
         return self._eval_at(x0, r, self._coefficients(x0))
 
     def _eval_at(self, x0: float, r: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
-        N, H = self.N, self.field
-        i1, i2 = _radial(H.pair, x0, r, self.rect.c, N, self.quad)
+        N = self.N
+        i1, i2 = _radial(self.field, x0, r, self.quad)
         r2 = r * r
         u, v = coeffs[N - 1], coeffs[-1]
         for j in range(N - 2, -1, -1):  # the correction polynomials, Horner in r^2

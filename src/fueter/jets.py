@@ -172,7 +172,11 @@ class HolomorphicFn:
             bad = _violation(self._domain(z), z)
             if bad is not None:
                 raise ValueError(f"{self.name} is not defined at z={bad} (domain violation)")
-        j = self._jet_fn(z, order)
+        try:
+            j = self._jet_fn(z, order)
+        except OverflowError:  # a factorial coefficient past float64, as 171! is
+            raise ValueError(f"jet order {order} of {self.name} is out of range: "
+                             "a derivative's coefficient overflows float64") from None
         if j.shape != (order + 1,) + z.shape:
             raise RuntimeError(f"jet builder for {self.name} returned shape {j.shape}")
         return j
@@ -335,7 +339,7 @@ def radial_derivatives(h: HolomorphicFn, x0, r, d: int) -> tuple[np.ndarray, np.
     Since d/dr h(x0 + i r) = i h'(z), the j-th radial derivatives are
     Re(i^j h^(j)(z)) and Im(i^j h^(j)(z)).  x0 and r broadcast against each
     other; each stack is a longdouble array of shape (d+1, *batch).
-    Requires r > 0 at every point.
+    Requires r > 0 and a finite x0 at every point.
     """
     x0, r = np.asarray(x0, dtype=np.longdouble), np.asarray(r, dtype=np.longdouble)
     z = np.empty(r.shape if x0.shape == r.shape else np.broadcast(x0, r).shape, dtype=np.clongdouble)
@@ -343,6 +347,9 @@ def radial_derivatives(h: HolomorphicFn, x0, r, d: int) -> tuple[np.ndarray, np.
     bad = _violation(z.imag > 0, z.imag)
     if bad is not None:
         raise ValueError(f"radial derivatives need r > 0, got r={bad.real}")
+    bad = _violation(np.isfinite(x0), x0)
+    if bad is not None:
+        raise ValueError(f"radial derivatives need a finite x0, got x0={bad.real}")
     rotated = h.jet(z, d) * _rotation(d, z.ndim)
     return rotated.real, rotated.imag
 

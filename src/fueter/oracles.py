@@ -60,11 +60,6 @@ def _component(pair, i: int):
     return lambda x0, r: pair(x0, r)[i]
 
 
-def _closed_form(pair, m: int, rect: Rectangle, name: str) -> AxialFunction:
-    """The k = 0 field of a closed-form pair, with its components as A and B."""
-    return AxialFunction(_component(pair, 0), _component(pair, 1), m, 0, rect, name, pair=pair)
-
-
 # -- example 1: m = 5, k = 0 --------------------------------------------------
 
 
@@ -239,12 +234,12 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
     """
     name = name.strip()
     if name == "example1":
-        return _closed_form(_example1, 5, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
+        return AxialFunction.from_pair(_example1, 5, 0, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
     if name in ("example2-nplus", "example2-nminus"):
         pair = _nplus if name == "example2-nplus" else _nminus
-        return _closed_form(pair, 3, rect or Rectangle(0.3, 1.2, 0.3, 0.8), name)
+        return AxialFunction.from_pair(pair, 3, 0, rect or Rectangle(0.3, 1.2, 0.3, 0.8), name)
     if name == "cubic":
-        return _closed_form(_cubic, 3, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
+        return AxialFunction.from_pair(_cubic, 3, 0, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
     if name == "cauchy-kernel":
         mm = FueterConfig(3 if m is None else m, 0).m
         area = unit_sphere_area(mm + 1)
@@ -257,5 +252,5 @@ def axial_field(name: str, rect: Rectangle | None = None, m: int | None = None) 
                 denominator = denominator * s
             return x0 / denominator, -r / denominator
 
-        return _closed_form(pair, mm, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
+        return AxialFunction.from_pair(pair, mm, 0, rect or Rectangle(0.0, 1.0, 0.5, 1.5), name)
     raise ValueError(f"unknown axial field {name!r}; known: {', '.join(AXIAL_NAMES)}")

@@ -86,15 +86,6 @@ def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarr
     return _sums(f, *_nodes(lo, hi, order), order)
 
 
-def _layout(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first level on [a, b], a < b: (half, x) for the whole panel, then its left and right halves."""
-    mid = 0.5 * (a + b)
-    # _nodes' arithmetic on the three panels, in Python floats, then one broadcast
-    half = np.array((0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)))
-    centre = np.array(((0.5 * (b + a),), (0.5 * (mid + a),), (0.5 * (b + mid),)))
-    return half, (centre + half[:, None] * _rule(order)[0]).ravel()
-
-
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -116,7 +107,8 @@ def integrate(
     if a == b:
         return 0.0
     lo, hi = min(a, b), max(a, b)
-    half, x = _layout(lo, hi, PANEL_ORDER)
+    mid = 0.5 * (lo + hi)
+    half, x = _nodes(np.array((lo, lo, mid)), np.array((hi, mid, hi)), PANEL_ORDER)
     first = _sums(f, half, x, PANEL_ORDER)
     totals = quadrature(f, first.reshape(-1, 3).tolist(), lo, hi, cfg.abs_tol)
     if b < a:

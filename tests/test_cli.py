@@ -757,7 +757,7 @@ class TestConfigMerging:
 
     def test_roundtrip_refuses_csv_before_any_field_call(self, capsys, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "fueter_fields", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "fueter_profile", lambda *args: calls.append(args))
         monkeypatch.setattr(cli, "invert", lambda *args, **kw: calls.append(args))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"format": "csv"}))

@@ -292,7 +292,7 @@ def run_threads(worker, args) -> None:
 
 
 class TestPaired:
-    """forward.paired: the one pairing of A and B, shared by fueter_fields and tabulated fields."""
+    """forward.paired: the pairing of A and B behind fueter_fields."""
 
     @staticmethod
     def counting():
@@ -474,6 +474,19 @@ class TestBatchShape:
         A, _ = fueter_fields(jets.arctan(), cfg3())
         with pytest.raises(ValueError, match="r > 0, got r=0.0"):
             A(np.array([0.3, 0.4]), np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("h", ["arctan", "recip"])
+    def test_non_finite_x0_rejected_by_name(self, h, bad):
+        # such an x0 used to give a NaN profile with nothing but numpy's RuntimeWarnings
+        fn, rs = jets.by_name(h), np.array([0.5, 1.0])
+        A, B = fueter_fields(fn, cfg3())
+        calls = [lambda: fueter_profile(fn, cfg3(), bad, 0.5), lambda: fueter_profile(fn, cfg3(), [0.2, bad], rs),
+                 lambda: A(bad, rs), lambda: B(np.array([0.2, bad]), rs),
+                 lambda: fueter_map(fn, builtin_pk(3, 0), cfg3(), Paravector(bad, E1))]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"need a finite x0, got x0={bad}$"):
+                call()
 
 
 LONGDOUBLE_EXTENDED = np.finfo(np.longdouble).eps < 2.0**-60

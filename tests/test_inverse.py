@@ -527,7 +527,7 @@ class TestTabulatedFields:
 
 
 class TestPairedInterpolation:
-    """A tabulated field's A and B share each evaluation's pair of Floater-Hormann bases."""
+    """A tabulated field's pair contracts both tables with one pair of Floater-Hormann bases."""
 
     @staticmethod
     def field(nx0=9, nr=7):
@@ -563,17 +563,16 @@ class TestPairedInterpolation:
             assert got == want
         assert type(G.A(0.37, 0.81)) is float and type(G.B(0.37, 0.81)) is float
 
-    def test_a_then_b_make_one_basis_pass_per_axis(self, monkeypatch):
+    def test_one_basis_pass_per_axis_per_pair_call(self, monkeypatch):
         _, G = self.field()
         axes = []
         monkeypatch.setattr(inverse, "_fh_basis", lambda t, grid, w: axes.append(grid.size) or _fh_basis(t, grid, w))
         x0, r = 0.37, np.linspace(0.6, 1.4, 48)
-        G.A(x0, r)
-        G.B(x0, r)
+        a, b = G.pair(x0, r)
         assert axes == [9, 7]
-        G.B(x0, r)  # the kept B was handed out: a second B recomputes both bases
-        G.A(x0, r)
-        assert axes == [9, 7] * 2
+        # A and B are the pair's components: each is one pair call
+        assert (G.A(x0, r).tolist(), G.B(x0, r).tolist()) == (a.tolist(), b.tolist())
+        assert axes == [9, 7] * 3
 
     def test_each_call_returns_a_fresh_array(self):
         _, G = self.field()
@@ -1123,6 +1122,31 @@ class TestFieldContract:
         G.A = lambda x0, r: 0.0  # a native pair does not read its components
         assert G.pair(0.25, 1.5)[0] == example1_oracle("A", x0=0.25, r=1.5)
 
+    @pytest.mark.parametrize("H", [*(_closed_form(name, m) for name, m in CLOSED_FORM), _tabulated_40()],
+                             ids=[*(f"{name}-m{m}" for name, m in CLOSED_FORM), "tabulated"])
+    def test_from_pair_components_are_the_pairs_bit_for_bit(self, H):
+        xs, rs = H.rect.grid(5, 7)
+        wants = []
+        for x0, r in [(xs, rs), (float(xs[8]), rs[:7]), (float(xs[8]), float(rs[8]))]:
+            wants.append([np.asarray(v).tobytes() for v in H.pair(x0, r)])
+            assert [np.asarray(H.A(x0, r)).tobytes(), np.asarray(H.B(x0, r)).tobytes()] == wants[-1]
+        H.A = H.B = lambda x0, r: 0.0  # settable, and the pair does not read them
+        assert H.A(0.5, 1.0) == H.B(0.5, 1.0) == 0.0
+        assert [np.asarray(v).tobytes() for v in H.pair(xs, rs)] == wants[0]
+
+    def test_the_pair_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            AxialFunction(lambda x0, r: x0, lambda x0, r: r, 3, 0, RECT, pair=lambda x0, r: (x0, r))
+
+    def test_a_number_for_a_scalar_x0_names_the_contract_in_every_radial_integral(self):
+        # the chain's array calls answer rightly, so eval used to fail with a TypeError
+        H = AxialFunction(lambda x0, r: x0 * 0 + 1.0, lambda x0, r: x0 * 0, 3, 0, Rectangle(0, 1, 0.5, 1.5))
+        prim = invert(H)
+        for call in (lambda: prim.eval(0.5, 1.0), lambda: prim.eval(np.array([0.5, 0.7]), 1.0),
+                     lambda: radial_integrals(H, 0.5, 1.0)):
+            with pytest.raises(ValueError, match="values of r's shape"):
+                call()
+
     @pytest.mark.parametrize("A,B", [
         pytest.param(lambda x0, r: 1.0, lambda x0, r: 0.0, id="numbers"),
         pytest.param(lambda x0, r: x0 + r, lambda x0, r: 0.0, id="a-number-for-b"),
@@ -1147,8 +1171,8 @@ class TestOrderKey:
 
     def profile_fields(self):
         h = jets.arctan()
-        return [AxialFunction(*fueter_fields(h, cfg), cfg.m, cfg.k, self.RECT, name="arctan",
-                              pair=lambda x0, r, cfg=cfg: fueter_profile(h, cfg, x0, r))
+        return [AxialFunction.from_pair(lambda x0, r, cfg=cfg: fueter_profile(h, cfg, x0, r), cfg.m, cfg.k,
+                                        self.RECT, "arctan")
                 for cfg in (FueterConfig(3, 1), FueterConfig(5, 0))]
 
     def grid_fields(self):

@@ -341,6 +341,16 @@ class TestRadialDerivatives:
         with pytest.raises(ValueError, match=f"radial derivatives need r > 0, got r={first}$"):
             radial_derivatives(jets.recip(), x0, r, 2)
 
+    def test_order_whose_coefficient_overflows_float64_named(self):
+        # 171! is past float64: the error names the order and the function
+        with pytest.raises(ValueError, match="jet order 171 of recip is out of range"):
+            radial_derivatives(jets.recip(), 0.5, 1.0, 171)
+        # order 170 keeps the float64 rounding of 170! in its coefficient
+        mat, _ = jets._laurent_table(-1, (1.0,), 170)
+        assert mat[170, 0] == np.clongdouble(float(math.factorial(170)))
+        u, v = radial_derivatives(jets.recip(), 0.5, 1.0, 170)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+
     def test_unbroadcastable_shapes_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             radial_derivatives(jets.recip(), np.array([0.1, 0.2]), np.array([0.5, 1.0, 1.5]), 2)

@@ -8,7 +8,7 @@ import pytest
 from fueter import quadrature
 from fueter.errors import QuadratureError
 from fueter.quadrature import PANEL_ORDER as PANEL
-from fueter.quadrature import QuadratureConfig, _layout, _nodes, _panels, integrate
+from fueter.quadrature import QuadratureConfig, _nodes, _panels, integrate
 
 FIRST = 3 * PANEL  # a piece's whole panel and its two halves
 
@@ -347,19 +347,12 @@ def reference_layout(a, b):
 
 
 class TestLayout:
-    """_layout computes _nodes' half-widths and centres of the first level's three panels in Python floats."""
+    """integrate lays out its first level with _nodes on the sorted interval."""
 
     ENDS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.2, 1.3), (0.5, 0.5 + 1e-9), (-3e5, 7e-3),
-            (1e-300, 3e-300), (-1e300, 1e300), (0.45, 1.234)]
+            (1e-300, 3e-300)]
 
-    def test_bits_equal_nodes_on_any_interval(self):
-        rng = np.random.default_rng(11)
-        ends = self.ENDS + [tuple(sorted(rng.uniform(-2, 2, 2) * 10.0 ** rng.integers(-6, 6))) for _ in range(500)]
-        for a, b in ends:
-            got, want = _layout(float(a), float(b), PANEL), reference_layout(float(a), float(b))
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (a, b)
-
-    @pytest.mark.parametrize("a,b", ENDS[:8])
+    @pytest.mark.parametrize("a,b", ENDS)
     def test_integrate_lays_out_the_sorted_interval_either_way(self, a, b):
         want = reference_layout(a, b)[1].tobytes()
         for ends in ((a, b), (b, a)):
