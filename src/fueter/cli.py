@@ -140,10 +140,12 @@ class _Options:
         raw = self.get("pk")
         if raw is None:
             return builtin_pk(m, k)
-        parts = str(raw).split(",")
-        if len(parts) != 3 or parts[2] not in ("+", "-"):
-            raise ValueError(f"--pk needs i,j,+ or i,j,-, got {raw!r}")
-        return builtin_pk(m, k, int(parts[0]), int(parts[1]), 1 if parts[2] == "+" else -1)
+        try:
+            i, j, sign = str(raw).split(",")
+            i, j, sign = int(i), int(j), {"+": 1, "-": -1}[sign]
+        except (ValueError, KeyError):
+            raise ValueError(f"--pk needs i,j,+ or i,j,-, got {raw!r}") from None
+        return builtin_pk(m, k, i, j, sign)
 
 
 def _grid_json(payload: dict, xs: np.ndarray, rs: np.ndarray, values: Sequence[np.ndarray]) -> str:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .forward import FueterConfig, order_constants
-from .quadrature import DEFAULT_QUADRATURE, PANEL_ORDER, QuadratureConfig, _nodes, _rule, integrate, quadrature
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _first_level, integrate, quadrature
 
 # Points this close outside a rectangle (or a tabulated grid) are moved onto
 # its edge: upstream arithmetic lands an ulp or two past it.
@@ -279,7 +279,8 @@ class AxialFunction:
             # one pair of bases serves both tables; the x0 basis contracts each to rows of r values
             bx = _fh_basis(_snap(np.asarray(x0, dtype=np.float64), xs, "x0"), xs, wx)
             br = _fh_basis(_snap(np.asarray(r, dtype=np.float64), rs, "r"), rs, wr)
-            out = [((bx @ v) * br).sum(axis=-1) for v in vals]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises where it is read
+                out = [((bx @ v) * br).sum(axis=-1) for v in vals]
             return out if out[0].ndim else [float(o) for o in out]
 
         return cls.from_pair(interpolate, int(meta["m"]), int(meta["k"]), rect, "tabulated-grid")
@@ -295,19 +296,18 @@ class AxialFunction:
 def _radial_rule(c: float, r: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first level of the weighted radial integrals on [c, r], c < r: (x, W1, W2), all read-only.
 
-    x holds the 48 nodes integrate lays out on [c, r]: the whole panel's,
-    then its left and right halves'.  Row p of the (3, 48) matrices W1 and
+    x holds the 48 nodes of quadrature's first-level layout on [c, r]: the
+    whole panel's, then its halves'.  Row p of the (3, 48) matrices W1 and
     W2 holds, on panel p's nodes, the kernel times the Gauss weight times
     the half-width, with the kernel t (r^2 - t^2)^(N-1) for I1 in W1 and
     (r^2 - t^2)^(N-1) for I2 / r in W2, so W1 @ A(x0, x) and W2 @ B(x0, x)
     are the panel sums (whole, left, right).  This is the one cache of
     first-level nodes: integrate lays out its own on every call.
     """
-    mid = 0.5 * (c + r)
-    half, x = _nodes(np.array((c, c, mid)), np.array((r, mid, r)), PANEL_ORDER)
+    half, x, weights = _first_level(c, r)
     kernel = (r * r - x * x) ** (N - 1)
-    gauss = np.zeros((3, 3 * PANEL_ORDER))  # row p: weight x half-width on panel p's nodes, exact zeros elsewhere
-    gauss.reshape(9, PANEL_ORDER)[::4] = half[:, None] * _rule(PANEL_ORDER)[1]
+    gauss = np.zeros((3, x.size))  # row p: weight x half-width on panel p's nodes, exact zeros elsewhere
+    gauss.reshape(9, -1)[::4] = half[:, None] * weights
     W1, W2 = gauss * (x * kernel), gauss * kernel
     # every point on this interval shares them
     x.flags.writeable = W1.flags.writeable = W2.flags.writeable = False
@@ -332,7 +332,8 @@ def _radial(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig) -> tu
     def integrands(t):
         k = (r * r - t * t) ** (N - 1)
         a, b = H.pair(x0, t)
-        return np.array([(t * k) * a, k * b])
+        with np.errstate(over="ignore", invalid="ignore"):  # quadrature raises on a non-finite value
+            return np.array([(t * k) * a, k * b])
 
     try:
         i1, i2 = quadrature(integrands, [W1.dot(a).tolist(), W2.dot(b).tolist()], c, r, quad.abs_tol)
@@ -343,8 +344,13 @@ def _radial(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig) -> tu
 
 
 def radial_integrals(H: AxialFunction, x0: float, r: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple:
-    """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit."""
-    return _radial(H, *H.rect.require(float(x0), float(r)), quad)
+    """(I1, I2) at a point moved onto H's rectangle by Rectangle.require: eval's pair, bit for bit;
+    an I2 past float64 raises NumericalError."""
+    x0, r = H.rect.require(float(x0), float(r))
+    i1, i2 = _radial(H, x0, r, quad)
+    if not math.isfinite(i2):  # r times a finite integral; quadrature raises on a non-finite I1
+        raise NumericalError(f"the radial integrals of {H.name!r} overflow float64 at x0={x0:g}, r={r:g}")
+    return i1, i2
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +460,8 @@ class FueterPrimitive:
             # E(x0 - t) F(t) = sum_p (x0 - t)^p (U[:, p] B + V[:, p] A), one row per coefficient
             A, B = _edge_traces(H, t)
             powers = (x0 - t) ** exponents
-            return forcing @ np.concatenate((powers * B, powers * A))
+            with np.errstate(over="ignore", invalid="ignore"):  # integrate raises on a non-finite value
+                return forcing @ np.concatenate((powers * B, powers * A))
 
         forced = integrate(drive, a, x0, self.quad)
         # an overflow here is reported below; the field's own calls, inside integrate, warn as usual
@@ -509,7 +516,10 @@ class FueterPrimitive:
         for j in range(N - 2, -1, -1):  # the correction polynomials, Horner in r^2
             u = u * r2 + coeffs[j]
             v = v * r2 + coeffs[N + j]
-        return self._kn * i1 + u, self._kn * i2 + r * v
+        u, v = self._kn * i1 + u, self._kn * i2 + r * v
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NumericalError(f"the primitive of {self.field.name!r} overflows float64 at x0={x0:g}, r={r:g}")
+        return u, v
 
     def __call__(self, z):
         """u + iv at z = x0 + i r: a complex for a scalar z, a complex128 array otherwise."""

@@ -264,8 +264,11 @@ def _both(f: Callable | None, g: Callable | None) -> Callable | None:
 
 
 def _finite(value, what: str) -> float:
-    """value as a float; a non-finite one raises, since every jet built on it would be NaN."""
-    value = float(value)
+    """value as a float; a non-number or a non-finite one raises, since every jet built on it would be NaN."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     return value
@@ -326,10 +329,9 @@ def by_name(name: str) -> HolomorphicFn:
             raise ValueError(f"bad power in function name {name!r}") from None
         return power(n)
     if name.startswith("const:"):
-        return constant(float(name[6:]))
+        return constant(name[6:])
     if name.startswith("poly:"):
-        coeffs = [float(c) for c in name[5:].split(",")]
-        return polynomial(coeffs)
+        return polynomial(name[5:].split(","))
     raise ValueError(f"unknown holomorphic function name {name!r}")
 
 

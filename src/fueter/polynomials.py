@@ -104,23 +104,25 @@ class MonogenicPolynomial:
         return f"MonogenicPolynomial(m={self._m}, k={self._k}, {len(self._terms)} terms)"
 
 
-def builtin_pk(m: int, k: int, i: int = 1, j: int = 2, sign: int = 1) -> MonogenicPolynomial:
+def builtin_pk(m: int, k: int, i: int | None = None, j: int | None = None, sign: int = 1) -> MonogenicPolynomial:
     """Stock inner spherical monogenics of degree 0 and 1.
 
-    k = 0 gives the constant 1.  For k = 1 with indices i < j,
-    sign=+1 gives x_i e_j + x_j e_i and sign=-1 gives x_i e_i - x_j e_j;
-    both are annihilated by the Dirac operator.
+    k = 0 gives the constant 1.  For k = 1 with indices i < j (default 1
+    and 2), sign=+1 gives x_i e_j + x_j e_i and sign=-1 gives
+    x_i e_i - x_j e_j; both are annihilated by the Dirac operator.  Given
+    indices and the sign are checked at every k.
     """
     m = _check_m(m)
-    if k == 0:
-        poly = MonogenicPolynomial(m, 0, {(0,) * m: Multivector.scalar(m, 1.0)})
-        return poly.validate()
-    if k != 1:
+    if k not in (0, 1):
         raise ValueError(f"built-in polynomials cover k in {{0, 1}}, got k={k}")
-    if not (1 <= i < j <= m):
-        raise ValueError(f"need 1 <= i < j <= m, got i={i}, j={j}")
+    if k == 1 or i is not None or j is not None:
+        i, j = 1 if i is None else i, 2 if j is None else j
+        if not (1 <= i < j <= m):
+            raise ValueError(f"need 1 <= i < j <= m = {m}, got i={i}, j={j}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if k == 0:
+        return MonogenicPolynomial(m, 0, {(0,) * m: Multivector.scalar(m, 1.0)}).validate()
 
     def unit_exp(axis: int) -> tuple[int, ...]:
         e = [0] * m

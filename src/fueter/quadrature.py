@@ -17,16 +17,15 @@ panel-at-a-time recursion.
 
 One engine, ``quadrature``, takes the first level as one row of Python
 floats (whole-panel, left-half, right-half sums) per component, however it
-was computed.  Its one acceptance rule, ``_refine``, tests and refines
-every level in one recursion over Python floats, whose IEEE arithmetic
-gives numpy's bits: a non-finite value raises first, and an accepted
-component is settled, keeping its value while the others refine.
-``integrate`` lays out the first level's nodes afresh on each call and
-fills the rows from one integrand call on them; the radial rule of
-``inverse`` fills them with two dot products of field values and matrices
-it caches on the same nodes, the kernels with the Gauss weights and
-half-widths folded in, and hands the engine the kernel-times-field
-integrand to refine.
+was computed, and tests, splits and refines every level in one recursion
+over Python floats, whose IEEE arithmetic gives numpy's bits: a non-finite
+value raises first, and an accepted component is settled, keeping its value
+while the others refine.  ``_first_level`` is the one layout of a first
+level's nodes.  ``integrate`` lays it out afresh on each call and fills the
+rows from one integrand call on it; the radial rule of ``inverse`` fills
+them with two dot products of field values and matrices it caches on the
+same nodes, the kernels with the Gauss weights and half-widths folded in,
+and hands the engine the kernel-times-field integrand to refine.
 """
 
 from __future__ import annotations
@@ -58,32 +57,32 @@ PANEL_ORDER = 16
 
 
 @lru_cache(maxsize=None)
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: importing numpy.polynomial would slow every import of the package
+    return np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The half-widths of the panels [lo[i], hi[i]] and their Gauss nodes, panel by panel."""
-    nodes, _ = _rule(order)
     half = 0.5 * (hi - lo)
-    return half, ((0.5 * (hi + lo))[:, None] + half[:, None] * nodes).ravel()
+    return half, ((0.5 * (hi + lo))[:, None] + half[:, None] * _rule()[0]).ravel()
 
 
-def _sums(f: Callable, half: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+def _first_level(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(half-widths, nodes, Gauss weights) of the whole panel on [lo, hi], lo < hi, then its two halves."""
+    mid = 0.5 * (lo + hi)
+    return (*_nodes(np.array((lo, lo, mid)), np.array((hi, mid, hi))), _rule()[1])
+
+
+def _sums(f: Callable, half: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Gauss panel sums from one call of f at the nodes x; shape (len(half),) or (p, len(half))."""
     y = np.asarray(f(x), dtype=np.float64)
     if y.shape != x.shape and (y.ndim != 2 or y.shape[1] != x.size):
         raise ValueError("integrand must map n nodes to values of shape (n,) or (p, n)")
-    # a (1, order) @ (order,) product is one dot per panel, the same sum
-    # whatever the number of panels or rows in the call
-    sums = (y.reshape(*y.shape[:-1], half.size, 1, order) @ _rule(order)[1])[..., 0]
-    return half * sums
-
-
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
-    """The Gauss panel sums on [lo[i], hi[i]] from one call of f; shape (len(lo),) or (p, len(lo))."""
-    return _sums(f, *_nodes(lo, hi, order), order)
+    # a (1, PANEL_ORDER) @ (PANEL_ORDER,) product is one dot per panel, the same sum whatever
+    # the number of panels or rows in the call; an overflow is quadrature's non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        return half * (y.reshape(*y.shape[:-1], half.size, 1, PANEL_ORDER) @ _rule()[1])[..., 0]
 
 
 def integrate(
@@ -107,27 +106,22 @@ def integrate(
     if a == b:
         return 0.0
     lo, hi = min(a, b), max(a, b)
-    mid = 0.5 * (lo + hi)
-    half, x = _nodes(np.array((lo, lo, mid)), np.array((hi, mid, hi)), PANEL_ORDER)
-    first = _sums(f, half, x, PANEL_ORDER)
+    half, x, _ = _first_level(lo, hi)
+    first = _sums(f, half, x)
     totals = quadrature(f, first.reshape(-1, 3).tolist(), lo, hi, cfg.abs_tol)
     if b < a:
         totals = [-t for t in totals]
     return totals[0] if first.ndim == 1 else np.array(totals)
 
 
-def quadrature(f: Callable, rows: list, a: float, b: float, tol: float) -> list[float]:
-    """The integrals over [a, b], a < b, one per row of Python floats (whole-panel, left-half, right-half sums)."""
-    return _refine(f, a, b, rows, tol, 0)
-
-
-def _refine(f, lo, hi, rows, tol, depth, settled=()):
-    """left + right for each row (whole, left, right) of panel sums on [lo, hi], refined where it disagrees.
+def quadrature(f: Callable, rows: list, lo: float, hi: float, tol: float, depth: int = 0, settled=()) -> list[float]:
+    """The integrals over [lo, hi], lo < hi, one per row of Python floats (whole-panel, left-half, right-half sums).
 
     A row not settled above is accepted when its halves are finite and
     agree with its whole to tol.  A non-finite row raises before one that
     still disagrees at MAX_DEPTH; the disagreeing rows refine depth-first,
-    and the accepted ones are settled below, keeping their values.
+    each half of [lo, hi] summing its own halves in one call of f, and the
+    accepted ones are settled below, keeping their values.
     """
     values, pending = [], []
     for i, (whole, left, right) in enumerate(rows):
@@ -143,16 +137,12 @@ def _refine(f, lo, hi, rows, tol, depth, settled=()):
         if depth >= MAX_DEPTH:
             raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] at depth {depth} (tol {tol:g})")
         settled = tuple(i for i in range(len(rows)) if i not in pending)
-        mid = 0.5 * (lo + hi)
-        lefts = _split(f, lo, mid, [row[1] for row in rows], tol / 2, depth + 1, settled)
-        rights = _split(f, mid, hi, [row[2] for row in rows], tol / 2, depth + 1, settled)
+        mid, parts = 0.5 * (lo + hi), []
+        for side, a, b in ((1, lo, mid), (2, mid, hi)):
+            q = 0.5 * (a + b)
+            halves = _sums(f, *_nodes(np.array((a, q)), np.array((q, b)))).reshape(-1, 2).tolist()
+            child = [(row[side], *pair) for row, pair in zip(rows, halves)]
+            parts.append(quadrature(f, child, a, b, tol / 2, depth + 1, settled))
         for i in pending:
-            values[i] = lefts[i] + rights[i]
+            values[i] = parts[0][i] + parts[1][i]
     return values
-
-
-def _split(f, lo, hi, wholes, tol, depth, settled):
-    """Refine [lo, hi], whose panel sums are wholes, after evaluating its halves in one call."""
-    mid = 0.5 * (lo + hi)
-    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), PANEL_ORDER).reshape(-1, 2).tolist()
-    return _refine(f, lo, hi, [(whole, *pair) for whole, pair in zip(wholes, halves)], tol, depth, settled)

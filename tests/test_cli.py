@@ -167,6 +167,28 @@ class TestForward:
         assert code == 2
         assert "--pk needs i,j,+ or i,j,-, got '1,3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["forward", "--h", "recip"], ["kernel"]])
+    @pytest.mark.parametrize("pk, message", [("7,9,+", "need 1 <= i < j <= m = 3, got i=7, j=9"),
+                                             ("0,0,-", "need 1 <= i < j <= m = 3, got i=0, j=0"),
+                                             ("1,2,x", "--pk needs i,j,+ or i,j,-, got '1,2,x'")])
+    def test_pk_is_checked_at_k_0(self, capsys, argv, pk, message):
+        # P_0 = 1 reads neither index nor sign, but a bad --pk used to exit 0 here
+        code = main(argv + ["--m", "3", "--pk", pk])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--h", "poly:1,,2"], "poly: coefficient c1 must be a number, got ''"),
+        (["--h", "const:abc"], "const: value must be a number, got 'abc'"),
+        (["--h", "arctan", "--m", "5", "--k", "1", "--pk", "a,b,+"], "--pk needs i,j,+ or i,j,-, got 'a,b,+'"),
+        (["--h", "arctan", "--m", "5", "--k", "1", "--pk", "1,3,+,"], "--pk needs i,j,+ or i,j,-, got '1,3,+,'"),
+    ])
+    def test_unparsable_input_is_named(self, capsys, argv, message):
+        # these used to print float's or int's own message, which names neither function nor option
+        code = main(["forward", *argv, "--grid", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and f"error: invalid configuration: {message}\n" == captured.err
+
     def test_kernel_member_gives_zero_grid(self, capsys):
         code, out = run(capsys, "forward", "--h", "z^1", "--m", "3", "--k", "0", "--grid", "3,3")
         assert code == 0
@@ -265,6 +287,19 @@ class TestInvert:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: numerical failure: coefficient chain overflowed on [0, 1]\n"
+
+    def test_overflowing_tabulated_trace_exits_3_without_a_warning(self, capsys, tmp_path):
+        # a constant grid near float64's maximum: the interpolant's sums overflow, and the
+        # chain's own check used to come after two numpy RuntimeWarnings
+        xs, rs = Rectangle(0.0, 1.0, 0.5, 1.5).grid(4, 4)
+        points = [{"x0": x0, "r": r, "value": [1e308, 1.7e308]} for x0, r in zip(xs.tolist(), rs.tolist())]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"meta": {"m": 3, "k": 0, "rect": [0.0, 1.0, 0.5, 1.5], "nx0": 4, "nr": 4},
+                                    "points": points}))
+        code = main(["invert", "--field-json", str(path), "--grid", "2,2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: numerical failure: non-finite edge trace at x0=0.0277125 (r=0.5)\n"
 
     def test_non_finite_edge_trace_exits_3(self, capsys, monkeypatch):
         from fueter import cli

@@ -234,6 +234,31 @@ class TestGaugeFreedom:
         with pytest.raises(NumericalError, match=r"coefficient chain overflowed on \[0, 1\]"):
             prim.eval(1.0, 1.0)
 
+    def test_overflowing_value_raises_numerical_error_at_every_entry(self):
+        # a finite field whose I2 = r * (a finite integral) passes float64: every entry used to
+        # return inf silently, radial_integrals (1e308, inf) and eval (6.5e307, inf)
+        H = AxialFunction(lambda x0, r: 0 * r + 1e308, lambda x0, r: 0 * r + 1.7e308, 3, 0, RECT)
+        prim = invert(H)
+        calls = [
+            (lambda: radial_integrals(H, 0.5, 1.5), "the radial integrals of 'axial-field' overflow"),
+            (lambda: prim.eval(0.5, 1.5), "the primitive of 'axial-field' overflows"),
+            (lambda: prim.eval(np.array([0.5, 0.5]), np.array([1.0 + 1e-9, 1.5])), "the primitive of 'axial-field' overflows"),
+            (lambda: prim(complex(0.5, 1.5)), "the primitive of 'axial-field' overflows"),
+        ]
+        for call, what in calls:
+            with pytest.raises(NumericalError, match=re.escape(f"{what} float64 at x0=0.5, r=1.5")):
+                call()
+
+    def test_overflowing_package_arithmetic_raises_its_own_error_without_a_warning(self):
+        # the field's values are finite, the engine's panel sums (and the chain's forcing) are not:
+        # the package's error comes first, where numpy used to warn of an overflow in matmul
+        H = AxialFunction(lambda x0, r: 0 * r + 1e308, lambda x0, r: 0 * r + 1.7e308, 3, 0, RECT)
+        with pytest.raises(QuadratureError, match=r"non-finite panel value on \[0\.75, 1\]"):
+            invert(H).eval(0.5, 1.0)
+        G = AxialFunction(H.A, H.B, 3, 0, Rectangle(0, 10, 5, 6))
+        with pytest.raises(QuadratureError, match=r"non-finite panel value on \[0, 3\]"):
+            invert(G).eval(3.0, 5.5)
+
     def test_coefficient_trajectories_shape(self):
         # alpha_j and beta_j along [a, b]: one finite value per x0, from init at a
         H = axial_field("example1")
@@ -618,6 +643,19 @@ def test_import_pulls_in_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_pulls_in_no_numpy_polynomial():
+    # the Gauss-Legendre rule is built on first use: leggauss at import time would add its
+    # module's import to every run; numpy releases that import it themselves are no failure
+    src = os.path.dirname(os.path.dirname(fueter.__file__))
+    code = ("import sys, numpy; poly = lambda: {m for m in sys.modules if m.startswith('numpy.polynomial')}; "
+            "before = poly(); import fueter; print(sorted(poly() - before))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestPrimitiveObject:
     def test_serialization_fields(self):
         # the record holds what the primitive is determined by, no tables
@@ -893,9 +931,9 @@ class TestRadialRule:
         # the reference is the rule as first written: np.kron(np.diag(half), w) on _nodes' layout
         for c, r in [(0.5, 1.5), (0.5, 0.5 + 1e-9), (0.3, 0.31), (0.45, 1.234), (1e-3, 2.0), (0.7, 0.7000001)]:
             mid = 0.5 * (c + r)
-            half, x = quadrature._nodes(np.array([c, c, mid]), np.array([r, mid, r]), PANEL_ORDER)
+            half, x = quadrature._nodes(np.array([c, c, mid]), np.array([r, mid, r]))
             kernel = (r * r - x * x) ** (N - 1)
-            gauss = np.kron(np.diag(half), quadrature._rule(PANEL_ORDER)[1])
+            gauss = np.kron(np.diag(half), quadrature._rule()[1])
             got = _radial_rule.__wrapped__(c, r, N)
             assert [g.tobytes() for g in got] == [x.tobytes(), (gauss * (x * kernel)).tobytes(),
                                                   (gauss * kernel).tobytes()], (c, r)

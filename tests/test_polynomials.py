@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,3 +84,22 @@ class TestConstruction:
             builtin_pk(3, 1, 1, 4)
         with pytest.raises(ValueError):
             builtin_pk(3, 2)
+
+    @pytest.mark.parametrize("args, message", [
+        ((3, 0, 7, 9, 5), "need 1 <= i < j <= m = 3, got i=7, j=9"),
+        ((3, 0, 0, 2), "need 1 <= i < j <= m = 3, got i=0, j=2"),
+        ((5, 0, 2), "need 1 <= i < j <= m = 5, got i=2, j=2"),
+        ((3, 0, 1, 2, 0), "sign must be +1 or -1, got 0"),
+    ])
+    def test_builtin_checks_indices_and_sign_at_k_0(self, args, message):
+        # P_0 = 1 used to come back for any indices and sign
+        with pytest.raises(ValueError, match=re.escape(message)):
+            builtin_pk(*args)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_builtin_defaults_hold_at_every_m(self, m):
+        # at m = 1 the degree-1 default j = 2 exceeds m, which P_0 never reads
+        one = builtin_pk(m, 0)(np.ones(m))
+        assert one == Multivector.scalar(m, 1.0)
+        if m > 1:
+            assert builtin_pk(m, 0, 1, m, -1)(np.ones(m)) == one

@@ -8,7 +8,7 @@ import pytest
 from fueter import quadrature
 from fueter.errors import QuadratureError
 from fueter.quadrature import PANEL_ORDER as PANEL
-from fueter.quadrature import QuadratureConfig, _nodes, _panels, integrate
+from fueter.quadrature import QuadratureConfig, _nodes, _rule, integrate
 
 FIRST = 3 * PANEL  # a piece's whole panel and its two halves
 
@@ -119,6 +119,14 @@ def outcome(fn, a, b, cfg=QuadratureConfig()):
         return str(exc), calls
 
 
+def reference_panels(f, lo, hi):
+    """The Gauss panel sums on [lo[i], hi[i]] from one call of f, in numpy: the engine's layout
+    (_nodes) and weights (_rule), summed here; shape (len(lo),) or (p, len(lo))."""
+    half, x = _nodes(lo, hi)
+    y = np.asarray(f(x), dtype=np.float64)
+    return half * (y.reshape(*y.shape[:-1], half.size, 1, PANEL) @ _rule()[1])[..., 0]
+
+
 def reference_integrate(f, a, b, cfg=QuadratureConfig()):
     """integrate through an independent engine in numpy arrays: the first level is accepted
     when every component's halves are finite and agree with its whole, else it refines
@@ -130,7 +138,7 @@ def reference_integrate(f, a, b, cfg=QuadratureConfig()):
     if b < a:
         a, b, sign = b, a, -1.0
     mid = 0.5 * (a + b)
-    first = _panels(f, np.array([a, a, mid]), np.array([b, mid, b]), PANEL)
+    first = reference_panels(f, np.array([a, a, mid]), np.array([b, mid, b]))
     whole, left, right = first.reshape(-1, 3).T
     values = left + right
     if not (np.isfinite(values).all() and (np.abs(values - whole) <= cfg.abs_tol).all()):
@@ -159,7 +167,7 @@ def reference_refine(f, lo, hi, whole, left, right, tol, depth, active=True):
 
 def reference_split(f, lo, hi, whole, tol, depth, active):
     mid = 0.5 * (lo + hi)
-    halves = _panels(f, np.array([lo, mid]), np.array([mid, hi]), PANEL)
+    halves = reference_panels(f, np.array([lo, mid]), np.array([mid, hi]))
     return reference_refine(f, lo, hi, whole, halves[..., 0], halves[..., 1], tol, depth, active)
 
 
@@ -343,11 +351,19 @@ class TestBounds:
 def reference_layout(a, b):
     """The first level on [a, b] as _nodes lays out any panels: (half, x)."""
     mid = 0.5 * (a + b)
-    return _nodes(np.array([a, a, mid]), np.array([b, mid, b]), PANEL)
+    return _nodes(np.array([a, a, mid]), np.array([b, mid, b]))
 
 
 class TestLayout:
     """integrate lays out its first level with _nodes on the sorted interval."""
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.2, 1.3), (-3e5, 7e-3), (1e-300, 3e-300)])
+    def test_first_level_is_the_whole_panel_then_its_halves(self, a, b):
+        # the one layout integrate and inverse's radial rule both read
+        half, x, weights = quadrature._first_level(a, b)
+        want_half, want_x = reference_layout(a, b)
+        assert (half.tobytes(), x.tobytes()) == (want_half.tobytes(), want_x.tobytes())
+        assert weights.tobytes() == _rule()[1].tobytes() and x.size == FIRST
 
     ENDS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.2, 1.3), (0.5, 0.5 + 1e-9), (-3e5, 7e-3),
             (1e-300, 3e-300)]
